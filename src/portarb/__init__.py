@@ -18,6 +18,7 @@ from .compiler import (
     RuleSet,
     SelectionRule,
     check_conflicts,
+    compile_model,
     effective_inhibitor_sources,
     emit_rules,
     extract_rules,

@@ -12,20 +12,18 @@ import sys
 from pathlib import Path
 
 from .arbiter import ACCEPT, CONSTRAINT_FALSE, DEFAULT_WINDOW_MS, NO_RULE
-from .compiler import check_conflicts, emit_rules, extract_rules
+from .compiler import compile_model, emit_rules
 from .model import (
     And,
     Lit,
     Not,
     ParseError,
-    apply_auto_observe,
     evaluate_condition,
     has_errors,
     parse_behavior_model,
     parse_condition,
     parse_network,
     render_condition,
-    validate,
 )
 from .simnet import read_trace, run, load_scenario, write_trace
 
@@ -41,24 +39,12 @@ def _print_diagnostics(diagnostics) -> None:
         print(f"{diag.severity}: [{diag.code}]{location} {diag.message}", file=sys.stderr)
 
 
-def _load_model_and_network(args):
+def _pipeline(args):
+    """Parse the model and network named on the command line and compile
+    them; returns (diagnostics, ruleset or None, effective network)."""
     model = parse_behavior_model(Path(args.model).read_text(encoding="utf-8"))
     network = parse_network(Path(args.network).read_text(encoding="utf-8"))
-    return model, network
-
-
-def _pipeline(args, auto_observe: bool):
-    """parse -> validate -> extract -> conflict-check; returns
-    (diagnostics, ruleset, effective network)."""
-    model, network = _load_model_and_network(args)
-    diagnostics = validate(model, network, auto_observe=auto_observe)
-    ruleset = None
-    if not has_errors(diagnostics):
-        if auto_observe:
-            network = apply_auto_observe(model, network)
-        ruleset = extract_rules(model, network)
-        diagnostics = diagnostics + check_conflicts(ruleset)
-    return diagnostics, ruleset, network
+    return compile_model(model, network, args.auto_observe)
 
 
 def _status(diagnostics, strict: bool) -> int:
@@ -70,7 +56,7 @@ def _status(diagnostics, strict: bool) -> int:
 
 
 def cmd_compile(args) -> int:
-    diagnostics, ruleset, _ = _pipeline(args, args.auto_observe)
+    diagnostics, ruleset, _ = _pipeline(args)
     _print_diagnostics(diagnostics)
     if has_errors(diagnostics):
         return EXIT_VALIDATION
@@ -83,7 +69,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    diagnostics, _, _ = _pipeline(args, args.auto_observe)
+    diagnostics, _, _ = _pipeline(args)
     _print_diagnostics(diagnostics)
     return _status(diagnostics, args.strict)
 
@@ -112,14 +98,12 @@ def cmd_simulate(args) -> int:
     # Simulation always auto-observes: a runnable system needs its rule
     # literals visible, and the additions surface as V3 warnings.
     scenario = load_scenario(args.scenario)
-    diagnostics = validate(scenario.model, scenario.network, auto_observe=True)
-    if has_errors(diagnostics):
-        _print_diagnostics(diagnostics)
-        return EXIT_VALIDATION
-    network = apply_auto_observe(scenario.model, scenario.network)
-    ruleset = extract_rules(scenario.model, network)
-    diagnostics = diagnostics + check_conflicts(ruleset)
+    diagnostics, ruleset, network = compile_model(
+        scenario.model, scenario.network, auto_observe=True
+    )
     _print_diagnostics(diagnostics)
+    if ruleset is None:
+        return EXIT_VALIDATION
     trace = run(scenario, ruleset, network=network, horizon_ms=args.until)
     if args.trace:
         write_trace(trace, args.trace)

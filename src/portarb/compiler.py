@@ -24,9 +24,12 @@ from .model import (
     Or,
     TRUE,
     WARNING,
+    apply_auto_observe,
     condition_literals,
+    has_errors,
     normalize,
     render_condition,
+    validate,
 )
 
 
@@ -47,13 +50,6 @@ class SelectionRule:
 class RuleSet:
     rules: tuple[SelectionRule, ...] = ()
 
-    def ports(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for rule in self.rules:
-            if rule.port not in out:
-                out.append(rule.port)
-        return tuple(out)
-
     def by_port(self) -> dict[str, tuple[SelectionRule, ...]]:
         grouped: dict[str, list[SelectionRule]] = {}
         for rule in self.rules:
@@ -67,16 +63,10 @@ class RuleSet:
         return None
 
 
-def _resolve(behavior: BehaviorNode | str, model: BehaviorModel) -> BehaviorNode:
-    return model.node(behavior) if isinstance(behavior, str) else behavior
-
-
 def inherited_condition(behavior: BehaviorNode | str, model: BehaviorModel) -> BoolExpr:
     """Conjunction of the behavior's own condition with every enclosing
     meta-behavior's condition, outermost first, trues absorbed."""
-    node = _resolve(behavior, model)
-    parts = tuple(a.condition for a in model.ancestors(node.name)) + (node.condition,)
-    return normalize(And(parts))
+    return model.plan(behavior).condition
 
 
 def effective_inhibitor_sources(
@@ -87,19 +77,12 @@ def effective_inhibitor_sources(
     Collects every node that inhibits the behavior directly or inhibits one
     of its enclosing meta-behaviors, expands meta-behavior inhibitors to
     their descendant leaves, and returns the union of those leaves'
-    configuration sources. Returned deduplicated in document-walk order so
-    downstream rendering is deterministic.
+    configuration sources. Returned deduplicated in a deterministic order:
+    the behavior's own inhibitors first, then each enclosing meta-behavior's
+    going outward; within one scope, inhibitors and their leaves in
+    document-walk order.
     """
-    node = _resolve(behavior, model)
-    sources: list[str] = []
-    scopes = (node,) + tuple(reversed(model.ancestors(node.name)))
-    for scope in scopes:
-        for inhibitor in model.inhibitors_of(scope.name):
-            for leaf in model.leaves_under(inhibitor.name):
-                for conn in leaf.configuration:
-                    if conn.source not in sources:
-                        sources.append(conn.source)
-    return tuple(sources)
+    return model.plan(behavior).inhibitor_sources
 
 
 def _first_literal_rank(part: BoolExpr, appearance: dict[str, int]) -> int:
@@ -132,11 +115,9 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
     for leaf in model.leaf_behaviors():
         for conn in leaf.configuration:
             register(conn.source)
-        condition = inherited_condition(leaf, model)
-        for port in condition_literals(condition):
-            register(port)
-        inhibitor_sources = effective_inhibitor_sources(leaf, model)
-        for port in inhibitor_sources:
+        plan = model.plan(leaf)
+        condition, inhibitor_sources = plan.condition, plan.inhibitor_sources
+        for port in plan.needed:
             register(port)
 
         conjuncts: list[BoolExpr] = []
@@ -195,15 +176,16 @@ def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list
 
     diagnostics: list[Diagnostic] = []
     for port, rules in sorted(ruleset.by_port().items()):
+        # candidate active and constraint, built once per rule
+        selects = [
+            manager.combine(AND, manager.var(rule.candidate), manager.build(rule.constraint))
+            for rule in rules
+        ]
         for i, first in enumerate(rules):
-            for second in rules[i + 1:]:
+            for j, second in enumerate(rules[i + 1:], start=i + 1):
                 if first.candidate == second.candidate:
                     continue
-                joint = manager.combine(
-                    AND, manager.var(first.candidate), manager.var(second.candidate)
-                )
-                joint = manager.combine(AND, joint, manager.build(first.constraint))
-                joint = manager.combine(AND, joint, manager.build(second.constraint))
+                joint = manager.combine(AND, selects[i], selects[j])
                 if not manager.satisfiable(joint):
                     continue
                 witness = manager.first_satisfying(joint) or []
@@ -215,6 +197,24 @@ def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list
                     port,
                 ))
     return diagnostics
+
+
+def compile_model(
+    model: BehaviorModel, network: NetworkDescription, auto_observe: bool
+) -> tuple[list[Diagnostic], RuleSet | None, NetworkDescription]:
+    """validate -> auto-observe -> extract -> conflict check.
+
+    Returns the diagnostics, the rule set (None when validation found
+    errors) and the network the rules were compiled against, which carries
+    the added observer connections when `auto_observe` is set.
+    """
+    diagnostics = validate(model, network, auto_observe=auto_observe)
+    if has_errors(diagnostics):
+        return diagnostics, None, network
+    if auto_observe:
+        network = apply_auto_observe(model, network)
+    ruleset = extract_rules(model, network)
+    return diagnostics + check_conflicts(ruleset), ruleset, network
 
 
 def emit_rules(ruleset: RuleSet, fmt: str = "text") -> str:

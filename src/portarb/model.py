@@ -355,6 +355,15 @@ class BehaviorNode:
 
 
 @dataclass(frozen=True)
+class NodePlan:
+    """What compilation needs of one node, computed once per model."""
+
+    condition: BoolExpr  # own condition conjoined with every ancestor's, outermost first
+    inhibitor_sources: tuple[str, ...]  # sources of every leaf inhibiting it or an ancestor
+    needed: tuple[str, ...]  # literals of both, in first-appearance order
+
+
+@dataclass(frozen=True)
 class BehaviorModel:
     roots: tuple[BehaviorNode, ...] = ()
     defines: Mapping[str, str] = field(default_factory=dict)
@@ -392,30 +401,42 @@ class BehaviorModel:
         self.node(name)
         return self._parent_name[name]
 
-    def ancestors(self, name: str) -> tuple[BehaviorNode, ...]:
-        """Enclosing meta-behaviors, outermost first, excluding the node itself."""
-        chain: list[BehaviorNode] = []
-        current = self._parent_name.get(name)
-        while current is not None:
-            chain.append(self.node(current))
-            current = self._parent_name.get(current)
-        return tuple(reversed(chain))
-
     def leaf_behaviors(self) -> tuple[BehaviorNode, ...]:
         return tuple(node for node in self.walk() if not node.is_meta)
 
-    def leaves_under(self, name: str) -> tuple[BehaviorNode, ...]:
-        node = self.node(name)
-        if not node.is_meta:
-            return (node,)
-        out: list[BehaviorNode] = []
-        for child in node.children:
-            out.extend(self.leaves_under(child.name))
-        return tuple(out)
+    @cached_property
+    def _plans(self) -> dict[str, NodePlan]:
+        # Sources under each node first: reversed pre-order puts every node
+        # after all of its descendants.
+        nodes = list(self.walk())
+        sources_under: dict[str, tuple[str, ...]] = {}
+        for node in reversed(nodes):
+            if node.is_meta:
+                merged = (p for c in node.children for p in sources_under[c.name])
+            else:
+                merged = (conn.source for conn in node.configuration)
+            sources_under[node.name] = tuple(dict.fromkeys(merged))
+        inhibitors: dict[str, list[str]] = {}
+        for node in nodes:
+            for target in node.inhibitions:
+                inhibitors.setdefault(target, []).append(node.name)
+        # Then pre-order, so a parent's plan is there before its children's.
+        plans: dict[str, NodePlan] = {}
+        top = NodePlan(TRUE, (), ())
+        for node in nodes:
+            parent = plans.get(self._parent_name[node.name], top)
+            own = (p for i in inhibitors.get(node.name, ()) for p in sources_under[i])
+            condition = normalize(And((parent.condition, node.condition)))
+            sources = tuple(dict.fromkeys((*own, *parent.inhibitor_sources)))
+            needed = tuple(dict.fromkeys((*condition_literals(condition), *sources)))
+            plans[node.name] = NodePlan(condition, sources, needed)
+        return plans
 
-    def inhibitors_of(self, name: str) -> tuple[BehaviorNode, ...]:
-        """Nodes that list `name` in their inhibitions, in document order."""
-        return tuple(node for node in self.walk() if name in node.inhibitions)
+    def plan(self, behavior: BehaviorNode | str) -> NodePlan:
+        """The node's compilation plan; KeyError for unknown names."""
+        name = behavior if isinstance(behavior, str) else behavior.name
+        self.node(name)
+        return self._plans[name]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +444,9 @@ class BehaviorModel:
 
 
 _DEFINE_REF_RE = re.compile(r"\$\{([^}]*)\}")
+# Most characters ${...} substitution may add, both to the define values
+# together and to the document; a larger expansion is rejected unbuilt.
+MAX_EXPANSION_CHARS = 1 << 20
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>")
 
 
@@ -456,37 +480,46 @@ def _extract_defines(elements: list[ElementTree.Element]) -> dict[str, str]:
     return defines
 
 
+def _expand(text: str, defines: Mapping[str, str], limit: int) -> str:
+    """Replace each ${name} that has a value; other references stay as
+    written. Raises ParseError instead of building a result over `limit`."""
+    size = len(text) + sum(
+        len(defines.get(m.group(1), m.group(0))) - len(m.group(0))
+        for m in _DEFINE_REF_RE.finditer(text)
+    )
+    if size > limit:
+        raise ParseError(
+            f"${{...}} defines expand by more than {MAX_EXPANSION_CHARS} characters"
+        )
+    return _DEFINE_REF_RE.sub(lambda m: defines.get(m.group(1), m.group(0)), text)
+
+
 def _substitute_defines(text: str) -> tuple[str, dict[str, str]]:
     """Pure text replacement of ${name} references, before any structural
     interpretation of the behavior elements."""
     defines = _extract_defines(_parse_xml_forest(text, "behavior model"))
+    total = sum(len(value) for value in defines.values())
+    limit = total + MAX_EXPANSION_CHARS
     for _ in range(64):
         changed = False
         for key, value in defines.items():
-            expanded = _DEFINE_REF_RE.sub(
-                lambda m: defines.get(m.group(1), m.group(0)), value
-            )
+            expanded = _expand(value, defines, limit - (total - len(value)))
             if expanded != value:
                 defines[key] = expanded
+                total += len(expanded) - len(value)
                 changed = True
         if not changed:
             break
     else:
         raise ParseError("circular ${...} define references")
-    for value in defines.values():
+    substituted = _expand(text, defines, len(text) + MAX_EXPANSION_CHARS)
+    for value in (*defines.values(), substituted):
         leftover = _DEFINE_REF_RE.search(value)
         if leftover:
             if leftover.group(1) in defines:
                 raise ParseError("circular ${...} define references")
             raise ParseError(f"unresolved ${{{leftover.group(1)}}}")
-
-    def replace(m: re.Match) -> str:
-        name = m.group(1)
-        if name not in defines:
-            raise ParseError(f"unresolved ${{{name}}}")
-        return defines[name]
-
-    return _DEFINE_REF_RE.sub(replace, text), defines
+    return substituted, defines
 
 
 def _parse_definition(el: ElementTree.Element, name: str):
@@ -680,11 +713,19 @@ class NetworkDescription:
     def declared_outputs(self) -> frozenset[str]:
         return frozenset(p for c in self.components for p in c.outputs)
 
+    @cached_property
+    def _incoming(self) -> dict[str, tuple[Connection, ...]]:
+        grouped: dict[str, list[Connection]] = {}
+        for conn in self.connections:
+            grouped.setdefault(conn.destination, []).append(conn)
+        return {port: tuple(conns) for port, conns in grouped.items()}
+
     def incoming(self, port: str) -> tuple[Connection, ...]:
-        return tuple(c for c in self.connections if c.destination == port)
+        return self._incoming.get(port, ())
 
     def with_connections(self, extra) -> "NetworkDescription":
-        extra = tuple(c for c in extra if c not in self.connections)
+        present = set(self.connections)
+        extra = tuple(c for c in extra if c not in present)
         return NetworkDescription(
             components=self.components,
             connections=self.connections + extra,
@@ -790,16 +831,19 @@ def has_errors(diagnostics) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
-def _needed_literals(leaf: BehaviorNode, model: BehaviorModel) -> tuple[str, ...]:
-    # Every literal that ends up in this behavior's compiled rules: inherited
-    # condition literals plus negated inhibitor sources.
-    from .compiler import effective_inhibitor_sources, inherited_condition
-
-    needed = list(condition_literals(inherited_condition(leaf, model)))
-    for port in effective_inhibitor_sources(leaf, model):
-        if port not in needed:
-            needed.append(port)
-    return tuple(needed)
+def _unobserved_literals(
+    model: BehaviorModel, network: NetworkDescription
+) -> Iterator[tuple[BehaviorNode, str, str]]:
+    """(leaf, literal, destination) for each declared-output rule literal
+    that has no connection to a destination the leaf configures; once per
+    configured connection, leaves in document order."""
+    present = {(c.source, c.destination) for c in network.connections}
+    for leaf in model.leaf_behaviors():
+        needed = [p for p in model.plan(leaf).needed if p in network.declared_outputs]
+        for conn in leaf.configuration:
+            for port in needed:
+                if (port, conn.destination) not in present:
+                    yield leaf, port, conn.destination
 
 
 def observer_connections(
@@ -807,18 +851,10 @@ def observer_connections(
 ) -> tuple[Connection, ...]:
     """Connections that must be added so every rule literal is visible at the
     port where the rule is evaluated."""
-    present = set(network.connections)
-    missing: list[Connection] = []
-    for leaf in model.leaf_behaviors():
-        needed = _needed_literals(leaf, model)
-        for conn in leaf.configuration:
-            for port in needed:
-                if port not in network.declared_outputs:
-                    continue  # validate() reports this as a V3 error
-                candidate = Connection(port, conn.destination)
-                if candidate not in present and candidate not in missing:
-                    missing.append(candidate)
-    return tuple(missing)
+    missing = dict.fromkeys(
+        (port, destination) for _, port, destination in _unobserved_literals(model, network)
+    )
+    return tuple(Connection(port, destination) for port, destination in missing)
 
 
 def apply_auto_observe(
@@ -904,35 +940,29 @@ def validate(
                 ))
 
     for leaf in model.leaf_behaviors():
-        needed = _needed_literals(leaf, model)
-        for port in needed:
+        for port in model.plan(leaf).needed:
             if port not in network.declared_outputs:
                 diagnostics.append(Diagnostic(
                     ERROR, "V3",
                     f"rule literal {port!r} is not a declared output port",
                     leaf.name,
                 ))
-        for conn in leaf.configuration:
-            for port in needed:
-                if port not in network.declared_outputs:
-                    continue
-                if Connection(port, conn.destination) in present:
-                    continue
-                if auto_observe:
-                    diagnostics.append(Diagnostic(
-                        WARNING, "V3",
-                        f"adding observer connection {port} -> {conn.destination} "
-                        f"so {leaf.name!r} can evaluate {port}",
-                        leaf.name,
-                    ))
-                else:
-                    diagnostics.append(Diagnostic(
-                        ERROR, "V3",
-                        f"literal {port} of {leaf.name!r} is not observable at "
-                        f"{conn.destination}: connection {port} -> {conn.destination} "
-                        "is missing (auto-observe can add it)",
-                        leaf.name,
-                    ))
+    for leaf, port, destination in _unobserved_literals(model, network):
+        if auto_observe:
+            diagnostics.append(Diagnostic(
+                WARNING, "V3",
+                f"adding observer connection {port} -> {destination} "
+                f"so {leaf.name!r} can evaluate {port}",
+                leaf.name,
+            ))
+        else:
+            diagnostics.append(Diagnostic(
+                ERROR, "V3",
+                f"literal {port} of {leaf.name!r} is not observable at "
+                f"{destination}: connection {port} -> {destination} "
+                "is missing (auto-observe can add it)",
+                leaf.name,
+            ))
 
     diagnostics.sort(key=lambda d: (d.location, d.code, d.message))
     return diagnostics

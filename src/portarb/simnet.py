@@ -10,6 +10,7 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +29,6 @@ from .model import (
     parse_behavior_model,
     parse_network,
 )
-
-PAYLOAD_TAG = "pos"
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,12 @@ class Scenario:
     network: NetworkDescription
     horizon_ms: int
     components: tuple = ()
-    model_path: Path | None = None
-    network_path: Path | None = None
 
     def sources(self) -> tuple[PeriodicSource, ...]:
         return tuple(c for c in self.components if isinstance(c, PeriodicSource))
 
     def sinks(self) -> tuple[Sink, ...]:
         return tuple(c for c in self.components if isinstance(c, Sink))
-
-
-@dataclass(frozen=True)
-class Event:
-    time: int
-    seq: int
-    kind: str  # "wake" or "emit"
-    component: str = ""
-    port: str = ""
-    tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -169,10 +156,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data["components"], list):
         raise _schema_error(path, "'components' must be a list")
 
-    model_path = path.parent / str(data["model"])
-    network_path = path.parent / str(data["network"])
-    model = parse_behavior_model(model_path.read_text(encoding="utf-8"))
-    network = parse_network(network_path.read_text(encoding="utf-8"))
+    model = parse_behavior_model((path.parent / str(data["model"])).read_text(encoding="utf-8"))
+    network = parse_network((path.parent / str(data["network"])).read_text(encoding="utf-8"))
 
     components: list = []
     names: set[str] = set()
@@ -217,8 +202,6 @@ def load_scenario(path) -> Scenario:
         network=network,
         horizon_ms=horizon_ms,
         components=tuple(components),
-        model_path=model_path,
-        network_path=network_path,
     )
 
 
@@ -264,36 +247,34 @@ def run(
     sources = {comp.name: comp for comp in scenario.sources()}
     sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
 
-    heap: list[tuple[int, int, Event]] = []
-    seq = 0
+    # (time, seq, kind, component name for "wake" or port for "emit")
+    heap: list[tuple[int, int, str, str]] = []
+    seq = itertools.count()
 
-    def push(event: Event) -> None:
-        heapq.heappush(heap, (event.time, event.seq, event))
+    def push(t: int, kind: str, name_or_port: str) -> None:
+        heapq.heappush(heap, (t, next(seq), kind, name_or_port))
 
     for comp in scenario.sources():
         if comp.phase_ms < horizon:
-            push(Event(comp.phase_ms, seq, "wake", component=comp.name))
-            seq += 1
+            push(comp.phase_ms, "wake", comp.name)
 
     records: list[TraceRecord] = []
     while heap:
-        _, _, event = heapq.heappop(heap)
-        if event.kind == "wake":
-            comp = sources[event.component]
-            if comp.emits_at(event.time):
-                push(Event(event.time, seq, "emit", port=comp.port, tag=PAYLOAD_TAG))
-                seq += 1
-            next_wake = event.time + comp.period_ms
+        t, _, kind, name_or_port = heapq.heappop(heap)
+        if kind == "wake":
+            comp = sources[name_or_port]
+            if comp.emits_at(t):
+                push(t, "emit", comp.port)
+            next_wake = t + comp.period_ms
             if next_wake < horizon:
-                push(Event(next_wake, seq, "wake", component=comp.name))
-                seq += 1
+                push(next_wake, "wake", comp.name)
         else:
-            for conn in fanout.get(event.port, ()):
+            for conn in fanout.get(name_or_port, ()):
                 arb = arbiters[conn.destination]
-                arb.record_arrival(conn, event.time)
-                decision = arb.decide(conn, event.time)
+                arb.record_arrival(conn, t)
+                decision = arb.decide(conn, t)
                 records.append(TraceRecord(
-                    t=event.time,
+                    t=t,
                     src=conn.source,
                     dst=conn.destination,
                     outcome=decision.outcome,
@@ -302,7 +283,7 @@ def run(
                     assignment=decision.assignment,
                 ))
                 if decision.outcome == ACCEPT and conn.destination in sink_log:
-                    sink_log[conn.destination].append((event.time, conn.source))
+                    sink_log[conn.destination].append((t, conn.source))
 
     return Trace(
         records=tuple(records),

@@ -11,30 +11,26 @@ from portarb import (
     Lit,
     Not,
     Or,
-    apply_auto_observe,
-    extract_rules,
+    compile_model,
     fixture,
     has_errors,
     load_scenario,
     parse_behavior_model,
     parse_network,
     run,
-    validate,
 )
 from portarb.model import BEHAVIOR, FALSE, META_BEHAVIOR, TRUE
 
 
 def compile_fixture(name, auto_observe=True):
-    """parse + validate + extract for a named fixture; returns
+    """The library compile pipeline over a named fixture; returns
     (model, effective network, ruleset, diagnostics)."""
     fx = fixture(name)
     model = parse_behavior_model(fx.model.read_text())
     network = parse_network(fx.network.read_text())
-    diagnostics = validate(model, network, auto_observe=auto_observe)
+    diagnostics, ruleset, network = compile_model(model, network, auto_observe)
     assert not has_errors(diagnostics), diagnostics
-    if auto_observe:
-        network = apply_auto_observe(model, network)
-    return model, network, extract_rules(model, network), diagnostics
+    return model, network, ruleset, diagnostics
 
 
 def run_fixture(name, horizon_ms=None):
@@ -75,30 +71,34 @@ _names = (
 )
 
 
+# built once: a recursive strategy is costly to set up on every draw
+_LEAF_CONDITIONS = expressions(max_leaves=4)
+_META_CONDITIONS = expressions(max_leaves=3)
+MODEL_SOURCES = tuple(f"/src{i}/out:o" for i in range(4))
+MODEL_DESTINATIONS = tuple(f"/dst{i}/in:i" for i in range(3))
+
+
 @st.composite
-def behavior_models(draw):
+def behavior_models(draw, max_leaves=4, max_metas=2):
     """Valid-by-construction random models: unique names, leaves with
     configuration, metas grouping earlier nodes, sibling-only inhibitions."""
-    leaf_count = draw(st.integers(1, 4))
-    meta_count = draw(st.integers(0, 2))
+    leaf_count = draw(st.integers(1, max_leaves))
+    meta_count = draw(st.integers(0, max_metas))
     total = leaf_count + meta_count
     names = draw(st.lists(_names, min_size=total, max_size=total, unique=True))
-
-    sources = [f"/src{i}/out:o" for i in range(4)]
-    destinations = [f"/dst{i}/in:i" for i in range(3)]
 
     available: list[BehaviorNode] = []
     for name in names[:leaf_count]:
         pair_count = draw(st.integers(1, 2))
         pairs = draw(st.lists(
-            st.tuples(st.sampled_from(sources), st.sampled_from(destinations)),
+            st.tuples(st.sampled_from(MODEL_SOURCES), st.sampled_from(MODEL_DESTINATIONS)),
             min_size=pair_count, max_size=pair_count, unique=True,
         ))
         available.append(BehaviorNode(
             name=name,
             kind=BEHAVIOR,
             configuration=tuple(Connection(s, d) for s, d in pairs),
-            condition=draw(expressions(max_leaves=4)),
+            condition=draw(_LEAF_CONDITIONS),
         ))
 
     for name in names[leaf_count:]:
@@ -113,7 +113,7 @@ def behavior_models(draw):
             name=name,
             kind=META_BEHAVIOR,
             children=children,
-            condition=draw(expressions(max_leaves=3)),
+            condition=draw(_META_CONDITIONS),
         ))
 
     # inhibitions point at earlier siblings, so the relation stays acyclic

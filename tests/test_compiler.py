@@ -4,12 +4,23 @@ and deterministic rendering."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import compile_fixture
+from conftest import (
+    EXPR_PORTS,
+    MODEL_DESTINATIONS,
+    MODEL_SOURCES,
+    behavior_models,
+    compile_fixture,
+)
 from portarb import (
     And,
     BddManager,
+    Component,
+    Connection,
     Lit,
+    NetworkDescription,
     Not,
     Or,
     check_conflicts,
@@ -18,13 +29,14 @@ from portarb import (
     extract_rules,
     fixture,
     inherited_condition,
+    observer_connections,
     parse_behavior_model,
     parse_network,
     rule_text,
 )
 from portarb.compiler import RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
-from portarb.model import TRUE, WARNING
+from portarb.model import FALSE, TRUE, WARNING
 
 
 def _network(text):
@@ -93,6 +105,111 @@ def test_meta_inhibitor_expands_to_descendant_leaves():
     )
     model = parse_behavior_model(text)
     assert effective_inhibitor_sources("C", model) == ("/a:o", "/b:o")
+
+
+# Brute-force reading of inhibition and observability, straight from the
+# node tree: nothing here calls into portarb beyond its types.
+
+
+def _walk(nodes):
+    for node in nodes:
+        yield node
+        yield from _walk(node.children)
+
+
+def _leaves(node):
+    return [node] if not node.is_meta else [x for c in node.children for x in _leaves(c)]
+
+
+def _scopes(model, leaf):
+    """The leaf and its enclosing meta-behaviors, innermost first."""
+    parent = {c.name: n for n in _walk(model.roots) for c in n.children}
+    scopes = [leaf]
+    while scopes[-1].name in parent:
+        scopes.append(parent[scopes[-1].name])
+    return scopes
+
+
+def _brute_inhibitor_sources(model, leaf):
+    """Scopes from the leaf outward; per scope its inhibitors in walk order,
+    each expanded to its leaves; their sources, first appearance kept."""
+    sources = {}
+    for scope in _scopes(model, leaf):
+        for inhibitor in _walk(model.roots):
+            if scope.name in inhibitor.inhibitions:
+                for inhibited in _leaves(inhibitor):
+                    for conn in inhibited.configuration:
+                        sources.setdefault(conn.source)
+    return list(sources)
+
+
+def _constant(expr):
+    """True or False when constants decide the expression, else None."""
+    if expr in (TRUE, FALSE):
+        return expr == TRUE
+    if isinstance(expr, Lit):
+        return None
+    if isinstance(expr, Not):
+        inner = _constant(expr.child)
+        return None if inner is None else not inner
+    values = [_constant(c) for c in expr.children]
+    absorbing = isinstance(expr, Or)
+    if absorbing in values:
+        return absorbing
+    return not absorbing if None not in values else None
+
+
+def _literals(expr, out):
+    """Literals left once constants are absorbed, first appearance kept."""
+    if _constant(expr) is not None:
+        return
+    if isinstance(expr, Lit):
+        out.setdefault(expr.port)
+    for child in (expr.child,) if isinstance(expr, Not) else getattr(expr, "children", ()):
+        _literals(child, out)
+
+
+def _brute_observers(model, network):
+    present = set(network.connections)
+    outputs = {p for c in network.components for p in c.outputs}
+    missing = {}
+    for leaf in (n for n in _walk(model.roots) if not n.is_meta):
+        needed = {}
+        _literals(And(tuple(s.condition for s in reversed(_scopes(model, leaf)))), needed)
+        needed.update(dict.fromkeys(_brute_inhibitor_sources(model, leaf)))
+        for conn in leaf.configuration:
+            for port in needed:
+                candidate = Connection(port, conn.destination)
+                if port in outputs and candidate not in present:
+                    missing.setdefault(candidate)
+    return list(missing)
+
+
+@st.composite
+def models_with_networks(draw):
+    model = draw(behavior_models(max_leaves=40, max_metas=12))
+    observed = draw(st.lists(st.sampled_from(EXPR_PORTS), unique=True))
+    outputs = MODEL_SOURCES + tuple(observed)
+    configured = {c for n in _walk(model.roots) for c in n.configuration}
+    extra = draw(st.sets(st.tuples(st.sampled_from(outputs), st.sampled_from(MODEL_DESTINATIONS))))
+    network = NetworkDescription(
+        components=(Component("S", outputs=outputs), Component("D", inputs=MODEL_DESTINATIONS)),
+        connections=tuple(sorted(configured | {Connection(s, d) for s, d in extra},
+                                 key=lambda c: (c.source, c.destination))),
+    )
+    return model, network
+
+
+# large inputs are the point here, so slow generation is expected
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models_with_networks())
+def test_indexed_inhibitors_and_observers_match_brute_force(model_and_network):
+    model, network = model_and_network
+    for leaf in (n for n in _walk(model.roots) if not n.is_meta):
+        assert list(effective_inhibitor_sources(leaf.name, model)) == (
+            _brute_inhibitor_sources(model, leaf)
+        )
+    assert list(observer_connections(model, network)) == _brute_observers(model, network)
 
 
 def test_extract_rules_matches_golden_file():

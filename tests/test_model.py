@@ -1,5 +1,7 @@
 """Behavior and application XML parsing, serialization, validation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +19,7 @@ from portarb import (
     serialize_network,
     validate,
 )
-from portarb.model import ERROR, TRUE, WARNING, is_input, is_output
+from portarb.model import ERROR, MAX_EXPANSION_CHARS, TRUE, WARNING, is_input, is_output
 
 
 LISTING = fixture("be-curious").model.read_text()
@@ -103,6 +105,24 @@ def test_circular_defines_rejected():
     """
     with pytest.raises(ParseError, match="circular"):
         parse_behavior_model(f"<behaviors>{text}</behaviors>")
+
+
+def test_doubling_defines_are_rejected_before_expanding():
+    # each define holds its predecessor twice, so the last would need
+    # 64 * 2**depth characters, four times the cap
+    depth = (MAX_EXPANSION_CHARS // 64).bit_length() + 1
+    chain = ['<define name="d0">' + "x" * 64 + "</define>"] + [
+        f'<define name="d{k}">${{d{k - 1}}}${{d{k - 1}}}</define>' for k in range(1, depth + 1)
+    ]
+    text = "".join(chain) + '<behavior name="B"><config at="/X:i">/Y:o</config></behavior>'
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expand by more than"):
+            parse_behavior_model(f"<behaviors>{text}</behaviors>")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MAX_EXPANSION_CHARS
 
 
 def test_duplicate_names_rejected():
