@@ -5,12 +5,21 @@ a connection is active while the elapsed time since its last arrival stays
 strictly below the port's window. Arrivals are recorded before arbitration
 and regardless of its outcome, so a discarded stream still holds its
 connection active.
+
+A port gives each distinct incoming source an integer slot (sources sorted
+by name) and keeps one int bitmask of the active slots. An arrival sets its
+slot's bit and queues `(time, slot)`; the bits of queued arrivals that have
+left the window are cleared on the next arrival. The port's BDD variable
+order begins with its sources, so a rule is decided by one walk over the
+mask. Together an arrival and its decision cost O(1) amortised plus the
+length of one BDD path, whatever the fan-in.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
 from .bdd import BddManager
@@ -27,25 +36,61 @@ CONSTRAINT_FALSE = "CONSTRAINT_FALSE"
 
 
 class ActivationTable:
-    """Last-arrival timestamps per connection plus the activation window."""
+    """Last-arrival timestamps per key (a connection, or a port's slot) plus
+    the activation window."""
 
     def __init__(self, window_ms: int = DEFAULT_WINDOW_MS):
         if window_ms <= 0:
             raise ValueError(f"window must be positive, got {window_ms}")
         self.window_ms = window_ms
-        self.last_arrival: dict[Connection, int] = {}
+        self.last_arrival: dict[Hashable, int] = {}
         self._latest: int | None = None
 
-    def record(self, connection: Connection, t: int) -> None:
+    def record(self, key: Hashable, t: int) -> None:
         if self._latest is not None and t < self._latest:
             raise ValueError(f"time regression: arrival at {t} after {self._latest}")
         self._latest = t
-        self.last_arrival[connection] = t
+        self.last_arrival[key] = t
 
-    def active(self, connection: Connection, t: int) -> bool:
-        # strict window: an arrival at 0 with window 1000 is inactive at 1000
-        last = self.last_arrival.get(connection)
-        return last is not None and t - last < self.window_ms
+    def within(self, last: int, t: int) -> bool:
+        """The window rule: an arrival at `last` still counts at `t`. Strict,
+        so an arrival at 0 with window 1000 is inactive at 1000."""
+        return t - last < self.window_ms
+
+    def active(self, key: Hashable, t: int) -> bool:
+        last = self.last_arrival.get(key)
+        return last is not None and self.within(last, t)
+
+
+class Snapshot(Mapping[str, bool]):
+    """Read-only activation of one port at one instant: the port's source
+    names in slot order, their slot numbers and a bitmask of active slots.
+    Unknown names raise KeyError, as with a plain dict."""
+
+    __slots__ = ("sources", "slots", "mask")
+
+    def __init__(self, sources: tuple[str, ...], slots: Mapping[str, int], mask: int):
+        self.sources = sources
+        self.slots = slots
+        self.mask = mask
+
+    def __getitem__(self, name: str) -> bool:
+        return bool(self.mask >> self.slots[name] & 1)
+
+    def get(self, name, default=None):
+        # Mapping.get would raise and catch KeyError for every literal that
+        # has no connection at this port
+        slot = self.slots.get(name)
+        return default if slot is None else bool(self.mask >> slot & 1)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sources)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __repr__(self) -> str:
+        return f"Snapshot({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -61,8 +106,8 @@ class Decision:
 
 class PortArbiter:
     """Multiplexer gate on one input port: on each arrival, evaluates the
-    arriving connection's rule BDD over the activation snapshot and accepts
-    or discards. Connections without a rule are observation-only."""
+    arriving connection's rule BDD over the port's activation mask and
+    accepts or discards. Connections without a rule are observation-only."""
 
     def __init__(
         self,
@@ -70,57 +115,84 @@ class PortArbiter:
         incoming: Iterable[Connection],
         rules: "compiler.RuleSet | Iterable[compiler.SelectionRule]" = (),
         window_ms: int = DEFAULT_WINDOW_MS,
-        manager: BddManager | None = None,
     ):
         self.port = port
         self.incoming = tuple(incoming)
         for conn in self.incoming:
             if conn.destination != port:
                 raise ValueError(f"connection {conn} does not end at {port}")
-        self._incoming_set = frozenset(self.incoming)
+        self.sources = tuple(sorted({conn.source for conn in self.incoming}))
+        self._slots = {source: slot for slot, source in enumerate(self.sources)}
         self.activation = ActivationTable(window_ms)
-        self.manager = manager if manager is not None else BddManager()
-        sources = {conn.source for conn in self.incoming}
+        self._mask = 0
+        self._mask_time: int | None = None
+        self._arrivals: deque[tuple[int, int]] = deque()
+        # levels below len(sources) are the slots; any later variable names
+        # a port with no connection here, which never arrives and reads false
+        self.manager = BddManager()
+        for source in self.sources:
+            self.manager.var(source)
         rule_list = rules.rules if isinstance(rules, compiler.RuleSet) else rules
-        self._rules: dict[str, tuple[compiler.SelectionRule, int, str]] = {}
+        self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
         for rule in rule_list:
             if rule.port != port:
                 continue
-            if rule.candidate not in sources:
+            slot = self._slots.get(rule.candidate)
+            if slot is None:
                 raise ValueError(
                     f"rule candidate {rule.candidate} has no incoming connection at {port}"
                 )
-            node = self.manager.build(rule.constraint)
-            self._rules[rule.candidate] = (rule, node, compiler.rule_text(rule))
+            self._rules[slot] = (self.manager.build(rule.constraint), compiler.rule_text(rule))
+
+    def _slot(self, connection: Connection) -> int:
+        slot = self._slots.get(connection.source)
+        if slot is None or connection.destination != self.port:
+            raise ValueError(f"unknown connection {connection} at {self.port}")
+        return slot
 
     def record_arrival(self, connection: Connection, t: int) -> None:
         """Mark an arrival; called before decide() for the same message and
         performed whether or not the message is later accepted."""
-        if connection not in self._incoming_set:
-            raise ValueError(f"unknown connection {connection} at {self.port}")
-        self.activation.record(connection, t)
+        slot = self._slot(connection)
+        table = self.activation
+        table.record(slot, t)
+        arrivals = self._arrivals
+        while arrivals and not table.within(arrivals[0][0], t):
+            last, expired = arrivals.popleft()
+            if table.last_arrival[expired] == last:
+                self._mask &= ~(1 << expired)
+        self._mask |= 1 << slot
+        self._mask_time = t
+        arrivals.append((t, slot))
+
+    def _mask_at(self, t: int) -> int:
+        if t == self._mask_time:
+            return self._mask
+        table = self.activation
+        mask = 0
+        for slot in table.last_arrival:
+            if table.active(slot, t):
+                mask |= 1 << slot
+        return mask
 
     def activation_snapshot(self, t: int) -> dict[str, bool]:
         """One boolean per distinct incoming source port; a port sharing
         several connections counts active if any of them is."""
-        snapshot: dict[str, bool] = {}
-        for conn in self.incoming:
-            snapshot[conn.source] = snapshot.get(conn.source, False) or self.activation.active(conn, t)
-        return snapshot
+        mask = self._mask_at(t)
+        return {source: bool(mask >> slot & 1) for slot, source in enumerate(self.sources)}
 
     def rule_text_for(self, source: str) -> str | None:
-        entry = self._rules.get(source)
-        return entry[2] if entry is not None else None
+        slot = self._slots.get(source)
+        entry = self._rules[slot] if slot is not None else None
+        return entry[1] if entry is not None else None
 
     def decide(self, connection: Connection, t: int) -> Decision:
         """Accept or discard the message that just arrived on `connection`."""
-        if connection not in self._incoming_set:
-            raise ValueError(f"unknown connection {connection} at {self.port}")
-        snapshot = self.activation_snapshot(t)
-        entry = self._rules.get(connection.source)
+        entry = self._rules[self._slot(connection)]
+        mask = self._mask_at(t)
+        snapshot = Snapshot(self.sources, self._slots, mask)
         if entry is None:
             return Decision(DISCARD, NO_RULE, snapshot)
-        _, node, _ = entry
-        if self.manager.evaluate(node, snapshot):
+        if self.manager.evaluate_mask(entry[0], mask):
             return Decision(ACCEPT, SELECTED, snapshot)
         return Decision(DISCARD, CONSTRAINT_FALSE, snapshot)

@@ -133,6 +133,17 @@ class BddManager:
             ref = high if assignment.get(self.order[level], False) else low
         return ref == TRUE
 
+    def evaluate_mask(self, node: int, mask: int) -> bool:
+        """`evaluate` with the assignment packed into an int: bit i holds the
+        value of the variable at level i, and levels past the mask's highest
+        bit read false."""
+        ref = node
+        nodes = self._nodes
+        while ref > TRUE:
+            level, low, high = nodes[ref]
+            ref = high if mask >> level & 1 else low
+        return ref == TRUE
+
     def satisfiable(self, node: int) -> bool:
         return node != FALSE
 

@@ -2,7 +2,8 @@
 
 Diagnostics go to standard error, artifacts to standard output. Exit codes:
 0 success, 1 validation errors (or warnings under --strict), 2 usage or
-parse errors, 3 I/O errors.
+parse errors, 3 I/O errors, 4 internal errors (a defect in portarb itself,
+reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _print_diagnostics(diagnostics) -> None:
@@ -78,18 +80,16 @@ def _print_summary(trace) -> None:
     per_port: dict[str, dict[str, int]] = {}
     for record in trace.records:
         counts = per_port.setdefault(record.dst, {ACCEPT: 0, NO_RULE: 0, CONSTRAINT_FALSE: 0})
-        if record.outcome == ACCEPT:
-            counts[ACCEPT] += 1
-        else:
-            counts[record.reason] += 1
+        counts[ACCEPT if record.outcome == ACCEPT else record.reason] += 1
+    accepted = 0
     for port in sorted(per_port):
         counts = per_port[port]
+        accepted += counts[ACCEPT]
         discarded = counts[NO_RULE] + counts[CONSTRAINT_FALSE]
         print(
             f"{port}: {counts[ACCEPT]} accepted, {discarded} discarded "
             f"(NO_RULE {counts[NO_RULE]}, CONSTRAINT_FALSE {counts[CONSTRAINT_FALSE]})"
         )
-    accepted = sum(1 for r in trace.records if r.outcome == ACCEPT)
     print(f"total: {accepted} accepted, {len(trace.records) - accepted} discarded, "
           f"{len(trace.records)} records")
 
@@ -229,6 +229,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # last resort: repr keeps the report on one line
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

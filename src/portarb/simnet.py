@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .arbiter import ACCEPT, DEFAULT_WINDOW_MS, PortArbiter
-from .bdd import BddManager
+from .arbiter import ACCEPT, DEFAULT_WINDOW_MS, PortArbiter, Snapshot
 from .compiler import RuleSet
 from .model import (
     BehaviorModel,
@@ -77,16 +76,60 @@ class TraceRecord:
     assignment: Mapping[str, bool]
 
     def json_line(self) -> str:
-        payload = {
-            "t": self.t,
-            "src": self.src,
-            "dst": self.dst,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "rule": self.rule,
-            "assignment": {k: self.assignment[k] for k in sorted(self.assignment)},
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return _TraceFormatter().line(self)
+
+
+class _TraceFormatter:
+    """Renders records as `json.dumps(payload, separators=(",", ":"))` of
+    the fields in fixed order with the assignment's keys sorted, byte for
+    byte. Each string field is encoded once, and a snapshot's assignment
+    text once per distinct mask of its port; any other assignment goes
+    through json.dumps as before."""
+
+    def __init__(self) -> None:
+        self._strings: dict[str, str] = {}
+        self._snapshots: dict[tuple[int, int], str] = {}
+        # id(sources) -> (sources, its "name":false/"name":true texts); holding
+        # the tuple keeps its id from being reused while the formatter lives
+        self._names: dict[int, tuple] = {}
+
+    def _text(self, value) -> str:
+        if type(value) is str:
+            out = self._strings.get(value)
+            if out is None:
+                out = self._strings[value] = json.dumps(value)
+            return out
+        return json.dumps(value, separators=(",", ":"))
+
+    def _assignment(self, assignment: Mapping[str, bool]) -> str:
+        if type(assignment) is Snapshot:
+            key = (id(assignment.sources), assignment.mask)
+            out = self._snapshots.get(key)
+            if out is None:
+                # a snapshot lists its sources sorted, so slot order is key order
+                entry = self._names.get(key[0])
+                if entry is None:
+                    entry = self._names[key[0]] = (assignment.sources, tuple(
+                        (f"{self._text(s)}:false", f"{self._text(s)}:true")
+                        for s in assignment.sources
+                    ))
+                names = entry[1]
+                mask = assignment.mask
+                out = self._snapshots[key] = "{" + ",".join(
+                    [pair[mask >> slot & 1] for slot, pair in enumerate(names)]
+                ) + "}"
+            return out
+        return json.dumps({k: assignment[k] for k in sorted(assignment)}, separators=(",", ":"))
+
+    def line(self, record: TraceRecord) -> str:
+        text = self._text
+        t = record.t
+        return (
+            f'{{"t":{t if type(t) is int else text(t)},"src":{text(record.src)},'
+            f'"dst":{text(record.dst)},"outcome":{text(record.outcome)},'
+            f'"reason":{text(record.reason)},"rule":{text(record.rule)},'
+            f'"assignment":{self._assignment(record.assignment)}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -225,7 +268,6 @@ def run(
     if horizon_ms is not None:
         horizon = min(horizon, horizon_ms)
 
-    manager = BddManager()
     arbiters: dict[str, PortArbiter] = {}
     for port in sorted({c.destination for c in net.connections}):
         arbiters[port] = PortArbiter(
@@ -233,15 +275,18 @@ def run(
             net.incoming(port),
             ruleset,
             window_ms=net.windows.get(port, DEFAULT_WINDOW_MS),
-            manager=manager,
         )
 
+    # per source port: (connection, its arbiter, its rule text) by destination
     grouped: dict[str, list] = {}
     for conn in net.connections:
-        grouped.setdefault(conn.source, []).append(conn)
+        arb = arbiters[conn.destination]
+        grouped.setdefault(conn.source, []).append(
+            (conn, arb, arb.rule_text_for(conn.source) or "-")
+        )
     fanout = {
-        src: tuple(sorted(conns, key=lambda c: c.destination))
-        for src, conns in grouped.items()
+        src: tuple(sorted(entries, key=lambda e: e[0].destination))
+        for src, entries in grouped.items()
     }
 
     sources = {comp.name: comp for comp in scenario.sources()}
@@ -269,8 +314,7 @@ def run(
             if next_wake < horizon:
                 push(next_wake, "wake", comp.name)
         else:
-            for conn in fanout.get(name_or_port, ()):
-                arb = arbiters[conn.destination]
+            for conn, arb, rule in fanout.get(name_or_port, ()):
                 arb.record_arrival(conn, t)
                 decision = arb.decide(conn, t)
                 records.append(TraceRecord(
@@ -279,7 +323,7 @@ def run(
                     dst=conn.destination,
                     outcome=decision.outcome,
                     reason=decision.reason,
-                    rule=arb.rule_text_for(conn.source) or "-",
+                    rule=rule,
                     assignment=decision.assignment,
                 ))
                 if decision.outcome == ACCEPT and conn.destination in sink_log:
@@ -293,10 +337,10 @@ def run(
 
 def write_trace(trace: Trace | Iterable[TraceRecord], path) -> None:
     """One JSON object per record, fields in fixed order; byte-stable."""
-    records = trace.records if isinstance(trace, Trace) else tuple(trace)
+    records = trace.records if isinstance(trace, Trace) else trace
+    line = _TraceFormatter().line
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(record.json_line() + "\n")
+        fh.writelines(f"{line(record)}\n" for record in records)
 
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")

@@ -8,14 +8,21 @@ from conftest import compile_fixture
 from portarb import (
     ACCEPT,
     CONSTRAINT_FALSE,
+    And,
     Connection,
     DISCARD,
     Decision,
+    Lit,
     NO_RULE,
+    Not,
+    Or,
     PortArbiter,
     SELECTED,
+    SelectionRule,
     ActivationTable,
+    evaluate_condition,
 )
+from portarb.model import FALSE, TRUE
 
 ARM = "/Arm/pos:i"
 ARM_CONNS = (
@@ -180,3 +187,78 @@ def test_activation_replay_matches_brute_force(times, window):
         for probe in (t, t + window - 1, t + window, t + window + 1):
             expected = any(0 <= probe - a < window for a in prefix)
             assert table.active(conn, probe) == expected
+
+
+PORT = "/P:i"
+SOURCE_POOL = tuple(f"/s{i}:o" for i in range(12))  # sorts s0, s1, s10, s11, s2, ...
+GHOST = "/ghost:o"  # never connected to PORT
+_CONSTRAINTS = st.recursive(
+    st.one_of(st.just(TRUE), st.just(FALSE), st.sampled_from(SOURCE_POOL + (GHOST,)).map(Lit)),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.lists(kids, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def arbitration_cases(draw):
+    """One port with 1-12 sources, a window, sorted arrivals (equal times and
+    exact `last + window` boundaries included) and rules for some sources;
+    constraints may name sources of the pool that are not connected here."""
+    sources = draw(st.permutations(SOURCE_POOL))[: draw(st.integers(1, 12))]
+    window = draw(st.integers(1, 1500))
+    gaps = st.one_of(
+        st.sampled_from((0, 1, window - 1, window, window + 1)), st.integers(0, 2 * window)
+    )
+    arrivals, last, t = [], {}, 0
+    for source, gap, to_boundary in draw(st.lists(
+        st.tuples(st.sampled_from(sources), gaps, st.booleans()), min_size=1, max_size=40,
+    )):
+        if to_boundary and source in last and last[source] + window >= t:
+            t = last[source] + window
+        else:
+            t += gap
+        last[source] = t
+        arrivals.append((source, t))
+    rules = [
+        SelectionRule(PORT, source, draw(_CONSTRAINTS))
+        for source in sources if draw(st.booleans())
+    ]
+    return sources, window, arrivals, rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitration_cases())
+def test_arbiter_matches_brute_force(case):
+    """Every decision and snapshot agrees with a scan over the raw arrival
+    prefix and a direct evaluation of the arriving source's rule."""
+    sources, window, arrivals, rules = case
+    conns = {source: Connection(source, PORT) for source in sources}
+    arb = PortArbiter(PORT, conns.values(), rules, window_ms=window)
+    rule_of = {rule.candidate: rule for rule in rules}
+
+    def scan(prefix, probe):
+        # an arrival counts until it is `window` ms old; one later than the
+        # probe counts too, because a port keeps only each source's latest
+        return {s: any(probe - t < window for src, t in prefix if src == s) for s in sources}
+
+    for i, (source, t) in enumerate(arrivals):
+        arb.record_arrival(conns[source], t)
+        decision = arb.decide(conns[source], t)
+        expected = scan(arrivals[: i + 1], t)
+        rule = rule_of.get(source)
+        if rule is None:
+            want = (DISCARD, NO_RULE)
+        elif evaluate_condition(rule.constraint, expected):
+            want = (ACCEPT, SELECTED)
+        else:
+            want = (DISCARD, CONSTRAINT_FALSE)
+        assert (decision.outcome, decision.reason) == want
+        assert decision.assignment == expected
+        assert sorted(decision.assignment.items()) == sorted(expected.items())
+    first, last = arrivals[0][1], arrivals[-1][1]
+    for probe in (first - 1, last - 1, last, last + window - 1, last + window, last + window + 1):
+        assert arb.activation_snapshot(probe) == scan(arrivals, probe)

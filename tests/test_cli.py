@@ -5,7 +5,8 @@ import json
 import pytest
 
 from portarb import fixture, read_trace
-from portarb.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+import portarb.cli
+from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 SAT = fixture("search-and-track")
 
@@ -154,6 +155,19 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("compile")  # missing positional arguments
     assert exc.value.code == EXIT_USAGE
+
+
+def test_internal_error_is_one_line_exit_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded\nwhile building")
+
+    monkeypatch.setattr(portarb.cli, "compile_model", broken)
+    assert run_cli("compile", SAT.model, SAT.network, "--auto-observe") == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: internal: RecursionError(")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_output_is_byte_stable(capsys):

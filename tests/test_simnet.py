@@ -8,13 +8,24 @@ from conftest import compile_fixture, run_fixture
 from portarb import (
     ACCEPT,
     NO_RULE,
+    BehaviorModel,
+    Component,
+    Connection,
+    Lit,
+    NetworkDescription,
+    Not,
     ParseError,
+    RuleSet,
+    Scenario,
+    SelectionRule,
+    Sink,
     fixture,
     load_scenario,
     read_trace,
     run,
     write_trace,
 )
+from portarb.model import TRUE
 from portarb.simnet import PeriodicSource, TraceRecord
 
 
@@ -207,3 +218,49 @@ def test_times_never_decrease():
     trace = run_fixture("search-and-track")
     times = [r.t for r in trace.records]
     assert times == sorted(times)
+
+
+def _reference_line(record):
+    """The trace line format as plain json.dumps writes it."""
+    payload = {
+        "t": record.t,
+        "src": record.src,
+        "dst": record.dst,
+        "outcome": record.outcome,
+        "reason": record.reason,
+        "rule": record.rule,
+        "assignment": {k: record.assignment[k] for k in sorted(record.assignment)},
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_trace_lines_escape_like_json_dumps(tmp_path):
+    # legal port names that JSON must escape: a quote, a backslash, non-ASCII
+    quote, slash, cafe = '/q"uote:o', "/back\\slash:o", "/café:o"
+    dest = '/dést"\\:i'
+    network = NetworkDescription(
+        components=(Component("out", outputs=(quote, slash, cafe)), Component("in", inputs=(dest,))),
+        connections=tuple(Connection(src, dest) for src in (quote, slash, cafe)),
+        windows={dest: 150},
+    )
+    ruleset = RuleSet((
+        SelectionRule(dest, quote, Not(Lit(slash))),
+        SelectionRule(dest, cafe, TRUE),
+    ))
+    scenario = Scenario(BehaviorModel(), network, horizon_ms=1000, components=(
+        PeriodicSource("q", quote, period_ms=70, active=((0, 800),)),
+        PeriodicSource("b", slash, period_ms=110, phase_ms=5, active=((300, 600),)),
+        PeriodicSource("c", cafe, period_ms=90, active=((0, 1000),)),
+        Sink("in", dest),
+    ))
+    trace = run(scenario, ruleset)
+    assert {r.outcome for r in trace.records} == {"accept", "discard"}
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    assert path.read_text(encoding="utf-8") == "".join(
+        _reference_line(r) + "\n" for r in trace.records
+    )
+
+    by_hand = TraceRecord(7, cafe, dest, "discard", "CONSTRAINT_FALSE", 'say "é" \\',
+                          {cafe: True, quote: False, slash: True})
+    assert by_hand.json_line() == _reference_line(by_hand)
