@@ -34,6 +34,10 @@ SELECTED = "SELECTED"
 NO_RULE = "NO_RULE"
 CONSTRAINT_FALSE = "CONSTRAINT_FALSE"
 
+_SELECTED = (ACCEPT, SELECTED)
+_NO_RULE = (DISCARD, NO_RULE)
+_CONSTRAINT_FALSE = (DISCARD, CONSTRAINT_FALSE)
+
 
 class ActivationTable:
     """Last-arrival timestamps per key (a connection, or a port's slot) plus
@@ -153,17 +157,24 @@ class PortArbiter:
     def record_arrival(self, connection: Connection, t: int) -> None:
         """Mark an arrival; called before decide() for the same message and
         performed whether or not the message is later accepted."""
-        slot = self._slot(connection)
+        self._arrive(self._slot(connection), t)
+
+    def _arrive(self, slot: int, t: int) -> int:
+        """record_arrival for a slot; returns the activation mask at `t`.
+        simnet.run calls it directly with slots resolved once by `_slot`."""
         table = self.activation
         table.record(slot, t)
         arrivals = self._arrivals
+        mask = self._mask
         while arrivals and not table.within(arrivals[0][0], t):
             last, expired = arrivals.popleft()
             if table.last_arrival[expired] == last:
-                self._mask &= ~(1 << expired)
-        self._mask |= 1 << slot
+                mask &= ~(1 << expired)
+        mask |= 1 << slot
+        self._mask = mask
         self._mask_time = t
         arrivals.append((t, slot))
+        return mask
 
     def _mask_at(self, t: int) -> int:
         if t == self._mask_time:
@@ -188,11 +199,14 @@ class PortArbiter:
 
     def decide(self, connection: Connection, t: int) -> Decision:
         """Accept or discard the message that just arrived on `connection`."""
-        entry = self._rules[self._slot(connection)]
         mask = self._mask_at(t)
-        snapshot = Snapshot(self.sources, self._slots, mask)
+        outcome, reason = self._verdict(self._slot(connection), mask)
+        return Decision(outcome, reason, Snapshot(self.sources, self._slots, mask))
+
+    def _verdict(self, slot: int, mask: int) -> tuple[str, str]:
+        """(outcome, reason) for a message from `slot` under the activation
+        `mask`; simnet.run calls it directly, as with `_arrive`."""
+        entry = self._rules[slot]
         if entry is None:
-            return Decision(DISCARD, NO_RULE, snapshot)
-        if self.manager.evaluate_mask(entry[0], mask):
-            return Decision(ACCEPT, SELECTED, snapshot)
-        return Decision(DISCARD, CONSTRAINT_FALSE, snapshot)
+            return _NO_RULE
+        return _SELECTED if self.manager.evaluate_mask(entry[0], mask) else _CONSTRAINT_FALSE

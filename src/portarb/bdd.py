@@ -55,6 +55,10 @@ class BddManager:
             self._unique[key] = ref
         return ref
 
+    def _top_level(self, ref: int) -> int:
+        """Level of a ref's top variable; the constants sit below every level."""
+        return self._nodes[ref][0] if ref > TRUE else len(self.order)
+
     def negate(self, a: int) -> int:
         if a == TRUE:
             return FALSE
@@ -119,6 +123,11 @@ class BddManager:
         if isinstance(expr, (And, Or)):
             op = AND if isinstance(expr, And) else OR
             refs = [self.build(child) for child in expr.children]
+            # deepest top variable first: each later operand then sits wholly
+            # above the result so far, so a cube of k literals takes O(k) apply
+            # steps and no intermediate nodes (the children, built first, fix
+            # the variable order)
+            refs.sort(key=self._top_level, reverse=True)
             result = refs[0]
             for ref in refs[1:]:
                 result = self.combine(op, result, ref)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape
 
 
 class ParseError(ValueError):
@@ -636,7 +635,10 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
 
 
 def _esc(text: str) -> str:
-    return escape(text, {'"': "&quot;"})
+    # xml.sax.saxutils.escape(text, {'"': "&quot;"}) without importing it,
+    # which would pull urllib, http.client, email and ssl into every run
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;")
 
 
 def serialize_behavior_model(model: BehaviorModel) -> str:

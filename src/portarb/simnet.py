@@ -3,18 +3,21 @@
 Scripted periodic sources emit over the network's connections, per-port
 arbiters gate delivery, sinks record what gets through, and every single
 fan-out becomes one trace record. Time is a simulated integer-millisecond
-clock; ties are broken by an insertion counter, so identical inputs always
-produce byte-identical traces.
+clock. Every source's emission instants are listed up front and sorted once
+by the key `(t, t - period if t != phase else -1, -phase, component index)`:
+at one instant, a source emitting at its phase (its first instant ever)
+goes first, in component order; then larger periods; among equal periods,
+larger phases; remaining ties in component order. That is the order in
+which one chain of per-period wake events per source reaches the instant.
+Identical inputs always produce byte-identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .arbiter import ACCEPT, DEFAULT_WINDOW_MS, PortArbiter, Snapshot
 from .compiler import RuleSet
@@ -43,6 +46,15 @@ class PeriodicSource:
 
     def emits_at(self, t: int) -> bool:
         return any(start <= t < end for start, end in self.active)
+
+    def instants(self, horizon: int) -> Iterator[int]:
+        """The emission instants before `horizon`, interval by interval: in
+        each, phase + k*period from the first such instant at or after its
+        start."""
+        period, phase = self.period_ms, self.phase_ms
+        for start, end in self.active:
+            first = phase if phase >= start else start + (phase - start) % period
+            yield from range(first, min(end, horizon), period)
 
 
 @dataclass(frozen=True)
@@ -256,10 +268,11 @@ def run(
 ) -> Trace:
     """Run the scenario against a compiled rule set and return the trace.
 
-    Events are processed in (time, seq) order. Each emission fans out to
-    every connection leaving the source port in lexicographic destination
-    order; per destination the arrival is recorded first and then decided,
-    so a discarded message still refreshes its connection's activation.
+    Emissions are processed in the schedule's order (see the module
+    docstring). Each fans out to every connection leaving the source port in
+    lexicographic destination order; per destination the arrival is recorded
+    first and then decided, so a discarded message still refreshes its
+    connection's activation.
     `network` overrides the scenario's parsed network (e.g. one augmented
     with observer connections); `horizon_ms` can only shorten the run.
     """
@@ -268,6 +281,7 @@ def run(
     if horizon_ms is not None:
         horizon = min(horizon, horizon_ms)
 
+    sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
     arbiters: dict[str, PortArbiter] = {}
     for port in sorted({c.destination for c in net.connections}):
         arbiters[port] = PortArbiter(
@@ -277,57 +291,36 @@ def run(
             window_ms=net.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
-    # per source port: (connection, its arbiter, its rule text) by destination
+    # per source port, by destination: the connection's arbiter steps, its
+    # slot there, the record's fixed fields and the sink's log (or None)
     grouped: dict[str, list] = {}
     for conn in net.connections:
         arb = arbiters[conn.destination]
-        grouped.setdefault(conn.source, []).append(
-            (conn, arb, arb.rule_text_for(conn.source) or "-")
-        )
+        grouped.setdefault(conn.source, []).append((
+            arb._arrive, arb._verdict, arb._slot(conn), arb.sources, arb._slots,
+            conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
+            sink_log.get(conn.destination),
+        ))
     fanout = {
-        src: tuple(sorted(entries, key=lambda e: e[0].destination))
+        src: tuple(sorted(entries, key=lambda e: e[6]))
         for src, entries in grouped.items()
     }
 
-    sources = {comp.name: comp for comp in scenario.sources()}
-    sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
-
-    # (time, seq, kind, component name for "wake" or port for "emit")
-    heap: list[tuple[int, int, str, str]] = []
-    seq = itertools.count()
-
-    def push(t: int, kind: str, name_or_port: str) -> None:
-        heapq.heappush(heap, (t, next(seq), kind, name_or_port))
-
-    for comp in scenario.sources():
-        if comp.phase_ms < horizon:
-            push(comp.phase_ms, "wake", comp.name)
+    schedule = sorted(
+        (t, t - comp.period_ms if t != comp.phase_ms else -1, -comp.phase_ms, index, comp.port)
+        for index, comp in enumerate(scenario.sources())
+        for t in comp.instants(horizon)
+    )
 
     records: list[TraceRecord] = []
-    while heap:
-        t, _, kind, name_or_port = heapq.heappop(heap)
-        if kind == "wake":
-            comp = sources[name_or_port]
-            if comp.emits_at(t):
-                push(t, "emit", comp.port)
-            next_wake = t + comp.period_ms
-            if next_wake < horizon:
-                push(next_wake, "wake", comp.name)
-        else:
-            for conn, arb, rule in fanout.get(name_or_port, ()):
-                arb.record_arrival(conn, t)
-                decision = arb.decide(conn, t)
-                records.append(TraceRecord(
-                    t=t,
-                    src=conn.source,
-                    dst=conn.destination,
-                    outcome=decision.outcome,
-                    reason=decision.reason,
-                    rule=rule,
-                    assignment=decision.assignment,
-                ))
-                if decision.outcome == ACCEPT and conn.destination in sink_log:
-                    sink_log[conn.destination].append((t, conn.source))
+    append = records.append
+    for t, _, _, _, port in schedule:
+        for arrive, verdict, slot, sources, slots, src, dst, rule, log in fanout.get(port, ()):
+            mask = arrive(slot, t)
+            outcome, reason = verdict(slot, mask)
+            append(TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask)))
+            if log is not None and outcome == ACCEPT:
+                log.append((t, src))
 
     return Trace(
         records=tuple(records),
@@ -367,6 +360,6 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
             outcome=payload["outcome"],
             reason=payload["reason"],
             rule=payload["rule"],
-            assignment=dict(payload["assignment"]),
+            assignment=payload["assignment"],
         ))
     return tuple(records)

@@ -2,8 +2,9 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import expressions
 from portarb import And, BddManager, Lit, Not, Or
@@ -71,11 +72,60 @@ def test_contradiction_and_absorption():
     assert m.combine(OR, x, TRUE) == TRUE
 
 
-def test_build_equals_manual_combine():
+def fold_left(m, expr):
+    """Reference build: children first, then combined left to right."""
+    if expr == TRUE_EXPR:
+        return TRUE
+    if expr == FALSE_EXPR:
+        return FALSE
+    if isinstance(expr, Lit):
+        return m.var(expr.port)
+    if isinstance(expr, Not):
+        return m.negate(fold_left(m, expr.child))
+    op = AND if isinstance(expr, And) else OR
+    refs = [fold_left(m, child) for child in expr.children]
+    result = refs[0]
+    for ref in refs[1:]:
+        result = m.combine(op, result, ref)
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions(max_leaves=12), st.booleans())
+@example(And((Lit("/x:o"), Not(Lit("/y:o")))), False)
+def test_build_equals_manual_combine(expr, reference_first):
     m = BddManager()
-    built = m.build(And((Lit("/x:o"), Not(Lit("/y:o")))))
-    manual = m.combine(AND, m.var("/x:o"), m.negate(m.var("/y:o")))
+    if reference_first:
+        manual = fold_left(m, expr)
+        built = m.build(expr)
+    else:
+        built = m.build(expr)
+        manual = fold_left(m, expr)
     assert built == manual
+
+
+def _deep_and_of_negations(m, n):
+    return m.build(And(tuple(Not(Lit(f"/p{i}:o")) for i in range(n))))
+
+
+def _deep_or(m, n):
+    return m.build(Or(tuple(Lit(f"/p{i}:o") for i in range(n))))
+
+
+def _deep_reversed_and(m, n):
+    return m.build(And(tuple(Lit(f"/p{i}:o") for i in reversed(range(n)))))
+
+
+@pytest.mark.parametrize("build", [_deep_and_of_negations, _deep_or, _deep_reversed_and])
+def test_deep_flat_conditions_build_in_linear_size(build):
+    # a left-to-right fold recursed once per literal already in the result
+    n = 5000
+    m = BddManager()
+    node = build(m, n)
+    assert len(m) <= 3 * n
+    # each of these functions has one node per variable on its first
+    # satisfying path (size() itself still recurses per level)
+    assert len(m.first_satisfying(node)) == n
 
 
 def test_build_constants():

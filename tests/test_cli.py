@@ -1,6 +1,10 @@
 """CLI exit codes and byte-stable outputs, driven through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,17 @@ def test_cli_output_is_byte_stable(capsys):
     run_cli("compile", SAT.model, SAT.network, "--auto-observe")
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_import_leaves_the_network_stack_out():
+    # xml.sax.saxutils would pull in urllib.request and http.client
+    src = str(Path(portarb.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, portarb.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

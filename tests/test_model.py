@@ -211,6 +211,22 @@ def test_serialize_roundtrip_search_and_track():
     assert parse_behavior_model(serialize_behavior_model(model)) == model
 
 
+def test_serialize_escapes_like_saxutils():
+    from xml.sax.saxutils import escape
+
+    value, name = 'a & b < c > "d"', 'B & <x> "y"'
+    model = parse_behavior_model(
+        '<behaviors><define name="odd">a &amp; b &lt; c &gt; "d"</define>'
+        '<behavior name=\'B &amp; &lt;x&gt; "y"\'><config at="/X:i">/Y:o</config></behavior>'
+        "</behaviors>"
+    )
+    assert model.defines == {"odd": value} and model.roots[0].name == name
+    text = serialize_behavior_model(model)
+    assert f'<define name="odd">{escape(value, {chr(34): "&quot;"})}</define>' in text
+    assert f'<behavior name="{escape(name, {chr(34): "&quot;"})}">' in text
+    assert parse_behavior_model(text) == model
+
+
 @settings(max_examples=50)
 @given(behavior_models())
 def test_serialize_roundtrip_random_models(model):

@@ -1,8 +1,12 @@
 """Scenario loading, the event loop, and trace serialization."""
 
+import heapq
+import itertools
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import compile_fixture, run_fixture
 from portarb import (
@@ -109,6 +113,97 @@ def test_invalid_json_rejected(tmp_path):
 def test_source_emission_schedule():
     source = PeriodicSource("S", "/a:o", period_ms=100, active=((200, 400),))
     assert [t for t in range(0, 600, 100) if source.emits_at(t)] == [200, 300]
+    assert list(source.instants(600)) == [200, 300]
+    assert list(source.instants(300)) == [200]
+    late = PeriodicSource("L", "/a:o", period_ms=30, phase_ms=70, active=((0, 100), (150, 200)))
+    assert list(late.instants(1000)) == [70, 160, 190]
+
+
+def _wake_chain_emissions(sources, horizon):
+    """Reference emission order: one wake per source per period from its
+    phase, kept in a (time, insertion counter) heap; a wake emits when one
+    of the source's active intervals covers it."""
+    heap, seq = [], itertools.count()
+    for source in sources:
+        if source.phase_ms < horizon:
+            heapq.heappush(heap, (source.phase_ms, next(seq), "wake", source))
+    emissions = []
+    while heap:
+        t, _, kind, source = heapq.heappop(heap)
+        if kind == "emit":
+            emissions.append((t, source.port))
+            continue
+        if source.emits_at(t):
+            heapq.heappush(heap, (t, next(seq), "emit", source))
+        if t + source.period_ms < horizon:
+            heapq.heappush(heap, (t + source.period_ms, next(seq), "wake", source))
+    return emissions
+
+
+SCHEDULE_OUTPUTS = tuple(f"/out{i}:o" for i in range(8))
+SCHEDULE_INPUTS = ("/gate:i", "/free:i")
+# /out7:o has no connection; /free:i has no rules, so everything there is NO_RULE
+SCHEDULE_NETWORK = NetworkDescription(
+    components=(Component("out", outputs=SCHEDULE_OUTPUTS), Component("in", inputs=SCHEDULE_INPUTS)),
+    connections=tuple(
+        [Connection(src, "/gate:i") for src in SCHEDULE_OUTPUTS[:7]]
+        + [Connection(src, "/free:i") for src in SCHEDULE_OUTPUTS[:7:2]]
+    ),
+)
+SCHEDULE_RULES = RuleSet(tuple(SelectionRule("/gate:i", src, TRUE) for src in SCHEDULE_OUTPUTS[:7]))
+
+
+@st.composite
+def periodic_sources(draw):
+    """1-8 sources, periods 1-60, phases 0-80, 0-3 disjoint intervals in
+    [0, 220]. Periods come from a small pool and phases from a few residues,
+    so same-instant emissions with equal periods and congruent but unequal
+    phases are common; sources mostly have ports of their own, since the
+    order of two emissions from one port does not show in the trace."""
+    periods = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    residues = draw(st.lists(st.integers(0, 59), min_size=1, max_size=2))
+    sources = []
+    for index in range(draw(st.integers(1, 8))):
+        period = draw(st.sampled_from(periods))
+        residue = draw(st.sampled_from(residues)) % period
+        phase = residue + period * draw(st.integers(0, (80 - residue) // period))
+        bounds = sorted(draw(st.lists(st.integers(0, 220), unique=True, max_size=6)))
+        bounds = bounds[:len(bounds) // 2 * 2]
+        port = index if draw(st.booleans()) else draw(st.integers(0, index))
+        sources.append(PeriodicSource(
+            f"S{index}",
+            SCHEDULE_OUTPUTS[port],
+            period_ms=period,
+            phase_ms=phase,
+            active=tuple(zip(bounds[::2], bounds[1::2])),
+        ))
+    return sources
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    periodic_sources(),
+    st.integers(0, 200),
+    st.none() | st.integers(0, 200),
+    st.booleans(),
+)
+def test_schedule_matches_the_wake_chain(sources, horizon, truncate, sinks_first):
+    sinks = [Sink(f"K{port}", port) for port in SCHEDULE_INPUTS]
+    components = sinks + sources if sinks_first else sources + sinks
+    scenario = Scenario(BehaviorModel(), SCHEDULE_NETWORK, horizon, tuple(components))
+    trace = run(scenario, SCHEDULE_RULES, horizon_ms=truncate)
+
+    end = horizon if truncate is None else min(horizon, truncate)
+    expected = [
+        (t, port, dst)
+        for t, port in _wake_chain_emissions(sources, end)
+        for dst in sorted(c.destination for c in SCHEDULE_NETWORK.connections if c.source == port)
+    ]
+    assert [(r.t, r.src, r.dst) for r in trace.records] == expected
+    assert trace.deliveries == {
+        "/gate:i": tuple((t, src) for t, src, dst in expected if dst == "/gate:i"),
+        "/free:i": (),
+    }
 
 
 def test_search_and_track_phase_facts():
@@ -137,7 +232,7 @@ def test_conservation():
     expected = 0
     for source in scenario.sources():
         emissions = sum(
-            1 for t in range(0, scenario.horizon_ms, source.period_ms)
+            1 for t in range(source.phase_ms, scenario.horizon_ms, source.period_ms)
             if source.emits_at(t)
         )
         expected += emissions * fan_degree.get(source.port, 0)
@@ -187,6 +282,7 @@ def test_write_and_read_trace_roundtrip(tmp_path):
     assert '"outcome":"accept"' in lines[0]
     again = read_trace(path)
     assert [r.json_line() for r in again] == [r.json_line() for r in trace.records]
+    assert all(type(r.assignment) is dict for r in again)
 
 
 def test_read_trace_rejects_garbage(tmp_path):
