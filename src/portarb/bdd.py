@@ -26,13 +26,12 @@ class BddManager:
     reordering (rule sets stay at tens of variables).
     """
 
-    def __init__(self, use_cache: bool = True):
+    def __init__(self):
         self.order: list[str] = []
         self._var_index: dict[str, int] = {}
         self._nodes: list[tuple[int, int, int] | None] = [None, None]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
-        self._use_cache = use_cache
 
     def __len__(self) -> int:
         return len(self._nodes) - 2
@@ -59,56 +58,79 @@ class BddManager:
         """Level of a ref's top variable; the constants sit below every level."""
         return self._nodes[ref][0] if ref > TRUE else len(self.order)
 
+    # negate and combine are the memoized Shannon recursions, run on an
+    # explicit stack (as in the apply of Brace, Rudell and Bryant, DAC 1990)
+    # so their depth is bounded by memory, not by Python's recursion limit. A
+    # frame is either a pending operand (key None) or, once both cofactors
+    # are pending above it, the reduction that pops their two results.
+
     def negate(self, a: int) -> int:
-        if a == TRUE:
-            return FALSE
-        if a == FALSE:
-            return TRUE
-        key = ("not", a)
-        if self._use_cache and key in self._cache:
-            return self._cache[key]
-        level, low, high = self._nodes[a]
-        result = self._mk(level, self.negate(low), self.negate(high))
-        if self._use_cache:
-            self._cache[key] = result
-        return result
+        nodes, cache, mk = self._nodes, self._cache, self._mk
+        results: list[int] = []
+        work: list[tuple[int, tuple | None]] = [(a, None)]
+        while work:
+            ref, key = work.pop()
+            if key is not None:
+                high = results.pop()
+                low = results.pop()
+                result = cache[key] = mk(nodes[ref][0], low, high)
+                results.append(result)
+                continue
+            if ref <= TRUE:
+                results.append(FALSE if ref == TRUE else TRUE)
+                continue
+            key = ("not", ref)
+            result = cache.get(key)
+            if result is not None:
+                results.append(result)
+                continue
+            _, low, high = nodes[ref]
+            work += ((ref, key), (high, None), (low, None))
+        return results[0]
 
     def combine(self, op: str, a: int, b: int) -> int:
         """Shannon-expansion apply for AND/OR; result is reduced and ordered."""
         if op == AND:
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == b:
-                return a
+            absorbing, unit = FALSE, TRUE
         elif op == OR:
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return a
+            absorbing, unit = TRUE, FALSE
         else:
             raise ValueError(f"unknown operation {op!r}")
-        key = (op, a, b) if a <= b else (op, b, a)
-        if self._use_cache and key in self._cache:
-            return self._cache[key]
-        level_a = self._nodes[a][0]
-        level_b = self._nodes[b][0]
-        level = min(level_a, level_b)
-        a_low, a_high = (self._nodes[a][1], self._nodes[a][2]) if level_a == level else (a, a)
-        b_low, b_high = (self._nodes[b][1], self._nodes[b][2]) if level_b == level else (b, b)
-        result = self._mk(
-            level, self.combine(op, a_low, b_low), self.combine(op, a_high, b_high)
-        )
-        if self._use_cache:
-            self._cache[key] = result
-        return result
+        nodes, cache, mk = self._nodes, self._cache, self._mk
+        results: list[int] = []
+        work: list[tuple[int, int, tuple | None]] = [(a, b, None)]
+        while work:
+            a, b, key = work.pop()
+            if key is not None:  # a is the level here
+                high = results.pop()
+                low = results.pop()
+                result = cache[key] = mk(a, low, high)
+                results.append(result)
+                continue
+            if a == absorbing or b == absorbing:
+                results.append(absorbing)
+                continue
+            if a == unit or a == b:
+                results.append(b)
+                continue
+            if b == unit:
+                results.append(a)
+                continue
+            key = (op, a, b) if a <= b else (op, b, a)
+            result = cache.get(key)
+            if result is not None:
+                results.append(result)
+                continue
+            level_a, a_low, a_high = nodes[a]
+            level_b, b_low, b_high = nodes[b]
+            if level_a < level_b:
+                level, b_low, b_high = level_a, b, b
+            elif level_b < level_a:
+                level, a_low, a_high = level_b, a, a
+            else:
+                level = level_a
+            work += ((level, 0, key), (a_high, b_high, None), (a_low, b_low, None))
+        return results[0]
 
     def build(self, expr: BoolExpr) -> int:
         """Bottom-up construction of an expression's BDD."""
@@ -174,41 +196,3 @@ class BddManager:
                 path.append((self.order[level], True))
                 ref = high
         return path
-
-    def size(self, node: int) -> int:
-        """Number of internal nodes reachable from `node`."""
-        seen: set[int] = set()
-
-        def visit(ref: int) -> None:
-            if ref <= TRUE or ref in seen:
-                return
-            seen.add(ref)
-            _, low, high = self._nodes[ref]
-            visit(low)
-            visit(high)
-
-        visit(node)
-        return len(seen)
-
-    def to_dot(self, node: int) -> str:
-        """GraphViz rendering for debugging (dashed edge = low/false branch)."""
-        lines = ["digraph bdd {"]
-        seen: set[int] = set()
-
-        def visit(ref: int) -> None:
-            if ref in seen:
-                return
-            seen.add(ref)
-            if ref <= TRUE:
-                lines.append(f'  n{ref} [label="{ref}", shape=box];')
-                return
-            level, low, high = self._nodes[ref]
-            lines.append(f'  n{ref} [label="{self.order[level]}"];')
-            visit(low)
-            visit(high)
-            lines.append(f"  n{ref} -> n{low} [style=dashed];")
-            lines.append(f"  n{ref} -> n{high};")
-
-        visit(node)
-        lines.append("}")
-        return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from .model import (
     BehaviorNode,
     BoolExpr,
     Diagnostic,
+    FALSE,
     Lit,
     NetworkDescription,
     Not,
@@ -56,12 +57,6 @@ class RuleSet:
             grouped.setdefault(rule.port, []).append(rule)
         return {port: tuple(rules) for port, rules in grouped.items()}
 
-    def rule_for(self, port: str, candidate: str) -> SelectionRule | None:
-        for rule in self.rules:
-            if rule.port == port and rule.candidate == candidate:
-                return rule
-        return None
-
 
 def inherited_condition(behavior: BehaviorNode | str, model: BehaviorModel) -> BoolExpr:
     """Conjunction of the behavior's own condition with every enclosing
@@ -85,13 +80,11 @@ def effective_inhibitor_sources(
     return model.plan(behavior).inhibitor_sources
 
 
-def _first_literal_rank(part: BoolExpr, appearance: dict[str, int]) -> int:
-    literals = condition_literals(part)
-    return appearance.get(literals[0], len(appearance)) if literals else -1
-
-
-def _ordered_parts(parts, appearance: dict[str, int]):
-    return sorted(parts, key=lambda p: _first_literal_rank(p, appearance))
+def _first_port(expr: BoolExpr) -> str:
+    """The first literal of a normalized, non-constant expression."""
+    while not isinstance(expr, Lit):
+        expr = expr.child if isinstance(expr, Not) else expr.children[0]
+    return expr.port
 
 
 def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
@@ -104,45 +97,63 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
     source. Rules landing on the same (port, candidate) merge by
     disjunction; conjuncts and disjuncts are ordered by first-appearance
     variable order, which keeps the output byte-stable.
+
+    The plan's condition is normalized, so its conjuncts and the inhibitor
+    negations are already normal and distinct: each constraint is built
+    directly, and only real merges are normalized. Work is linear in the
+    literals emitted.
     """
     appearance: dict[str, int] = {}
-
-    def register(port: str) -> None:
-        if port not in appearance:
-            appearance[port] = len(appearance)
-
-    collected: dict[tuple[str, str], tuple[list[BoolExpr], list[str]]] = {}
+    negations: dict[str, Not] = {}  # one `not p` per source port
+    # (port, candidate) -> ([(rank, constraint)], contributors); a rank is the
+    # appearance of the first literal, -1 for a constant
+    collected: dict[tuple[str, str], tuple[list[tuple[int, BoolExpr]], list[str]]] = {}
     for leaf in model.leaf_behaviors():
         for conn in leaf.configuration:
-            register(conn.source)
+            appearance.setdefault(conn.source, len(appearance))
         plan = model.plan(leaf)
-        condition, inhibitor_sources = plan.condition, plan.inhibitor_sources
         for port in plan.needed:
-            register(port)
+            appearance.setdefault(port, len(appearance))
 
-        conjuncts: list[BoolExpr] = []
-        if isinstance(condition, And):
-            conjuncts.extend(condition.children)
-        elif condition != TRUE:
-            conjuncts.append(condition)
-        for port in inhibitor_sources:
-            negated = Not(Lit(port))
-            if negated not in conjuncts:
-                conjuncts.append(negated)
+        condition = plan.condition
+        if condition == FALSE:
+            ranked = [(-1, FALSE)]
+        else:
+            conjuncts = dict.fromkeys(
+                condition.children if isinstance(condition, And)
+                else () if condition == TRUE else (condition,)
+            )
+            for port in plan.inhibitor_sources:
+                negation = negations.get(port)
+                if negation is None:
+                    negation = negations[port] = Not(Lit(port))
+                conjuncts[negation] = None
+            # stable: conjuncts sharing a first literal keep their order
+            ranked = sorted(
+                ((appearance[_first_port(c)], c) for c in conjuncts), key=lambda rc: rc[0]
+            )
+        positives = {c.port: c for _, c in ranked if isinstance(c, Lit)}
 
         for conn in leaf.configuration:
-            parts = [c for c in conjuncts if c != Lit(conn.source)]
-            constraint = normalize(And(tuple(_ordered_parts(parts, appearance))))
-            key = (conn.destination, conn.source)
-            if key in collected:
-                collected[key][0].append(constraint)
-                collected[key][1].append(leaf.name)
+            own = positives.get(conn.source)
+            kept = ranked if own is None else [rc for rc in ranked if rc[1] is not own]
+            if not kept:
+                entry = (-1, TRUE)
+            elif len(kept) == 1:
+                entry = kept[0]
             else:
-                collected[key] = ([constraint], [leaf.name])
+                entry = (kept[0][0], And(tuple(c for _, c in kept)))
+            entries, contributors = collected.setdefault((conn.destination, conn.source), ([], []))
+            entries.append(entry)
+            contributors.append(leaf.name)
 
     rules = []
-    for (port, candidate), (constraints, contributors) in collected.items():
-        merged = normalize(Or(tuple(_ordered_parts(constraints, appearance))))
+    for (port, candidate), (entries, contributors) in collected.items():
+        if len(entries) == 1:
+            merged = entries[0][1]
+        else:
+            entries.sort(key=lambda rc: rc[0])
+            merged = normalize(Or(tuple(c for _, c in entries)))
         rules.append(SelectionRule(port, candidate, merged, tuple(contributors)))
     rules.sort(key=lambda r: (r.port, r.candidate))
     return RuleSet(tuple(rules))
@@ -159,13 +170,35 @@ def rule_text(rule: SelectionRule) -> str:
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
 
+def _required_literals(rule: SelectionRule) -> tuple[set[str], set[str]]:
+    """Ports the rule needs true (its candidate and top-level positive
+    literals) and ports it needs false (its top-level `not p`)."""
+    constraint = rule.constraint
+    parts = constraint.children if isinstance(constraint, And) else (constraint,)
+    true = {rule.candidate}
+    false = set()
+    for part in parts:
+        if isinstance(part, Lit):
+            true.add(part.port)
+        elif isinstance(part, Not) and isinstance(part.child, Lit):
+            false.add(part.child.port)
+    return true, false
+
+
 def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list[Diagnostic]:
     """Warn about same-port rule pairs that can both select at once.
 
     For each pair with distinct candidates, both candidates are assumed
     active and the joint constraint is checked for satisfiability on the
     BDD; a satisfiable joint yields a warning carrying one witness
-    assignment (the lowest in variable order).
+    assignment (the lowest in variable order). A pair where one rule needs
+    a port true (its candidate or a top-level literal) and the other needs
+    it false (a top-level `not p`) cannot both select and is skipped
+    without a BDD. A rule's `candidate and constraint` BDD is built only
+    when a pair that needs it survives that test; the BDD alone decides
+    satisfiability and the witness. Variables are registered in rule order
+    before any BDD is built, so the order and every witness are the same
+    whichever pairs are skipped.
     """
     if manager is None:
         manager = BddManager()
@@ -176,16 +209,26 @@ def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list
 
     diagnostics: list[Diagnostic] = []
     for port, rules in sorted(ruleset.by_port().items()):
-        # candidate active and constraint, built once per rule
-        selects = [
-            manager.combine(AND, manager.var(rule.candidate), manager.build(rule.constraint))
-            for rule in rules
-        ]
+        required = [_required_literals(rule) for rule in rules]
+        selects: list[int | None] = [None] * len(rules)
+
+        def select(i: int) -> int:
+            if selects[i] is None:
+                rule = rules[i]
+                selects[i] = manager.combine(
+                    AND, manager.var(rule.candidate), manager.build(rule.constraint)
+                )
+            return selects[i]
+
         for i, first in enumerate(rules):
-            for j, second in enumerate(rules[i + 1:], start=i + 1):
-                if first.candidate == second.candidate:
+            true_i, false_i = required[i]
+            for j in range(i + 1, len(rules)):
+                second = rules[j]
+                true_j, false_j = required[j]
+                if (first.candidate == second.candidate
+                        or not true_i.isdisjoint(false_j) or not false_i.isdisjoint(true_j)):
                     continue
-                joint = manager.combine(AND, selects[i], selects[j])
+                joint = manager.combine(AND, select(i), select(j))
                 if not manager.satisfiable(joint):
                     continue
                 witness = manager.first_satisfying(joint) or []

@@ -249,21 +249,19 @@ def normalize(expr: BoolExpr) -> BoolExpr:
         return Not(child)
     if isinstance(expr, (And, Or)):
         unit, zero = (TRUE, FALSE) if isinstance(expr, And) else (FALSE, TRUE)
-        out: list[BoolExpr] = []
+        out: dict[BoolExpr, None] = {}  # insertion-ordered set
         for child in expr.children:
             child = normalize(child)
             if child == unit:
                 continue
             if child == zero:
                 return zero
-            parts = child.children if isinstance(child, type(expr)) else (child,)
-            for part in parts:
-                if part not in out:
-                    out.append(part)
+            for part in child.children if isinstance(child, type(expr)) else (child,):
+                out[part] = None
         if not out:
             return unit
         if len(out) == 1:
-            return out[0]
+            return next(iter(out))
         return type(expr)(tuple(out))
     raise TypeError(f"not a BoolExpr: {expr!r}")
 
@@ -298,12 +296,11 @@ def render_condition(expr: BoolExpr) -> str:
 
 def condition_literals(expr: BoolExpr) -> tuple[str, ...]:
     """Distinct literal ports in first-appearance (pre-order) order."""
-    out: list[str] = []
+    out: dict[str, None] = {}
 
     def visit(e: BoolExpr) -> None:
         if isinstance(e, Lit):
-            if e.port not in out:
-                out.append(e.port)
+            out[e.port] = None
         elif isinstance(e, Not):
             visit(e.child)
         elif isinstance(e, (And, Or)):

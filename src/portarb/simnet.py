@@ -44,9 +44,6 @@ class PeriodicSource:
     phase_ms: int = 0
     active: tuple[tuple[int, int], ...] = ()
 
-    def emits_at(self, t: int) -> bool:
-        return any(start <= t < end for start, end in self.active)
-
     def instants(self, horizon: int) -> Iterator[int]:
         """The emission instants before `horizon`, interval by interval: in
         each, phase + k*period from the first such instant at or after its

@@ -1,10 +1,12 @@
 """Rule extraction: inheritance, inhibitor expansion, merging, conflicts,
 and deterministic rendering."""
 
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -34,9 +36,10 @@ from portarb import (
     parse_network,
     rule_text,
 )
+from portarb.bdd import AND
 from portarb.compiler import RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
-from portarb.model import FALSE, TRUE, WARNING
+from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize
 
 
 def _network(text):
@@ -52,6 +55,10 @@ SHARED_PORT_NETWORK = _network(
     '<connection from="/c:o" to="/X:i"/>'
     "</application>"
 )
+
+
+def _by_key(ruleset):
+    return {(r.port, r.candidate): r for r in ruleset.rules}
 
 
 def test_inherited_condition_without_parents():
@@ -212,6 +219,143 @@ def test_indexed_inhibitors_and_observers_match_brute_force(model_and_network):
     assert list(observer_connections(model, network)) == _brute_observers(model, network)
 
 
+# References for the linear extraction and the screened conflict check:
+# extraction as it was with a normalize per connection and ranks recomputed
+# from each part's literals, and a conflict check that builds the BDD of
+# every pair.
+
+
+def _reference_extract(model):
+    appearance = {}
+
+    def rank(part):
+        literals = condition_literals(part)
+        return appearance.get(literals[0], len(appearance)) if literals else -1
+
+    collected = {}
+    for leaf in model.leaf_behaviors():
+        for conn in leaf.configuration:
+            appearance.setdefault(conn.source, len(appearance))
+        plan = model.plan(leaf)
+        for port in plan.needed:
+            appearance.setdefault(port, len(appearance))
+        condition = plan.condition
+        conjuncts = (list(condition.children) if isinstance(condition, And)
+                     else [] if condition == TRUE else [condition])
+        for port in plan.inhibitor_sources:
+            if Not(Lit(port)) not in conjuncts:
+                conjuncts.append(Not(Lit(port)))
+        for conn in leaf.configuration:
+            parts = [c for c in conjuncts if c != Lit(conn.source)]
+            constraints, names = collected.setdefault((conn.destination, conn.source), ([], []))
+            constraints.append(normalize(And(tuple(sorted(parts, key=rank)))))
+            names.append(leaf.name)
+    rules = [
+        SelectionRule(port, candidate, normalize(Or(tuple(sorted(constraints, key=rank)))),
+                      tuple(names))
+        for (port, candidate), (constraints, names) in collected.items()
+    ]
+    return RuleSet(tuple(sorted(rules, key=lambda r: (r.port, r.candidate))))
+
+
+def _reference_conflict_messages(ruleset):
+    manager = BddManager()
+    for rule in ruleset.rules:
+        manager.var(rule.candidate)
+        for port in condition_literals(rule.constraint):
+            manager.var(port)
+    messages = []
+    for port, rules in sorted(ruleset.by_port().items()):
+        selects = [manager.combine(AND, manager.var(r.candidate), manager.build(r.constraint))
+                   for r in rules]
+        for (i, first), (j, second) in itertools.combinations(enumerate(rules), 2):
+            joint = manager.combine(AND, selects[i], selects[j])
+            if first.candidate == second.candidate or not manager.satisfiable(joint):
+                continue
+            shown = ", ".join(f"{p}={str(v).lower()}" for p, v in manager.first_satisfying(joint))
+            messages.append(f"rules for {first.candidate} and {second.candidate} at {port} "
+                            f"can both select: e.g. {{{shown}}}")
+    return messages
+
+
+def _renamed(expr, renaming):
+    if isinstance(expr, Lit):
+        return Lit(renaming.get(expr.port, expr.port))
+    if isinstance(expr, Not):
+        return Not(_renamed(expr.child, renaming))
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(_renamed(c, renaming) for c in expr.children))
+    return expr
+
+
+def _renamed_node(node, renaming):
+    return replace(node, condition=_renamed(node.condition, renaming),
+                   children=tuple(_renamed_node(c, renaming) for c in node.children))
+
+
+@st.composite
+def models_naming_sources(draw):
+    """Models of up to a few hundred leaves whose conditions may also name
+    configured sources, so a condition can name its own leaf's candidate
+    or repeat the negation an inhibitor adds. Conditions may be false or
+    disjunctive, and with four sources and three destinations most
+    (port, candidate) pairs merge several leaves."""
+    model = draw(behavior_models(max_leaves=300, max_metas=60))
+    renaming = draw(st.dictionaries(st.sampled_from(EXPR_PORTS), st.sampled_from(MODEL_SOURCES)))
+    return replace(model, roots=tuple(_renamed_node(r, renaming) for r in model.roots))
+
+
+_SCREEN_PORTS = MODEL_SOURCES + EXPR_PORTS[:3]
+_signed = st.sampled_from(_SCREEN_PORTS).flatmap(
+    lambda p: st.sampled_from((Lit(p), Not(Lit(p))))
+)
+
+
+@st.composite
+def rule_sets(draw):
+    """Rules at two ports over four candidates whose constraints conjoin
+    literals, negations and disjunctions of both, naming the candidates
+    too: many pairs are excluded by top-level literals, some only inside a
+    disjunction, and many share positive literals."""
+    conjunct = st.one_of(_signed, st.lists(_signed, min_size=2, max_size=3).map(
+        lambda cs: Or(tuple(cs))))
+    rules = draw(st.lists(st.tuples(
+        st.sampled_from(MODEL_DESTINATIONS[:2]),
+        st.sampled_from(MODEL_SOURCES),
+        st.lists(conjunct, max_size=4).map(lambda cs: normalize(And(tuple(cs)))),
+    ), max_size=10))
+    return RuleSet(tuple(SelectionRule(*rule) for rule in sorted(rules, key=lambda r: r[:2])))
+
+
+# a condition repeating the negation an inhibitor adds, on a rule no other
+# leaf merges into; and two rules that collide while sharing a literal
+_REPEATED_NEGATION = parse_behavior_model(
+    '<behaviors>'
+    '<behavior name="A"><config at="/dst0/in:i">/src0/out:o</config>'
+    '<inhibition>B</inhibition></behavior>'
+    '<behavior name="B"><config at="/dst0/in:i">/src1/out:o</config>'
+    '<condition>not /src0/out:o and /a/out:o</condition></behavior>'
+    '</behaviors>'
+)
+
+
+# generating models this large takes most of the time, so examples are few
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models_naming_sources(), rule_sets())
+@example(_REPEATED_NEGATION, RuleSet((
+    SelectionRule("/X:i", "/a:o", Lit("/c:o")), SelectionRule("/X:i", "/b:o", Lit("/c:o")),
+)))
+def test_linear_extraction_and_screened_conflicts_match_references(model, rules):
+    ruleset = extract_rules(model, NetworkDescription())
+    reference = _reference_extract(model)
+    assert emit_rules(ruleset) == emit_rules(reference)
+    assert ruleset == reference
+    for checked in (ruleset, rules):
+        assert [d.message for d in check_conflicts(checked)] == (
+            _reference_conflict_messages(checked)
+        )
+
+
 def test_extract_rules_matches_golden_file():
     _, _, ruleset, _ = compile_fixture("search-and-track")
     expected = fixture("search-and-track").expected_ruleset.read_text()
@@ -278,8 +422,9 @@ def test_adding_an_inhibition_only_strengthens_constraints():
     assert {(r.port, r.candidate) for r in base.rules} == {
         (r.port, r.candidate) for r in stronger.rules
     }
+    after_rules = _by_key(stronger)
     for rule in base.rules:
-        after = stronger.rule_for(rule.port, rule.candidate)
+        after = after_rules[rule.port, rule.candidate]
         before_parts = set(
             rule.constraint.children if isinstance(rule.constraint, And)
             else () if rule.constraint == TRUE else (rule.constraint,)
@@ -304,8 +449,9 @@ def test_wrapping_in_a_true_meta_keeps_rules_bdd_equal():
         (r.port, r.candidate) for r in wrapped_ruleset.rules
     }
     manager = BddManager()
+    wrapped_rules = _by_key(wrapped_ruleset)
     for rule in ruleset.rules:
-        other = wrapped_ruleset.rule_for(rule.port, rule.candidate)
+        other = wrapped_rules[rule.port, rule.candidate]
         assert manager.build(rule.constraint) == manager.build(other.constraint)
 
 
@@ -319,8 +465,9 @@ def test_extraction_is_byte_deterministic():
 def test_unconfigured_connection_gets_no_rule():
     # /collision:o -> /Arm/pos:i is in the network but in no configuration
     _, _, ruleset, _ = compile_fixture("search-and-track")
-    assert ruleset.rule_for("/Arm/pos:i", "/collision:o") is None
-    assert ruleset.rule_for("/Gaze/pos:i", "/collision:o") is None
+    rules = _by_key(ruleset)
+    assert ("/Arm/pos:i", "/collision:o") not in rules
+    assert ("/Gaze/pos:i", "/collision:o") not in rules
 
 
 def test_fig3_ruleset_has_no_conflicts():
@@ -344,6 +491,33 @@ def test_mutually_negating_rules_do_not_conflict():
         SelectionRule("/X:i", "/b:o", Not(Lit("/a:o")), ("B",)),
     ))
     assert check_conflicts(ruleset) == []
+
+
+@pytest.mark.parametrize("second_constraint, conflicts", [
+    ("cube", True),
+    # not /a:o sits inside a disjunction, so only the BDD finds the
+    # two rules exclusive
+    ("cube_or", False),
+])
+def test_conflict_check_on_long_cubes(second_constraint, conflicts):
+    # the apply recursed once per level: /b:o sits below 1,200 variables
+    cube = tuple(Not(Lit(f"/p{i}:o")) for i in range(1200))
+    constraints = {
+        "cube": And(cube),
+        "cube_or": And(cube + (Or((Not(Lit("/a:o")), Lit("/p0:o"))),)),
+    }
+    ruleset = RuleSet((
+        SelectionRule("/X:i", "/a:o", And(cube)),
+        SelectionRule("/X:i", "/b:o", constraints[second_constraint]),
+    ))
+    warnings = check_conflicts(ruleset)
+    if not conflicts:
+        assert warnings == []
+        return
+    shown = ", ".join(["/a:o=true"] + [f"/p{i}:o=false" for i in range(1200)] + ["/b:o=true"])
+    assert [w.message for w in warnings] == [
+        f"rules for /a:o and /b:o at /X:i can both select: e.g. {{{shown}}}"
+    ]
 
 
 def test_rule_text_rendering():
