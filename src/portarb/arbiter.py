@@ -186,11 +186,10 @@ class PortArbiter:
                 mask |= 1 << slot
         return mask
 
-    def activation_snapshot(self, t: int) -> dict[str, bool]:
+    def activation_snapshot(self, t: int) -> Snapshot:
         """One boolean per distinct incoming source port; a port sharing
         several connections counts active if any of them is."""
-        mask = self._mask_at(t)
-        return {source: bool(mask >> slot & 1) for slot, source in enumerate(self.sources)}
+        return Snapshot(self.sources, self._slots, self._mask_at(t))
 
     def rule_text_for(self, source: str) -> str | None:
         slot = self._slots.get(source)

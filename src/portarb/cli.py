@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_right
+from collections import deque
 from pathlib import Path
 
-from .arbiter import ACCEPT, CONSTRAINT_FALSE, DEFAULT_WINDOW_MS, NO_RULE
+from .arbiter import ACCEPT, CONSTRAINT_FALSE, NO_RULE
 from .compiler import compile_model, emit_rules
 from .model import (
     And,
@@ -112,22 +114,91 @@ def cmd_simulate(args) -> int:
     return _status(diagnostics, args.strict)
 
 
-def _activation_streak_start(records, record, port: str) -> int | None:
-    """First arrival of the burst keeping `port` active at record time,
-    assuming the default window when bridging gaps between arrivals."""
-    arrivals = [r.t for r in records if r.dst == record.dst and r.src == port and r.t <= record.t]
-    if not arrivals:
-        return None
-    start = arrivals[-1]
-    for t in reversed(arrivals[:-1]):
-        if start - t < DEFAULT_WINDOW_MS:
-            start = t
-        else:
-            break
-    return start
+class _TraceIndex:
+    """What explain needs of a trace, built once per query: the records of
+    each destination port in trace order and, for a port that a failed
+    `not p` names, its arrival history."""
+
+    def __init__(self, records):
+        self.records = records
+        self.by_port: dict[str, list] = {}
+        for record in records:
+            self.by_port.setdefault(record.dst, []).append(record)
+        self._histories: dict[str, tuple] = {}
+
+    def streak_starts(self, record, source: str) -> list:
+        """Every possible first arrival of the run of `source` arrivals at
+        the record's port that keeps it active at the record's time, oldest
+        first; a gap between arrivals is bridged when it is shorter than
+        the window. Empty if `source` never arrived there."""
+        history = self._histories.get(record.dst)
+        if history is None:
+            history = self._histories[record.dst] = _port_history(self.by_port[record.dst])
+        arrivals, lo, hi = history
+        times = arrivals.get(source, ())
+        k = bisect_right(times, record.t)
+        if k == 0:
+            return []
+        starts = []
+        start = times[k - 1]
+        for i in range(k - 2, -1, -1):
+            gap = start - times[i]
+            if gap > lo:
+                if gap >= hi:
+                    break
+                # the window may or may not exceed this gap: the run may
+                # start here, or go on with the window known to exceed it
+                starts.append(start)
+                lo = gap
+            start = times[i]
+        starts.append(start)
+        return starts[::-1]
 
 
-def _explain_failure(records, record) -> str:
+def _port_history(records) -> tuple:
+    """(arrival times by source, lo, hi) of the port that received `records`
+    (its records in trace order): its activation window W lies in (lo, hi],
+    as read from the records' assignments.
+
+    A source true in a record at time t whose last arrival at the port was
+    at a says W > t - a; false says W <= t - a. Within one arrival's run the
+    gap only grows, so its last true record and first false record give the
+    tightest bounds. Arrivals wait in a queue in arrival order; the ones that
+    turn false are at its front (a later arrival expires later), so each
+    arrival is looked at once when it expires or when its source arrives
+    again, plus once at the end: O(records + sources).
+    """
+    arrivals: dict[str, list] = {}
+    lo, hi = 0, float("inf")
+    queue: deque = deque()
+    prev = None
+    for record in records:
+        t, src = record.t, record.src
+        times = arrivals.setdefault(src, [])
+        if times and prev.assignment.get(src):
+            lo = max(lo, prev.t - times[-1])
+        times.append(t)
+        queue.append((t, src))
+        assignment = record.assignment
+        while queue:
+            a, source = queue[0]
+            current = arrivals[source][-1] == a
+            if current and assignment.get(source):
+                break
+            queue.popleft()
+            if not current:
+                continue  # its source has arrived again since
+            hi = min(hi, t - a)
+            if prev is not None and prev.assignment.get(source):
+                lo = max(lo, prev.t - a)
+        prev = record
+    for source, times in arrivals.items():
+        if prev.assignment.get(source):
+            lo = max(lo, prev.t - times[-1])
+    return arrivals, lo, hi
+
+
+def _explain_failure(index: _TraceIndex, record) -> str:
     candidate, _, rest = record.rule.partition(" => ")
     constraint_text = candidate.partition(" and ")[2] or "true"
     try:
@@ -142,9 +213,9 @@ def _explain_failure(records, record) -> str:
         rendered = render_condition(part)
         if isinstance(part, Not) and isinstance(part.child, Lit):
             port = part.child.port
-            since = _activation_streak_start(records, record, port)
-            detail = f"{port} active since {since}" if since is not None else f"{port} active"
-            reasons.append(f"constraint `{rendered}` false; {detail}")
+            starts = index.streak_starts(record, port)
+            since = f" since {' or '.join(map(str, starts))}" if starts else ""
+            reasons.append(f"constraint `{rendered}` false; {port} active{since}")
         elif isinstance(part, Lit):
             reasons.append(f"constraint `{rendered}` false; {part.port} inactive")
         else:
@@ -153,11 +224,9 @@ def _explain_failure(records, record) -> str:
 
 
 def cmd_explain(args) -> int:
-    records = read_trace(args.trace)
-    matches = [
-        r for r in records
-        if (args.at is None or r.t == args.at) and (args.port is None or r.dst == args.port)
-    ]
+    index = _TraceIndex(read_trace(args.trace))
+    pool = index.records if args.port is None else index.by_port.get(args.port, ())
+    matches = [r for r in pool if args.at is None or r.t == args.at]
     if not matches:
         print("no records")
         return EXIT_OK
@@ -168,7 +237,7 @@ def cmd_explain(args) -> int:
         elif record.reason == NO_RULE:
             print(f"{head} discarded: no rule for {record.src} at {record.dst}")
         else:
-            print(f"{head} discarded: {_explain_failure(records, record)}")
+            print(f"{head} discarded: {_explain_failure(index, record)}")
         print(f"  rule: {record.rule}")
         shown = " ".join(
             f"{port}={str(value).lower()}" for port, value in sorted(record.assignment.items())

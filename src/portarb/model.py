@@ -141,6 +141,13 @@ def _tokenize_condition(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting a model may use: `(`s and `not`s enclosing a term of one
+# condition, and meta-behaviors enclosing a behavior. Parsing, the model walk
+# and the passes over conditions recurse once per level, so this keeps them
+# far inside Python's recursion limit; deeper input is a ParseError.
+MAX_NESTING_DEPTH = 100
+
+
 class _ConditionParser:
     """Recursive descent over: expr := term (OR term)*; term := factor (AND factor)*;
     factor := NOT factor | '(' expr ')' | port | 'true' | 'false'."""
@@ -148,6 +155,7 @@ class _ConditionParser:
     def __init__(self, text: str):
         self.tokens = _tokenize_condition(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -191,12 +199,19 @@ class _ConditionParser:
         if tok is None:
             raise ParseError("condition syntax error: unexpected end of input")
         kind, value, pos = tok
-        if kind == "not" or (kind == "word" and value == "not"):
+        is_not = kind == "not" or (kind == "word" and value == "not")
+        if is_not or kind == "lparen":
             self._take()
-            return Not(self.factor())
-        if kind == "lparen":
-            self._take()
-            inner = self.expr()
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise ParseError(
+                    f"condition syntax error at position {pos}: nested deeper than "
+                    f"{MAX_NESTING_DEPTH} levels"
+                )
+            inner = self.factor() if is_not else self.expr()
+            self.depth -= 1
+            if is_not:
+                return Not(inner)
             closing = self._peek()
             if closing is None or closing[0] != "rparen":
                 raise ParseError(f"condition syntax error at position {pos}: unclosed '('")
@@ -608,6 +623,15 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
                     f"{ref!r} is referenced by both {referenced[ref]!r} and {name!r}"
                 )
             referenced[ref] = name
+
+    # meta-behaviors enclosing each definition, counted without recursion; a
+    # definition in a containment cycle is never reached and is reported below
+    pending = [(name, 0) for name in order if name not in referenced]
+    while pending:
+        name, depth = pending.pop()
+        if depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"{name!r} is nested in more than {MAX_NESTING_DEPTH} meta-behaviors")
+        pending.extend((ref, depth + 1) for ref in definitions[name][2])
 
     built: dict[str, BehaviorNode] = {}
 

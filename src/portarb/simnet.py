@@ -15,6 +15,7 @@ Identical inputs always produce byte-identical traces.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -335,11 +336,43 @@ def write_trace(trace: Trace | Iterable[TraceRecord], path) -> None:
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")
 
+# A line exactly as write_trace lays it out, with every string free of
+# escapes and control characters and `t` short enough that int() reads it
+# as json does; the last group is the assignment object's text.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_TRACE_LINE = (
+    r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"src":' + _STRING + ',"dst":' + _STRING
+    + ',"outcome":' + _STRING + ',"reason":' + _STRING + ',"rule":' + _STRING
+    + r',"assignment":(\{.*\})\}'
+)
+
 
 def read_trace(path) -> tuple[TraceRecord, ...]:
+    """Parse a trace file written by write_trace, one record per line.
+
+    A line in write_trace's layout is matched by one pattern, and each
+    distinct assignment text is parsed once per file (every record gets its
+    own dict copy). Any other line goes through json.loads and the field
+    checks, so both paths accept the same lines, give the same records and
+    reject with the same messages.
+    """
     path = Path(path)
+    layout = re.compile(_TRACE_LINE).fullmatch  # compiled on first use, then cached by re
+    parsed: dict[str, dict] = {}
     records: list[TraceRecord] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        match = layout(line)
+        if match is not None:
+            t, src, dst, outcome, reason, rule, text = match.groups()
+            assignment = parsed.get(text)
+            if assignment is None:
+                try:
+                    assignment = parsed[text] = json.loads(text)
+                except json.JSONDecodeError:
+                    pass  # the whole line fails below, with json's message for it
+            if assignment is not None:
+                records.append(TraceRecord(int(t), src, dst, outcome, reason, rule, dict(assignment)))
+                continue
         if not line.strip():
             continue
         try:

@@ -63,19 +63,38 @@ def expressions(max_leaves=10):
     )
 
 
-_NAME_ALPHABET = "ABCDEFabcdef_ 0123456789"
-_names = (
-    st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=10)
-    .map(str.strip)
-    .filter(lambda s: s)
-)
+def _nested_conditions(levels):
+    """Conditions at most `levels` operators deep. Unlike `expressions`, whose
+    `not` chains are unbounded, no draw runs past hypothesis's depth limit,
+    which would discard a whole model of hundreds of conditions."""
+    strategy = st.one_of(st.just(TRUE), st.just(FALSE), port_literals())
+    for _ in range(levels):
+        kids = strategy
+        strategy = st.one_of(
+            kids,
+            kids.map(Not),
+            st.lists(kids, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
+            st.lists(kids, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
+        )
+    return strategy
 
 
-# built once: a recursive strategy is costly to set up on every draw
-_LEAF_CONDITIONS = expressions(max_leaves=4)
-_META_CONDITIONS = expressions(max_leaves=3)
+# name stems: "-" is not in the alphabet, so "<stem>-<index>" is unique
+_NAME_STEMS = st.text(alphabet="ABCDEFabcdef_ 0123456789", max_size=8)
+# built once: a nested strategy is costly to set up on every draw
+_LEAF_CONDITIONS = _nested_conditions(2)
+_META_CONDITIONS = _nested_conditions(2)
+_INDEX = st.integers(0, 1 << 16)
 MODEL_SOURCES = tuple(f"/src{i}/out:o" for i in range(4))
 MODEL_DESTINATIONS = tuple(f"/dst{i}/in:i" for i in range(3))
+_PAIRS = tuple((s, d) for s in MODEL_SOURCES for d in MODEL_DESTINATIONS)
+
+
+def _pick(draw, count, size):
+    """Up to `count` distinct indices below `size`, drawn without retries
+    from one strategy built once; a model draws hundreds of these."""
+    pool = list(range(size))
+    return [pool.pop(draw(_INDEX) % len(pool)) for _ in range(min(count, size))]
 
 
 @st.composite
@@ -85,29 +104,22 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
     leaf_count = draw(st.integers(1, max_leaves))
     meta_count = draw(st.integers(0, max_metas))
     total = leaf_count + meta_count
-    names = draw(st.lists(_names, min_size=total, max_size=total, unique=True))
+    names = [f"{draw(_NAME_STEMS)}-{i}".strip() for i in range(total)]
 
     available: list[BehaviorNode] = []
     for name in names[:leaf_count]:
-        pair_count = draw(st.integers(1, 2))
-        pairs = draw(st.lists(
-            st.tuples(st.sampled_from(MODEL_SOURCES), st.sampled_from(MODEL_DESTINATIONS)),
-            min_size=pair_count, max_size=pair_count, unique=True,
-        ))
+        pairs = _pick(draw, 1 + draw(_INDEX) % 2, len(_PAIRS))
         available.append(BehaviorNode(
             name=name,
             kind=BEHAVIOR,
-            configuration=tuple(Connection(s, d) for s, d in pairs),
+            configuration=tuple(Connection(*_PAIRS[i]) for i in pairs),
             condition=draw(_LEAF_CONDITIONS),
         ))
 
     for name in names[leaf_count:]:
-        take = draw(st.integers(1, min(3, len(available))))
-        indices = draw(st.lists(
-            st.integers(0, len(available) - 1), min_size=take, max_size=take, unique=True,
-        ))
-        children = tuple(available[i] for i in sorted(indices))
-        for i in sorted(indices, reverse=True):
+        indices = sorted(_pick(draw, 1 + draw(_INDEX) % 3, len(available)))
+        children = tuple(available[i] for i in indices)
+        for i in reversed(indices):
             del available[i]
         available.append(BehaviorNode(
             name=name,
@@ -116,13 +128,12 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
             condition=draw(_META_CONDITIONS),
         ))
 
-    # inhibitions point at earlier siblings, so the relation stays acyclic
+    # inhibitions point at earlier siblings, so the relation stays acyclic;
+    # up to three each, so any subset of up to three earlier siblings occurs
     def with_inhibitions(siblings):
         out = []
         for i, node in enumerate(siblings):
-            targets = tuple(
-                s.name for s in siblings[:i] if draw(st.booleans())
-            )
+            chosen = sorted(_pick(draw, draw(_INDEX) % 4, i))
             children = tuple(with_inhibitions(node.children)) if node.children else ()
             out.append(BehaviorNode(
                 name=node.name,
@@ -130,7 +141,7 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
                 configuration=node.configuration,
                 children=children,
                 condition=node.condition,
-                inhibitions=targets,
+                inhibitions=tuple(siblings[j].name for j in chosen),
             ))
         return out
 

@@ -11,6 +11,7 @@ import pytest
 from portarb import fixture, read_trace
 import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from portarb.model import MAX_NESTING_DEPTH
 
 SAT = fixture("search-and-track")
 
@@ -142,6 +143,24 @@ def test_explain_accept_and_no_rule(tmp_path, capsys):
     assert "accepted: rule satisfied" in capsys.readouterr().out
 
 
+def test_explain_reads_the_window_override_from_the_trace(tmp_path, capsys):
+    # the arm's window is 50 ms: every arrival 100 ms earlier has expired
+    for name in ("model.xml", "scenario.json"):
+        (tmp_path / name).write_text((SAT.model.parent / name).read_text())
+    network = SAT.network.read_text()
+    plain = '<connection from="/Object/pos:o" to="/Arm/pos:i"/>'
+    assert plain in network
+    (tmp_path / "network.xml").write_text(
+        network.replace(plain, plain.replace("/>", ' window="50"/>')))
+    trace_path = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", tmp_path / "scenario.json", "--trace", trace_path) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("explain", trace_path, "--port", "/Arm/pos:i", "--at", 14100) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "/collision:o active since 14100\n" in out
+    assert "/Object/pos:o active since 14100\n" in out
+
+
 def test_explain_no_matches(tmp_path, capsys):
     trace_path = tmp_path / "empty.jsonl"
     trace_path.write_text("")
@@ -153,6 +172,30 @@ def test_explain_malformed_trace(tmp_path):
     trace_path = tmp_path / "bad.jsonl"
     trace_path.write_text("garbage\n")
     assert run_cli("explain", trace_path) == EXIT_USAGE
+
+
+def _nested_model(parens=0, metas=0):
+    """One behavior whose condition sits inside `parens` parentheses, under a
+    chain of `metas` nested meta-behaviors."""
+    condition = "(" * parens + "/RestArm/pos:o" + ")" * parens
+    chain = "".join(
+        f'<meta_behavior name="M{i}"><behavior>{f"M{i + 1}" if i + 1 < metas else "B"}'
+        "</behavior></meta_behavior>"
+        for i in range(metas)
+    )
+    return (f'<model>{chain}<behavior name="B"><config at="/Arm/pos:i">/Object/pos:o</config>'
+            f"<condition>{condition}</condition></behavior></model>")
+
+
+@pytest.mark.parametrize("shape", [{"parens": 600}, {"metas": 1200}], ids=("parens", "metas"))
+def test_nesting_past_the_cap_is_a_parse_error(tmp_path, capsys, shape):
+    path = tmp_path / "model.xml"
+    path.write_text(_nested_model(**shape))
+    assert run_cli("compile", path, SAT.network) == EXIT_USAGE
+    assert "nested" in capsys.readouterr().err
+    # at the cap itself the model compiles
+    path.write_text(_nested_model(**{key: MAX_NESTING_DEPTH for key in shape}))
+    assert run_cli("compile", path, SAT.network) == EXIT_OK
 
 
 def test_usage_error_exits_2():

@@ -365,3 +365,120 @@ def test_trace_lines_escape_like_json_dumps(tmp_path):
     by_hand = TraceRecord(7, cafe, dest, "discard", "CONSTRAINT_FALSE", 'say "é" \\',
                           {cafe: True, quote: False, slash: True})
     assert by_hand.json_line() == _reference_line(by_hand)
+
+
+_TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")
+
+
+def _reference_read_trace(path):
+    """The plain reader, json.loads on every line and then the field checks;
+    read_trace must agree with it on every file."""
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        if not isinstance(payload, dict) or set(payload) != set(_TRACE_FIELDS):
+            raise ParseError(f"{path}:{lineno}: expected fields {', '.join(_TRACE_FIELDS)}")
+        if not isinstance(payload["assignment"], dict):
+            raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
+        records.append(TraceRecord(**payload))
+    return tuple(records)
+
+
+# quotes, backslashes, a control character, non-ASCII and U+2028, which
+# str.splitlines() takes for a line break when it is written raw
+_trace_text = st.text(alphabet='/ab:o"\\\x1f\u00e9\u2028 ', max_size=6)
+_trace_scalars = st.one_of(st.booleans(), st.none(), st.integers(), st.floats(), _trace_text)
+_trace_t = st.one_of(
+    st.integers(-5, 5000), st.integers(), st.floats(), st.booleans(), st.none(), _trace_text
+)
+# number texts json.loads rejects or reads differently from int()
+_raw_t = st.sampled_from(("01", "-0", "1e3", "1.0", "\u0663", "1\u0663", "1_000", "0x1", "9" * 25))
+
+
+@st.composite
+def trace_lines(draw):
+    """A trace line: in write_trace's layout, the same with string fields
+    written unescaped, or rewritten (keys reordered or repeated, other
+    separators, raw non-ASCII, any `t`); then perhaps broken once: `t`
+    replaced by a raw number text, a character inserted, truncated or
+    extended."""
+    layout = draw(st.booleans())
+    assignment = draw(st.dictionaries(
+        st.one_of(st.sampled_from(("/a:o", "/b:o", "assignment")), _trace_text),
+        st.booleans() if layout else _trace_scalars | st.dictionaries(_trace_text, _trace_scalars),
+        max_size=4,
+    ))
+    payload = {
+        "t": draw(st.integers(0, 5000) if layout else _trace_t),
+        **{key: draw(st.sampled_from(("/a:o", "/b:i", "accept")) | _trace_text)
+           for key in _TRACE_FIELDS[1:-1]},
+        "assignment": assignment,
+    }
+    if layout and draw(st.booleans()):
+        line = TraceRecord(**payload).json_line()
+    elif layout:
+        line = f'{{"t":{payload["t"]}' + "".join(
+            f',"{key}":"{payload[key]}"' for key in _TRACE_FIELDS[1:-1]
+        ) + f',"assignment":{json.dumps(assignment, separators=(",", ":"))}}}'
+    else:
+        ensure_ascii = draw(st.booleans())
+        separators = draw(st.sampled_from(((",", ":"), (", ", ": "), (",", ":  "))))
+        keys = draw(st.permutations(_TRACE_FIELDS)) if draw(st.booleans()) else _TRACE_FIELDS
+        pairs = [(key, payload[key]) for key in keys]
+        for _ in range(draw(st.integers(0, 2))):
+            pairs.insert(draw(st.integers(0, len(pairs))),
+                         (draw(st.sampled_from(_TRACE_FIELDS)), draw(_trace_scalars)))
+        line = "{" + separators[0].join(
+            json.dumps(key) + separators[1]
+            + json.dumps(value, ensure_ascii=ensure_ascii, separators=separators)
+            for key, value in pairs
+        ) + "}"
+    breakage = draw(st.sampled_from(("none", "raw t", "insert", "truncate", "extend")))
+    head = '{"t":' + json.dumps(payload["t"]) + ","
+    if breakage == "raw t" and line.startswith(head):
+        line = '{"t":' + draw(_raw_t) + "," + line[len(head):]
+    elif breakage == "insert":
+        at = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from((" ", "\t", "{", "}", ",", '"', "\\", "\x1f", "\u2028")))
+        line = line[:at] + char + line[at:]
+    elif breakage == "truncate":
+        line = line[:draw(st.integers(0, len(line)))]
+    elif breakage == "extend":
+        line += draw(st.sampled_from((" ", ",", "x")))
+    return line
+
+
+def _read_outcome(reader, path):
+    try:
+        records = reader(path)
+    except Exception as exc:  # the exception type and message must match too
+        return type(exc).__name__, str(exc)
+    assert all(type(r.assignment) is dict for r in records)
+    assert len({id(r.assignment) for r in records}) == len(records)
+    return "records", repr(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(trace_lines(), st.sampled_from(("", " \t"))), max_size=6),
+       st.sampled_from(("\n", "\r\n")), st.booleans())
+def test_read_trace_matches_the_json_loads_reader(tmp_path_factory, lines, newline, trailing):
+    # each line alone, as the first bad line ends a read; then all of them,
+    # and the ones read alone without error twice over, so that assignment
+    # texts repeat
+    directory = tmp_path_factory.mktemp("trace")
+
+    def compare(name, text):
+        path = directory / name
+        path.write_bytes(text.encode("utf-8"))
+        got = _read_outcome(read_trace, path)
+        assert got == _read_outcome(_reference_read_trace, path)
+        return got[0] == "records"
+
+    good = [line for i, line in enumerate(lines) if compare(f"{i}.jsonl", line + newline)]
+    compare("all.jsonl", newline.join(lines) + (newline if trailing else ""))
+    compare("good.jsonl", newline.join(good * 2) + (newline if trailing else ""))
