@@ -336,42 +336,50 @@ def write_trace(trace: Trace | Iterable[TraceRecord], path) -> None:
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")
 
-# A line exactly as write_trace lays it out, with every string free of
-# escapes and control characters and `t` short enough that int() reads it
-# as json does; the last group is the assignment object's text.
+# The start of a line exactly as write_trace lays it out, up to the
+# assignment, with every string free of escapes and control characters and
+# `t` short enough that int() reads it as json does. The rest of the line is
+# the assignment object's text and a closing "}".
 _STRING = r'"([^"\\\x00-\x1f]*)"'
-_TRACE_LINE = (
+_TRACE_HEAD = (
     r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"src":' + _STRING + ',"dst":' + _STRING
     + ',"outcome":' + _STRING + ',"reason":' + _STRING + ',"rule":' + _STRING
-    + r',"assignment":(\{.*\})\}'
+    + ',"assignment":'
 )
 
 
 def read_trace(path) -> tuple[TraceRecord, ...]:
     """Parse a trace file written by write_trace, one record per line.
 
-    A line in write_trace's layout is matched by one pattern, and each
-    distinct assignment text is parsed once per file (every record gets its
-    own dict copy). Any other line goes through json.loads and the field
-    checks, so both paths accept the same lines, give the same records and
-    reject with the same messages.
+    The start of a line in write_trace's layout is matched by one pattern,
+    and each distinct assignment text with no nested object or list is
+    parsed once per file (every record gets its own dict). Any other line
+    goes through json.loads and the field checks, so both paths accept the
+    same lines, give the same records and reject with the same messages.
     """
     path = Path(path)
-    layout = re.compile(_TRACE_LINE).fullmatch  # compiled on first use, then cached by re
+    head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
     parsed: dict[str, dict] = {}
     records: list[TraceRecord] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        match = layout(line)
-        if match is not None:
-            t, src, dst, outcome, reason, rule, text = match.groups()
+        match = head(line)
+        if match is not None and line.endswith("}"):
+            t, src, dst, outcome, reason, rule = match.groups()
+            text = line[match.end():-1]
+            # the first record of a text keeps the parsed dict and later ones
+            # copy it, all before the caller sees any. The copies are shallow,
+            # so a text that may hold an object or a list ("[" or a second
+            # "{") is not cached: its line takes the path below.
             assignment = parsed.get(text)
-            if assignment is None:
+            if assignment is not None:
+                assignment = dict(assignment)
+            elif text.startswith("{") and text.find("{", 1) < 0 and "[" not in text:
                 try:
                     assignment = parsed[text] = json.loads(text)
                 except json.JSONDecodeError:
                     pass  # the whole line fails below, with json's message for it
             if assignment is not None:
-                records.append(TraceRecord(int(t), src, dst, outcome, reason, rule, dict(assignment)))
+                records.append(TraceRecord(int(t), src, dst, outcome, reason, rule, assignment))
                 continue
         if not line.strip():
             continue

@@ -50,40 +50,39 @@ def port_literals():
     return st.sampled_from(EXPR_PORTS).map(Lit)
 
 
-def expressions(max_leaves=10):
+def expressions(max_leaves=10, max_depth=None):
+    """Conditions over EXPR_PORTS: constants, literals, `not`, 2-3-way
+    `and`/`or`. Without `max_depth`, at most `max_leaves` leaves but `not`
+    chains of any length; with it, `max_leaves` is ignored and operators
+    nest at most `max_depth` deep, so that drawing hundreds of conditions
+    for one example never runs past hypothesis's depth limit."""
     base = st.one_of(st.just(TRUE), st.just(FALSE), port_literals())
-    return st.recursive(
-        base,
-        lambda kids: st.one_of(
-            kids.map(Not),
-            st.lists(kids, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
-            st.lists(kids, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
-        ),
-        max_leaves=max_leaves,
-    )
 
-
-def _nested_conditions(levels):
-    """Conditions at most `levels` operators deep. Unlike `expressions`, whose
-    `not` chains are unbounded, no draw runs past hypothesis's depth limit,
-    which would discard a whole model of hundreds of conditions."""
-    strategy = st.one_of(st.just(TRUE), st.just(FALSE), port_literals())
-    for _ in range(levels):
-        kids = strategy
-        strategy = st.one_of(
-            kids,
+    def extend(kids):
+        return st.one_of(
             kids.map(Not),
             st.lists(kids, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
             st.lists(kids, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
         )
+
+    if max_depth is None:
+        return st.recursive(base, extend, max_leaves=max_leaves)
+    strategy = base
+    for _ in range(max_depth):
+        strategy = st.one_of(strategy, extend(strategy))
     return strategy
 
 
 # name stems: "-" is not in the alphabet, so "<stem>-<index>" is unique
 _NAME_STEMS = st.text(alphabet="ABCDEFabcdef_ 0123456789", max_size=8)
-# built once: a nested strategy is costly to set up on every draw
-_LEAF_CONDITIONS = _nested_conditions(2)
-_META_CONDITIONS = _nested_conditions(2)
+# built once: a recursive strategy is costly to set up on every draw. A model
+# of up to _SMALL_MODEL nodes draws its conditions from the unbounded ones;
+# in a larger one, some condition almost surely runs too deep and hypothesis
+# discards the whole example, so it draws them two operators deep.
+_SMALL_MODEL = 64
+_LEAF_CONDITIONS = expressions(max_leaves=4)
+_META_CONDITIONS = expressions(max_leaves=3)
+_SHALLOW_CONDITIONS = expressions(max_depth=2)
 _INDEX = st.integers(0, 1 << 16)
 MODEL_SOURCES = tuple(f"/src{i}/out:o" for i in range(4))
 MODEL_DESTINATIONS = tuple(f"/dst{i}/in:i" for i in range(3))
@@ -105,6 +104,9 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
     meta_count = draw(st.integers(0, max_metas))
     total = leaf_count + meta_count
     names = [f"{draw(_NAME_STEMS)}-{i}".strip() for i in range(total)]
+    small = total <= _SMALL_MODEL
+    leaf_conditions = _LEAF_CONDITIONS if small else _SHALLOW_CONDITIONS
+    meta_conditions = _META_CONDITIONS if small else _SHALLOW_CONDITIONS
 
     available: list[BehaviorNode] = []
     for name in names[:leaf_count]:
@@ -113,7 +115,7 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
             name=name,
             kind=BEHAVIOR,
             configuration=tuple(Connection(*_PAIRS[i]) for i in pairs),
-            condition=draw(_LEAF_CONDITIONS),
+            condition=draw(leaf_conditions),
         ))
 
     for name in names[leaf_count:]:
@@ -125,15 +127,16 @@ def behavior_models(draw, max_leaves=4, max_metas=2):
             name=name,
             kind=META_BEHAVIOR,
             children=children,
-            condition=draw(_META_CONDITIONS),
+            condition=draw(meta_conditions),
         ))
 
     # inhibitions point at earlier siblings, so the relation stays acyclic;
-    # up to three each, so any subset of up to three earlier siblings occurs
+    # any subset of them, one bitmask per node
     def with_inhibitions(siblings):
         out = []
         for i, node in enumerate(siblings):
-            chosen = sorted(_pick(draw, draw(_INDEX) % 4, i))
+            mask = draw(st.integers(0, (1 << i) - 1))
+            chosen = [j for j in range(i) if mask >> j & 1]
             children = tuple(with_inhibitions(node.children)) if node.children else ()
             out.append(BehaviorNode(
                 name=node.name,

@@ -174,10 +174,10 @@ def test_explain_malformed_trace(tmp_path):
     assert run_cli("explain", trace_path) == EXIT_USAGE
 
 
-def _nested_model(parens=0, metas=0):
-    """One behavior whose condition sits inside `parens` parentheses, under a
-    chain of `metas` nested meta-behaviors."""
-    condition = "(" * parens + "/RestArm/pos:o" + ")" * parens
+def _nested_model(parens=0, nots=0, metas=0):
+    """One behavior whose condition sits inside `parens` parentheses and
+    `nots` negations, under a chain of `metas` nested meta-behaviors."""
+    condition = "(" * parens + "not " * nots + "/RestArm/pos:o" + ")" * parens
     chain = "".join(
         f'<meta_behavior name="M{i}"><behavior>{f"M{i + 1}" if i + 1 < metas else "B"}'
         "</behavior></meta_behavior>"
@@ -187,7 +187,8 @@ def _nested_model(parens=0, metas=0):
             f"<condition>{condition}</condition></behavior></model>")
 
 
-@pytest.mark.parametrize("shape", [{"parens": 600}, {"metas": 1200}], ids=("parens", "metas"))
+@pytest.mark.parametrize("shape", [{"parens": 600}, {"nots": 600}, {"metas": 1200}],
+                         ids=("parens", "nots", "metas"))
 def test_nesting_past_the_cap_is_a_parse_error(tmp_path, capsys, shape):
     path = tmp_path / "model.xml"
     path.write_text(_nested_model(**shape))

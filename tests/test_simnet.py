@@ -6,7 +6,7 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import compile_fixture, run_fixture
 from portarb import (
@@ -403,14 +403,17 @@ _raw_t = st.sampled_from(("01", "-0", "1e3", "1.0", "\u0663", "1\u0663", "1_000"
 @st.composite
 def trace_lines(draw):
     """A trace line: in write_trace's layout, the same with string fields
-    written unescaped, or rewritten (keys reordered or repeated, other
-    separators, raw non-ASCII, any `t`); then perhaps broken once: `t`
-    replaced by a raw number text, a character inserted, truncated or
-    extended."""
+    written unescaped (and perhaps an assignment that is no object), or
+    rewritten (keys reordered or repeated, other separators, raw non-ASCII,
+    any `t`); then perhaps broken once: `t` replaced by a raw number text,
+    a character inserted, truncated or extended."""
     layout = draw(st.booleans())
     assignment = draw(st.dictionaries(
         st.one_of(st.sampled_from(("/a:o", "/b:o", "assignment")), _trace_text),
-        st.booleans() if layout else _trace_scalars | st.dictionaries(_trace_text, _trace_scalars),
+        # write_trace writes booleans; a list is the nested value a record
+        # must not share with another record read from the same text
+        st.booleans() | st.lists(st.booleans(), max_size=1) if layout
+        else _trace_scalars | st.dictionaries(_trace_text, _trace_scalars),
         max_size=4,
     ))
     payload = {
@@ -422,9 +425,10 @@ def trace_lines(draw):
     if layout and draw(st.booleans()):
         line = TraceRecord(**payload).json_line()
     elif layout:
+        value = assignment if draw(st.booleans()) else draw(_trace_scalars)
         line = f'{{"t":{payload["t"]}' + "".join(
             f',"{key}":"{payload[key]}"' for key in _TRACE_FIELDS[1:-1]
-        ) + f',"assignment":{json.dumps(assignment, separators=(",", ":"))}}}'
+        ) + f',"assignment":{json.dumps(value, separators=(",", ":"))}}}'
     else:
         ensure_ascii = draw(st.booleans())
         separators = draw(st.sampled_from(((",", ":"), (", ", ": "), (",", ":  "))))
@@ -459,13 +463,20 @@ def _read_outcome(reader, path):
     except Exception as exc:  # the exception type and message must match too
         return type(exc).__name__, str(exc)
     assert all(type(r.assignment) is dict for r in records)
-    assert len({id(r.assignment) for r in records}) == len(records)
+    # no two records share an assignment or any object or list inside one
+    shared = [id(r.assignment) for r in records] + [
+        id(v) for r in records for v in r.assignment.values() if isinstance(v, (dict, list))
+    ]
+    assert len(set(shared)) == len(shared)
     return "records", repr(records)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(trace_lines(), st.sampled_from(("", " \t"))), max_size=6),
        st.sampled_from(("\n", "\r\n")), st.booleans())
+@example(lines=['{"t":1,"src":"/a:o","dst":"/b:i","outcome":"accept","reason":"",'
+                '"rule":"","assignment":{"/a:o":{"b":[1]},"/b:o":[true]}}'],
+         newline="\n", trailing=True)
 def test_read_trace_matches_the_json_loads_reader(tmp_path_factory, lines, newline, trailing):
     # each line alone, as the first bad line ends a read; then all of them,
     # and the ones read alone without error twice over, so that assignment
