@@ -13,6 +13,12 @@ left the window are cleared on the next arrival. The port's BDD variable
 order begins with its sources, so a rule is decided by one walk over the
 mask. Together an arrival and its decision cost O(1) amortised plus the
 length of one BDD path, whatever the fan-in.
+
+Building a port's arbiter costs one level per source and, per rule of the
+port, one BDD node per literal (a cube of literals and negated literals is
+made as one chain, with no node per conjunct) plus rendering the rule's
+text; `simnet.run` hands each arbiter only its own port's rules, so
+building all of them is linear in the connections and rule literals.
 """
 
 from __future__ import annotations
@@ -50,16 +56,19 @@ class ActivationTable:
         self.last_arrival: dict[Hashable, int] = {}
         self._latest: int | None = None
 
-    def record(self, key: Hashable, t: int) -> None:
+    def record(self, key: Hashable, t: int) -> int:
+        """Store an arrival at `t`; returns the cutoff at `t` of `within`:
+        the arrivals at or before it no longer count."""
         if self._latest is not None and t < self._latest:
             raise ValueError(f"time regression: arrival at {t} after {self._latest}")
         self._latest = t
         self.last_arrival[key] = t
+        return t - self.window_ms
 
     def within(self, last: int, t: int) -> bool:
         """The window rule: an arrival at `last` still counts at `t`. Strict,
         so an arrival at 0 with window 1000 is inactive at 1000."""
-        return t - last < self.window_ms
+        return last > t - self.window_ms
 
     def active(self, key: Hashable, t: int) -> bool:
         last = self.last_arrival.get(key)
@@ -133,9 +142,7 @@ class PortArbiter:
         self._arrivals: deque[tuple[int, int]] = deque()
         # levels below len(sources) are the slots; any later variable names
         # a port with no connection here, which never arrives and reads false
-        self.manager = BddManager()
-        for source in self.sources:
-            self.manager.var(source)
+        self.manager = BddManager(self.sources)
         rule_list = rules.rules if isinstance(rules, compiler.RuleSet) else rules
         self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
         for rule in rule_list:
@@ -163,10 +170,10 @@ class PortArbiter:
         """record_arrival for a slot; returns the activation mask at `t`.
         simnet.run calls it directly with slots resolved once by `_slot`."""
         table = self.activation
-        table.record(slot, t)
+        cutoff = table.record(slot, t)
         arrivals = self._arrivals
         mask = self._mask
-        while arrivals and not table.within(arrivals[0][0], t):
+        while arrivals and arrivals[0][0] <= cutoff:
             last, expired = arrivals.popleft()
             if table.last_arrival[expired] == last:
                 mask &= ~(1 << expired)

@@ -3,7 +3,7 @@ apply, used to evaluate rule constraints and decide satisfiability."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import And, BoolExpr, FalseExpr, Lit, Not, Or, TrueExpr
 
@@ -22,13 +22,16 @@ class BddManager:
     table guarantees that equal functions get equal refs, so reference
     equality coincides with functional equality.
 
-    Variable order is first-appearance order of `var` calls; there is no
-    reordering (rule sets stay at tens of variables).
+    Variable order is `order` (if given) followed by first-appearance order
+    of the ports that `var` and `build` meet; there is no reordering (rule
+    sets stay at tens of variables).
     """
 
-    def __init__(self):
+    def __init__(self, order: Iterable[str] = ()):
         self.order: list[str] = []
         self._var_index: dict[str, int] = {}
+        for port in order:
+            self._level(port)
         self._nodes: list[tuple[int, int, int] | None] = [None, None]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
@@ -36,12 +39,17 @@ class BddManager:
     def __len__(self) -> int:
         return len(self._nodes) - 2
 
-    def var(self, port: str) -> int:
-        """Node for the single-variable function; unseen ports extend the order."""
-        if port not in self._var_index:
-            self._var_index[port] = len(self.order)
+    def _level(self, port: str) -> int:
+        """The port's level; an unseen port extends the order."""
+        level = self._var_index.get(port)
+        if level is None:
+            level = self._var_index[port] = len(self.order)
             self.order.append(port)
-        return self._mk(self._var_index[port], FALSE, TRUE)
+        return level
+
+    def var(self, port: str) -> int:
+        """Node for the single-variable function."""
+        return self._mk(self._level(port), FALSE, TRUE)
 
     def _mk(self, level: int, low: int, high: int) -> int:
         if low == high:
@@ -141,20 +149,50 @@ class BddManager:
         if isinstance(expr, Lit):
             return self.var(expr.port)
         if isinstance(expr, Not):
+            if isinstance(expr.child, Lit):
+                return self._mk(self._level(expr.child.port), TRUE, FALSE)
             return self.negate(self.build(expr.child))
         if isinstance(expr, (And, Or)):
+            if isinstance(expr, And):
+                cube = self._cube(expr.children)
+                if cube is not None:
+                    return cube
             op = AND if isinstance(expr, And) else OR
             refs = [self.build(child) for child in expr.children]
-            # deepest top variable first: each later operand then sits wholly
-            # above the result so far, so a cube of k literals takes O(k) apply
-            # steps and no intermediate nodes (the children, built first, fix
-            # the variable order)
+            # deepest top variable first: an operand that sits wholly above
+            # the result so far is joined in one apply step per node of its
+            # own (the children, built first, fix the variable order)
             refs.sort(key=self._top_level, reverse=True)
             result = refs[0]
             for ref in refs[1:]:
                 result = self.combine(op, result, ref)
             return result
         raise TypeError(f"not a BoolExpr: {expr!r}")
+
+    def _cube(self, children: tuple[BoolExpr, ...]) -> int | None:
+        """The conjunction of `children` if each is a literal or a negated
+        literal, else None. The ports are registered in child order, as the
+        general path would; the result is one chain of nodes made bottom up,
+        deepest level first, so nothing else is made on the way. A repeated
+        literal counts once, and `p and not p` gives FALSE."""
+        values: dict[int, bool] = {}
+        contradiction = False
+        for child in children:
+            if isinstance(child, Lit):
+                level, value = self._level(child.port), True
+            elif isinstance(child, Not) and isinstance(child.child, Lit):
+                level, value = self._level(child.child.port), False
+            else:
+                return None
+            if values.setdefault(level, value) != value:
+                contradiction = True
+        if contradiction:
+            return FALSE
+        mk = self._mk
+        result = TRUE
+        for level in sorted(values, reverse=True):
+            result = mk(level, FALSE, result) if values[level] else mk(level, result, FALSE)
+        return result
 
     def evaluate(self, node: int, assignment: Mapping[str, bool]) -> bool:
         """Follow low/high edges to a sink; missing ports count as inactive."""

@@ -38,9 +38,12 @@ EXIT_INTERNAL = 4
 
 
 def _print_diagnostics(diagnostics) -> None:
+    """One line per diagnostic, all written to stderr in one call."""
+    lines = []
     for diag in diagnostics:
         location = f" {diag.location}:" if diag.location else ""
-        print(f"{diag.severity}: [{diag.code}]{location} {diag.message}", file=sys.stderr)
+        lines.append(f"{diag.severity}: [{diag.code}]{location} {diag.message}\n")
+    sys.stderr.write("".join(lines))
 
 
 def _pipeline(args):

@@ -290,6 +290,8 @@ def render_condition(expr: BoolExpr) -> str:
     if isinstance(expr, Lit):
         return expr.port
     if isinstance(expr, Not):
+        if isinstance(expr.child, Lit):
+            return f"not {expr.child.port}"
         inner = render_condition(expr.child)
         if isinstance(expr.child, (And, Or)):
             inner = f"({inner})"
@@ -896,23 +898,29 @@ def _sibling_cycles(model: BehaviorModel) -> list[list[str]]:
         adjacency = {
             n.name: [t for t in n.inhibitions if t in names] for n in members
         }
+        # depth-first along inhibition edges on an explicit stack: `path`
+        # holds the names being visited (color 1), `pending` the iterator
+        # over each one's remaining targets; finished names get color 2
         color: dict[str, int] = {}
-        stack: list[str] = []
-
-        def visit(name: str) -> None:
-            color[name] = 1
-            stack.append(name)
-            for target in adjacency[name]:
-                if color.get(target, 0) == 0:
-                    visit(target)
-                elif color.get(target) == 1:
-                    cycles.append(stack[stack.index(target):] + [target])
-            stack.pop()
-            color[name] = 2
-
         for member in members:
-            if color.get(member.name, 0) == 0:
-                visit(member.name)
+            if member.name in color:
+                continue
+            color[member.name] = 1
+            path = [member.name]
+            pending = [iter(adjacency[member.name])]
+            while pending:
+                for target in pending[-1]:
+                    state = color.get(target, 0)
+                    if state == 0:
+                        color[target] = 1
+                        path.append(target)
+                        pending.append(iter(adjacency[target]))
+                        break
+                    if state == 1:
+                        cycles.append(path[path.index(target):] + [target])
+                else:
+                    color[path.pop()] = 2
+                    pending.pop()
     return cycles
 
 

@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .arbiter import ACCEPT, DEFAULT_WINDOW_MS, PortArbiter, Snapshot
 from .compiler import RuleSet
@@ -75,8 +75,10 @@ class Scenario:
         return tuple(c for c in self.components if isinstance(c, Sink))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One fan-out of one emission: who sent, where it went, what the
+    arbiter did and why, and the port's activation at that instant."""
+
     t: int
     src: str
     dst: str
@@ -280,12 +282,13 @@ def run(
         horizon = min(horizon, horizon_ms)
 
     sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
+    rules = ruleset.by_port()
     arbiters: dict[str, PortArbiter] = {}
     for port in sorted({c.destination for c in net.connections}):
         arbiters[port] = PortArbiter(
             port,
             net.incoming(port),
-            ruleset,
+            rules.get(port, ()),
             window_ms=net.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
@@ -354,8 +357,9 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
     The start of a line in write_trace's layout is matched by one pattern,
     and each distinct assignment text with no nested object or list is
     parsed once per file (every record gets its own dict). Any other line
-    goes through json.loads and the field checks, so both paths accept the
-    same lines, give the same records and reject with the same messages.
+    goes through json.loads and the field checks (`t` an integer, the other
+    fields but the assignment strings), so both paths accept the same lines,
+    give the same records and reject with the same messages.
     """
     path = Path(path)
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
@@ -389,15 +393,11 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
             raise ParseError(f"{path}:{lineno}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or set(payload) != set(_TRACE_FIELDS):
             raise ParseError(f"{path}:{lineno}: expected fields {', '.join(_TRACE_FIELDS)}")
+        _require_int(f"{path}:{lineno}", payload, "t")
+        for key in _TRACE_FIELDS[1:-1]:
+            if not isinstance(payload[key], str):
+                raise ParseError(f"{path}:{lineno}: {key!r} must be a string")
         if not isinstance(payload["assignment"], dict):
             raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
-        records.append(TraceRecord(
-            t=payload["t"],
-            src=payload["src"],
-            dst=payload["dst"],
-            outcome=payload["outcome"],
-            reason=payload["reason"],
-            rule=payload["rule"],
-            assignment=payload["assignment"],
-        ))
+        records.append(TraceRecord(**payload))
     return tuple(records)

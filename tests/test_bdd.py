@@ -104,6 +104,43 @@ def test_build_equals_manual_combine(expr, reference_first):
     assert built == manual
 
 
+_CUBE_PORTS = ("/a:o", "/b:o", "/c:o", "/d:o", "/e:o")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_CUBE_PORTS), st.booleans()), min_size=1, max_size=8),
+    st.lists(st.sampled_from(_CUBE_PORTS), unique=True),
+    st.booleans(),
+)
+@example([("/a:o", True), ("/a:o", True), ("/b:o", False)], [], True)
+@example([("/a:o", True), ("/b:o", False), ("/a:o", False)], ["/b:o"], False)
+def test_cube_build_equals_the_negate_combine_fold(literals, registered, cube_first):
+    # a conjunction of literals and negated literals, some repeated or
+    # contradictory, over ports some of which the manager already knows
+    cube = And(tuple(Lit(p) if positive else Not(Lit(p)) for p, positive in literals))
+    m = BddManager()
+    for port in registered:
+        m.var(port)
+    if cube_first:
+        built = m.build(cube)
+        folded = fold_left(m, cube)
+    else:
+        folded = fold_left(m, cube)
+        built = m.build(cube)
+    assert built == folded
+    # the same variable order as the fold makes in a manager of its own
+    alone = BddManager()
+    for port in registered:
+        alone.var(port)
+    fold_left(alone, cube)
+    fresh = BddManager()
+    for port in registered:
+        fresh.var(port)
+    fresh.build(cube)
+    assert fresh.order == alone.order
+
+
 def _deep_and_of_negations(m, n):
     return m.build(And(tuple(Not(Lit(f"/p{i}:o")) for i in range(n))))
 
@@ -154,9 +191,9 @@ def test_restarm_rule_is_a_three_variable_chain():
     # true only at (RestArm=1, Object=0, collision=0)
     m = BddManager()
     node = m.build(And((Lit(R), Not(Lit(O)), Not(Lit(C)))))
-    # the chain R -> O -> not-C, plus the nodes for R, O, C and not-O that
-    # building its conjuncts made on the way
-    assert len(m) == 3 + 4
+    # the chain R -> O -> not-C and nothing else: a cube is built as one
+    # chain, with no node per conjunct on the way
+    assert len(m) == 3
     assert m.first_satisfying(node) == [(R, True), (O, False), (C, False)]
     for sigma in assignments_over([R, O, C]):
         expected = sigma[R] and not sigma[O] and not sigma[C]

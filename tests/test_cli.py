@@ -174,6 +174,19 @@ def test_explain_malformed_trace(tmp_path):
     assert run_cli("explain", trace_path) == EXIT_USAGE
 
 
+def test_explain_rejects_a_string_time(tmp_path, capsys):
+    # a quoted `t` was read as a str and ended explain in a TypeError
+    trace_path = tmp_path / "trace.jsonl"
+    run_cli("simulate", SAT.scenario, "--trace", trace_path)
+    lines = trace_path.read_text().splitlines(keepends=True)
+    assert lines[5].startswith('{"t":')
+    lines[5] = lines[5].replace('{"t":', '{"t":"', 1).replace(',"src"', '","src"', 1)
+    trace_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("explain", trace_path, "--port", "/Arm/pos:i", "--at", 14100) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {trace_path}:6: 't' must be an integer\n"
+
+
 def _nested_model(parens=0, nots=0, metas=0):
     """One behavior whose condition sits inside `parens` parentheses and
     `nots` negations, under a chain of `metas` nested meta-behaviors."""
@@ -197,6 +210,36 @@ def test_nesting_past_the_cap_is_a_parse_error(tmp_path, capsys, shape):
     # at the cap itself the model compiles
     path.write_text(_nested_model(**{key: MAX_NESTING_DEPTH for key in shape}))
     assert run_cli("compile", path, SAT.network) == EXIT_OK
+
+
+def _sibling_chain(n, closed):
+    """`n` sibling behaviors, each inhibiting the next; the last inhibits
+    the first when `closed`."""
+    behaviors = "".join(
+        f'<behavior name="B{i}"><config at="/Gaze/pos:i">/Face/pos:o</config>'
+        f"<condition></condition><inhibition>{f'B{i + 1}' if i + 1 < n else 'B0' if closed else ''}"
+        "</inhibition></behavior>"
+        for i in range(n)
+    )
+    return f"<model>{behaviors}</model>"
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=("chain", "cycle"))
+def test_long_sibling_inhibition_chain_compiles(tmp_path, capsys, closed):
+    # the cycle check recursed once per inhibition edge
+    path = tmp_path / "model.xml"
+    path.write_text(_sibling_chain(1200, closed))
+    status = run_cli("compile", path, SAT.network)
+    err = capsys.readouterr().err
+    assert "error: internal" not in err
+    if closed:
+        assert status == EXIT_VALIDATION
+        assert err.count("[V4]") == 1
+        assert "inhibition cycle among siblings: B0 -> B1 -> B2 -> " in err
+        assert " -> B1199 -> B0\n" in err
+    else:
+        assert status == EXIT_OK
+        assert "[V4]" not in err
 
 
 def test_usage_error_exits_2():

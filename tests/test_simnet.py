@@ -315,6 +315,24 @@ def test_trace_record_field_order():
     )
 
 
+def test_trace_record_is_a_named_tuple_with_the_dataclass_repr(tmp_path):
+    payload = {"t": 5, "src": "/a:o", "dst": "/b:i", "outcome": "discard",
+               "reason": "NO_RULE", "rule": "-", "assignment": {"/a:o": True, "/c:o": False}}
+    record = TraceRecord(**payload)
+    # the text the frozen dataclass printed
+    assert repr(record) == (
+        "TraceRecord(t=5, src='/a:o', dst='/b:i', outcome='discard', reason='NO_RULE', "
+        "rule='-', assignment={'/a:o': True, '/c:o': False})"
+    )
+    assert record == tuple(payload.values())
+    t, src, *_ = record
+    assert (t, src) == (5, "/a:o")
+    path = tmp_path / "trace.jsonl"
+    write_trace([record], path)
+    assert path.read_text() == record.json_line() + "\n"
+    assert read_trace(path) == (record,)
+
+
 def test_times_never_decrease():
     trace = run_fixture("search-and-track")
     times = [r.t for r in trace.records]
@@ -371,8 +389,9 @@ _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")
 
 
 def _reference_read_trace(path):
-    """The plain reader, json.loads on every line and then the field checks;
-    read_trace must agree with it on every file."""
+    """The plain reader, json.loads on every line and then the field checks
+    (names, then types in field order); read_trace must agree with it on
+    every file."""
     records = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -383,6 +402,11 @@ def _reference_read_trace(path):
             raise ParseError(f"{path}:{lineno}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or set(payload) != set(_TRACE_FIELDS):
             raise ParseError(f"{path}:{lineno}: expected fields {', '.join(_TRACE_FIELDS)}")
+        if type(payload["t"]) is not int:  # json.loads makes bool for true/false
+            raise ParseError(f"{path}:{lineno}: 't' must be an integer")
+        for key in ("src", "dst", "outcome", "reason", "rule"):
+            if type(payload[key]) is not str:
+                raise ParseError(f"{path}:{lineno}: {key!r} must be a string")
         if not isinstance(payload["assignment"], dict):
             raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
         records.append(TraceRecord(**payload))
