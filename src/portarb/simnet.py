@@ -135,12 +135,12 @@ class _TraceFormatter:
 
     def line(self, record: TraceRecord) -> str:
         text = self._text
-        t = record.t
+        t, src, dst, outcome, reason, rule, assignment = record
         return (
-            f'{{"t":{t if type(t) is int else text(t)},"src":{text(record.src)},'
-            f'"dst":{text(record.dst)},"outcome":{text(record.outcome)},'
-            f'"reason":{text(record.reason)},"rule":{text(record.rule)},'
-            f'"assignment":{self._assignment(record.assignment)}}}'
+            f'{{"t":{t if type(t) is int else text(t)},"src":{text(src)},'
+            f'"dst":{text(dst)},"outcome":{text(outcome)},'
+            f'"reason":{text(reason)},"rule":{text(rule)},'
+            f'"assignment":{self._assignment(assignment)}}}'
         )
 
 
