@@ -14,11 +14,12 @@ order begins with its sources, so a rule is decided by one walk over the
 mask. Together an arrival and its decision cost O(1) amortised plus the
 length of one BDD path, whatever the fan-in.
 
-Building a port's arbiter costs one level per source and, per rule of the
-port, one BDD node per literal (a cube of literals and negated literals is
-made as one chain, with no node per conjunct) plus rendering the rule's
-text; `simnet.run` hands each arbiter only its own port's rules, so
-building all of them is linear in the connections and rule literals.
+Building a port's arbiter costs one BDD level per source and, per rule of
+the port, the rule's BDD and its rendered text. A rule that is a cube of
+literals and negated literals is made as one chain, one node per literal,
+with no node per conjunct. `simnet.run` hands each arbiter only its own
+port's rules, so for cube rules building all arbiters is linear in the
+connections and rule literals.
 """
 
 from __future__ import annotations
