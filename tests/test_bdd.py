@@ -119,9 +119,14 @@ def test_cube_build_equals_the_negate_combine_fold(literals, registered, cube_fi
     # a conjunction of literals and negated literals, some repeated or
     # contradictory, over ports some of which the manager already knows
     cube = And(tuple(Lit(p) if positive else Not(Lit(p)) for p, positive in literals))
-    m = BddManager()
-    for port in registered:
-        m.var(port)
+
+    def manager():
+        m = BddManager()
+        for port in registered:
+            m.var(port)
+        return m
+
+    m = manager()
     if cube_first:
         built = m.build(cube)
         folded = fold_left(m, cube)
@@ -130,13 +135,8 @@ def test_cube_build_equals_the_negate_combine_fold(literals, registered, cube_fi
         built = m.build(cube)
     assert built == folded
     # the same variable order as the fold makes in a manager of its own
-    alone = BddManager()
-    for port in registered:
-        alone.var(port)
+    alone, fresh = manager(), manager()
     fold_left(alone, cube)
-    fresh = BddManager()
-    for port in registered:
-        fresh.var(port)
     fresh.build(cube)
     assert fresh.order == alone.order
 
