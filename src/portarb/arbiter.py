@@ -17,9 +17,9 @@ length of one BDD path, whatever the fan-in.
 Building a port's arbiter costs one BDD level per source and, per rule of
 the port, the rule's BDD and its rendered text. A rule that is a cube of
 literals and negated literals is made as one chain, one node per literal,
-with no node per conjunct. `simnet.run` hands each arbiter only its own
-port's rules, so for cube rules building all arbiters is linear in the
-connections and rule literals.
+with no node per conjunct. An arbiter reads only its own port's rules: a
+`RuleSet` groups its rules by port once, so for cube rules building all
+arbiters is linear in the connections and rule literals.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ class PortArbiter:
         # levels below len(sources) are the slots; any later variable names
         # a port with no connection here, which never arrives and reads false
         self.manager = BddManager(self.sources)
-        rule_list = rules.rules if isinstance(rules, compiler.RuleSet) else rules
+        if isinstance(rules, compiler.RuleSet):
+            rules = rules.for_port(port)
         self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
-        for rule in rule_list:
+        for rule in rules:
             if rule.port != port:
                 continue
             slot = self._slots.get(rule.candidate)

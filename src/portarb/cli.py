@@ -83,9 +83,9 @@ def cmd_validate(args) -> int:
 
 def _print_summary(trace) -> None:
     per_port: dict[str, dict[str, int]] = {}
-    for record in trace.records:
-        counts = per_port.setdefault(record.dst, {ACCEPT: 0, NO_RULE: 0, CONSTRAINT_FALSE: 0})
-        counts[ACCEPT if record.outcome == ACCEPT else record.reason] += 1
+    for _, _, dst, outcome, reason, _, _ in trace.records:
+        counts = per_port.setdefault(dst, {ACCEPT: 0, NO_RULE: 0, CONSTRAINT_FALSE: 0})
+        counts[ACCEPT if outcome == ACCEPT else reason] += 1
     accepted = 0
     for port in sorted(per_port):
         counts = per_port[port]
@@ -174,15 +174,13 @@ def _port_history(records) -> tuple:
     arrivals: dict[str, list] = {}
     lo, hi = 0, float("inf")
     queue: deque = deque()
-    prev = None
-    for record in records:
-        t, src = record.t, record.src
+    prev_t, prev_assignment = None, {}  # of the previous record
+    for t, src, _, _, _, _, assignment in records:
         times = arrivals.setdefault(src, [])
-        if times and prev.assignment.get(src):
-            lo = max(lo, prev.t - times[-1])
+        if times and prev_assignment.get(src):
+            lo = max(lo, prev_t - times[-1])
         times.append(t)
         queue.append((t, src))
-        assignment = record.assignment
         while queue:
             a, source = queue[0]
             current = arrivals[source][-1] == a
@@ -192,12 +190,12 @@ def _port_history(records) -> tuple:
             if not current:
                 continue  # its source has arrived again since
             hi = min(hi, t - a)
-            if prev is not None and prev.assignment.get(source):
-                lo = max(lo, prev.t - a)
-        prev = record
+            if prev_assignment.get(source):
+                lo = max(lo, prev_t - a)
+        prev_t, prev_assignment = t, assignment
     for source, times in arrivals.items():
-        if prev.assignment.get(source):
-            lo = max(lo, prev.t - times[-1])
+        if prev_assignment.get(source):
+            lo = max(lo, prev_t - times[-1])
     return arrivals, lo, hi
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bdd import AND, BddManager
 from .model import (
@@ -51,11 +52,21 @@ class SelectionRule:
 class RuleSet:
     rules: tuple[SelectionRule, ...] = ()
 
-    def by_port(self) -> dict[str, tuple[SelectionRule, ...]]:
+    @cached_property
+    def _by_port(self) -> dict[str, tuple[SelectionRule, ...]]:
+        # grouped once: the set is frozen
         grouped: dict[str, list[SelectionRule]] = {}
         for rule in self.rules:
             grouped.setdefault(rule.port, []).append(rule)
         return {port: tuple(rules) for port, rules in grouped.items()}
+
+    def by_port(self) -> dict[str, tuple[SelectionRule, ...]]:
+        """The rules of each port, in set order; a new dict on each call."""
+        return dict(self._by_port)
+
+    def for_port(self, port: str) -> tuple[SelectionRule, ...]:
+        """The rules of one port, in set order."""
+        return self._by_port.get(port, ())
 
 
 def inherited_condition(behavior: BehaviorNode | str, model: BehaviorModel) -> BoolExpr:

@@ -94,16 +94,19 @@ class TraceRecord(NamedTuple):
 class _TraceFormatter:
     """Renders records as `json.dumps(payload, separators=(",", ":"))` of
     the fields in fixed order with the assignment's keys sorted, byte for
-    byte. Each string field is encoded once, and a snapshot's assignment
-    text once per distinct mask of its port; any other assignment goes
-    through json.dumps as before."""
+    byte. Each string field is encoded once. A snapshot's assignment text is
+    kept per port, with the port's slot texts: a record with the mask of the
+    port's previous record reuses its text, any other rewrites only the
+    slots whose bits changed and joins them once. The state grows with the
+    total fan-in and the distinct strings, not with the records or masks.
+    Any other assignment goes through json.dumps."""
 
     def __init__(self) -> None:
         self._strings: dict[str, str] = {}
-        self._snapshots: dict[tuple[int, int], str] = {}
-        # id(sources) -> (sources, its "name":false/"name":true texts); holding
-        # the tuple keeps its id from being reused while the formatter lives
-        self._names: dict[int, tuple] = {}
+        # id(sources) -> [sources, all-slots mask, "name":false/"name":true
+        # texts, current slot texts, last mask, its text]; holding the tuple
+        # keeps its id from being reused while the formatter lives
+        self._ports: dict[int, list] = {}
 
     def _text(self, value) -> str:
         if type(value) is str:
@@ -114,24 +117,31 @@ class _TraceFormatter:
         return json.dumps(value, separators=(",", ":"))
 
     def _assignment(self, assignment: Mapping[str, bool]) -> str:
-        if type(assignment) is Snapshot:
-            key = (id(assignment.sources), assignment.mask)
-            out = self._snapshots.get(key)
-            if out is None:
-                # a snapshot lists its sources sorted, so slot order is key order
-                entry = self._names.get(key[0])
-                if entry is None:
-                    entry = self._names[key[0]] = (assignment.sources, tuple(
-                        (f"{self._text(s)}:false", f"{self._text(s)}:true")
-                        for s in assignment.sources
-                    ))
-                names = entry[1]
-                mask = assignment.mask
-                out = self._snapshots[key] = "{" + ",".join(
-                    [pair[mask >> slot & 1] for slot, pair in enumerate(names)]
-                ) + "}"
+        if type(assignment) is not Snapshot:
+            return json.dumps({k: assignment[k] for k in sorted(assignment)}, separators=(",", ":"))
+        port = self._ports.get(id(assignment.sources))
+        if port is None:
+            # a snapshot lists its sources sorted, so slot order is key order;
+            # the port starts with every slot false
+            sources = assignment.sources
+            names = tuple((f"{self._text(s)}:false", f"{self._text(s)}:true") for s in sources)
+            slots = [false for false, _ in names]
+            port = self._ports[id(sources)] = [
+                sources, (1 << len(sources)) - 1, names, slots, 0, "{" + ",".join(slots) + "}"
+            ]
+        _, full, names, slots, last, out = port
+        mask = assignment.mask
+        if mask == last:
             return out
-        return json.dumps({k: assignment[k] for k in sorted(assignment)}, separators=(",", ":"))
+        changed = (last ^ mask) & full
+        while changed:
+            bit = changed & -changed
+            slot = bit.bit_length() - 1
+            slots[slot] = names[slot][mask >> slot & 1]
+            changed ^= bit
+        port[4] = mask
+        out = port[5] = "{" + ",".join(slots) + "}"
+        return out
 
     def line(self, record: TraceRecord) -> str:
         text = self._text
@@ -329,12 +339,32 @@ def run(
     )
 
 
+# The most characters of trace lines that write_trace hands to one write;
+# the lines are ASCII, so also the most bytes
+_BLOCK_CHARS = 1 << 16
+
+
 def write_trace(trace: Trace | Iterable[TraceRecord], path) -> None:
-    """One JSON object per record, fields in fixed order; byte-stable."""
+    """One JSON object per record, fields in fixed order; byte-stable.
+    Whole lines go out in blocks of at most _BLOCK_CHARS, one write each;
+    a longer line is a block of its own."""
     records = trace.records if isinstance(trace, Trace) else trace
     line = _TraceFormatter().line
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{line(record)}\n" for record in records)
+        block: list[str] = []
+        size = 0  # of the block, newlines included
+        for record in records:
+            text = line(record)
+            if block and size + len(text) >= _BLOCK_CHARS:
+                block.append("")  # for the last line's newline
+                fh.write("\n".join(block))
+                block.clear()
+                size = 0
+            block.append(text)
+            size += len(text) + 1
+        if block:
+            block.append("")
+            fh.write("\n".join(block))
 
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")

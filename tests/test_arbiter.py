@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compile_fixture
+from conftest import compile_fixture, run_fixture
 from portarb import (
     ACCEPT,
     CONSTRAINT_FALSE,
@@ -78,6 +78,37 @@ def test_rule_for_missing_incoming_connection_rejected():
     _, _, ruleset, _ = compile_fixture("search-and-track")
     with pytest.raises(ValueError, match="no incoming connection"):
         PortArbiter(ARM, (REST, COLL), ruleset)  # Object rule has no connection
+
+
+def test_arbiter_from_ruleset_decides_as_from_its_port_group():
+    for name in ("search-and-track", "be-curious", "conflict-demo"):
+        _, network, ruleset, _ = compile_fixture(name)
+        groups = ruleset.by_port()
+        assert groups == ruleset.by_port() and groups is not ruleset.by_port()
+        ports = sorted({conn.destination for conn in network.connections})
+        pairs = {
+            port: (PortArbiter(port, network.incoming(port), ruleset),
+                   PortArbiter(port, network.incoming(port), groups.get(port, ())))
+            for port in ports
+        }
+        trace = run_fixture(name)
+        for record in trace.records:
+            conn = Connection(record.src, record.dst)
+            decisions = []
+            for arb in pairs[record.dst]:
+                arb.record_arrival(conn, record.t)
+                decisions.append(arb.decide(conn, record.t))
+                assert arb.rule_text_for(record.src) == (None if record.rule == "-" else record.rule)
+            whole, grouped = decisions
+            assert whole == grouped, (name, record)
+            assert (whole.outcome, whole.reason) == (record.outcome, record.reason)
+        # a rule whose candidate has no connection at its port is rejected
+        # from the whole set as from the port's group
+        port = min(groups)
+        missing = tuple(c for c in network.incoming(port) if c.source != groups[port][0].candidate)
+        for rules in (ruleset, groups[port]):
+            with pytest.raises(ValueError, match="no incoming connection"):
+                PortArbiter(port, missing, rules)
 
 
 def test_collision_message_is_no_rule_discard():

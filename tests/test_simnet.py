@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import json
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -30,6 +31,8 @@ from portarb import (
     write_trace,
 )
 from portarb.model import TRUE
+from portarb import simnet
+from portarb.arbiter import Snapshot
 from portarb.simnet import PeriodicSource, TraceRecord
 
 
@@ -383,6 +386,140 @@ def test_trace_lines_escape_like_json_dumps(tmp_path):
     by_hand = TraceRecord(7, cafe, dest, "discard", "CONSTRAINT_FALSE", 'say "é" \\',
                           {cafe: True, quote: False, slash: True})
     assert by_hand.json_line() == _reference_line(by_hand)
+
+
+# source names that sort apart and that JSON must escape
+_NAME_STEMS = ("/s", '/q"', "/b\\", "/\u00e9")
+
+
+@st.composite
+def _mask_steps(draw, fanin):
+    """A port's masks over its fan-in: repeats, zero, all ones, one-bit
+    flips, jumps to any mask and stray bits past the last slot (which a
+    snapshot ignores), in any mix."""
+    full = (1 << fanin) - 1
+    masks, mask = [], draw(st.integers(0, full))
+    steps = ("repeat", "zero", "ones", "flip", "jump", "stray")
+    for step in draw(st.lists(st.sampled_from(steps), min_size=1, max_size=12)):
+        if step == "zero":
+            mask = 0
+        elif step == "ones":
+            mask = full
+        elif step == "flip" and fanin:
+            mask ^= 1 << draw(st.integers(0, fanin - 1))
+        elif step == "jump":
+            mask = draw(st.integers(0, full))
+        elif step == "stray":
+            mask |= 1 << fanin + draw(st.integers(0, 3))
+        masks.append(mask)
+    return masks
+
+
+@st.composite
+def snapshot_traces(draw):
+    """Records over a few ports of fan-in 0 to 70, their masks interleaved
+    port by port as the simulator would, some with a plain dict over the
+    same names in place of the snapshot."""
+    ports = []
+    for p in range(draw(st.integers(1, 4))):
+        fanin = draw(st.integers(0, 70))
+        sources = tuple(sorted(
+            f"{draw(st.sampled_from(_NAME_STEMS))}{p}.{i}:o" for i in range(fanin)
+        ))
+        slots = {source: slot for slot, source in enumerate(sources)}
+        ports.append((f"/p{p}:i", sources, slots, draw(_mask_steps(fanin))))
+    order = draw(st.permutations([p for p, port in enumerate(ports) for _ in port[3]]))
+    records, taken = [], [0] * len(ports)
+    for t, p in enumerate(order):
+        dst, sources, slots, masks = ports[p]
+        mask = masks[taken[p]]
+        taken[p] += 1
+        assignment = Snapshot(sources, slots, mask)
+        if draw(st.integers(0, 4)) == 0:
+            assignment = dict(assignment)
+        outcome, reason = draw(st.sampled_from(
+            (("accept", "SELECTED"), ("discard", "NO_RULE"), ("discard", "CONSTRAINT_FALSE"))
+        ))
+        src = sources[t % len(sources)] if sources else "/none:o"
+        records.append(TraceRecord(t, src, dst, outcome, reason, f"rule {dst}", assignment))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(snapshot_traces())
+def test_write_trace_matches_json_dumps_per_line(tmp_path_factory, records):
+    expected = "".join(_reference_line(r) + "\n" for r in records)
+    assert "".join(r.json_line() + "\n" for r in records) == expected
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    for given_records in (records, (r for r in records)):
+        write_trace(given_records, path)
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def _recorded_writes(monkeypatch):
+    """The lengths of the texts each file opened through Path.open is
+    handed in write calls, in order."""
+    writes = []
+    real_open = simnet.Path.open
+
+    def recording_open(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: (writes.append(len(text)), write(text))[1]
+        return fh
+
+    monkeypatch.setattr(simnet.Path, "open", recording_open)
+    return writes
+
+
+def _distinct_mask_records(count, fanin=70):
+    """`count` records at one port, each with a mask of its own."""
+    sources = tuple(f"/s{i:02}:o" for i in range(fanin))
+    slots = {source: slot for slot, source in enumerate(sources)}
+    return [
+        TraceRecord(t, sources[t % fanin], "/p:i", "accept", "SELECTED", "-",
+                    Snapshot(sources, slots, (t * 0x9E3779B97F4A7C15) % (1 << fanin)))
+        for t in range(count)
+    ]
+
+
+def test_trace_formatter_memory_does_not_grow_with_masks():
+    records = _distinct_mask_records(1000)
+    assert len({r.assignment.mask for r in records}) == len(records)
+    line = simnet._TraceFormatter().line
+    line(records[0])
+    tracemalloc.start()
+    try:
+        for record in records[1:]:
+            line(record)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a text per mask would keep about 1.2 MB
+    assert kept < 10_000
+
+
+def test_write_trace_writes_whole_lines_in_blocks(tmp_path, monkeypatch):
+    records = _distinct_mask_records(300)
+    lines = [_reference_line(r) + "\n" for r in records]
+    expected = "".join(lines)
+    block = simnet._BLOCK_CHARS
+    assert len(expected) > 3 * block and len(expected) % block
+    writes = _recorded_writes(monkeypatch)
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    assert path.read_text(encoding="utf-8") == expected
+    assert len(writes) >= 4 and sum(writes) == len(expected)
+    assert all(size <= block for size in writes)
+    # each block but the last is as full as whole lines allow
+    longest = max(map(len, lines))
+    assert all(size > block - longest for size in writes[:-1]) and writes[-1] < block
+
+    writes.clear()
+    for empty in ([], iter(())):
+        write_trace(empty, path)
+        assert path.read_bytes() == b""
+    assert writes == []
 
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")
