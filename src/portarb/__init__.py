@@ -19,10 +19,8 @@ from .compiler import (
     SelectionRule,
     check_conflicts,
     compile_model,
-    effective_inhibitor_sources,
     emit_rules,
     extract_rules,
-    inherited_condition,
     rule_text,
 )
 from .library import FIXTURE_NAMES, FIXTURES_DIR, Fixture, fixture

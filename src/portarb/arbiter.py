@@ -127,7 +127,7 @@ class PortArbiter:
         self,
         port: str,
         incoming: Iterable[Connection],
-        rules: "compiler.RuleSet | Iterable[compiler.SelectionRule]" = (),
+        ruleset: compiler.RuleSet = compiler.RuleSet(),
         window_ms: int = DEFAULT_WINDOW_MS,
     ):
         self.port = port
@@ -144,12 +144,8 @@ class PortArbiter:
         # levels below len(sources) are the slots; any later variable names
         # a port with no connection here, which never arrives and reads false
         self.manager = BddManager(self.sources)
-        if isinstance(rules, compiler.RuleSet):
-            rules = rules.for_port(port)
         self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
-        for rule in rules:
-            if rule.port != port:
-                continue
+        for rule in ruleset.for_port(port):
             slot = self._slots.get(rule.candidate)
             if slot is None:
                 raise ValueError(

@@ -213,9 +213,6 @@ class BddManager:
             ref = high if mask >> level & 1 else low
         return ref == TRUE
 
-    def satisfiable(self, node: int) -> bool:
-        return node != FALSE
-
     def first_satisfying(self, node: int) -> list[tuple[str, bool]] | None:
         """Lexicographically smallest satisfying assignment over the variable
         order (false preferred). Only decision-path variables are listed;

@@ -26,6 +26,7 @@ from .model import (
     parse_behavior_model,
     parse_condition,
     parse_network,
+    read_text,
     render_condition,
 )
 from .simnet import read_trace, run, load_scenario, write_trace
@@ -49,8 +50,8 @@ def _print_diagnostics(diagnostics) -> None:
 def _pipeline(args):
     """Parse the model and network named on the command line and compile
     them; returns (diagnostics, ruleset or None, effective network)."""
-    model = parse_behavior_model(Path(args.model).read_text(encoding="utf-8"))
-    network = parse_network(Path(args.network).read_text(encoding="utf-8"))
+    model = parse_behavior_model(read_text(args.model))
+    network = parse_network(read_text(args.network))
     return compile_model(model, network, args.auto_observe)
 
 

@@ -16,7 +16,6 @@ from .bdd import AND, BddManager
 from .model import (
     And,
     BehaviorModel,
-    BehaviorNode,
     BoolExpr,
     Diagnostic,
     FALSE,
@@ -69,28 +68,6 @@ class RuleSet:
         return self._by_port.get(port, ())
 
 
-def inherited_condition(behavior: BehaviorNode | str, model: BehaviorModel) -> BoolExpr:
-    """Conjunction of the behavior's own condition with every enclosing
-    meta-behavior's condition, outermost first, trues absorbed."""
-    return model.plan(behavior).condition
-
-
-def effective_inhibitor_sources(
-    behavior: BehaviorNode | str, model: BehaviorModel
-) -> tuple[str, ...]:
-    """Source ports whose activation suppresses this behavior.
-
-    Collects every node that inhibits the behavior directly or inhibits one
-    of its enclosing meta-behaviors, expands meta-behavior inhibitors to
-    their descendant leaves, and returns the union of those leaves'
-    configuration sources. Returned deduplicated in a deterministic order:
-    the behavior's own inhibitors first, then each enclosing meta-behavior's
-    going outward; within one scope, inhibitors and their leaves in
-    document-walk order.
-    """
-    return model.plan(behavior).inhibitor_sources
-
-
 def _first_port(expr: BoolExpr) -> str:
     """The first literal of a normalized, non-constant expression."""
     while not isinstance(expr, Lit):
@@ -103,9 +80,9 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
 
     Assumes validate(model, network) reported no errors. For each leaf
     behavior and each configured connection (s, d), emits
-    SelectionRule(port=d, candidate=s) whose constraint conjoins the
-    inherited condition with the negation of every effective inhibitor
-    source. Rules landing on the same (port, candidate) merge by
+    SelectionRule(port=d, candidate=s) whose constraint conjoins the leaf's
+    `model.plan` condition with the negation of each of its plan's
+    inhibitor sources. Rules landing on the same (port, candidate) merge by
     disjunction; conjuncts and disjuncts are ordered by first-appearance
     variable order, which keeps the output byte-stable.
 
@@ -122,7 +99,7 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
     for leaf in model.leaf_behaviors():
         for conn in leaf.configuration:
             appearance.setdefault(conn.source, len(appearance))
-        plan = model.plan(leaf)
+        plan = model.plan(leaf.name)
         for port in plan.needed:
             appearance.setdefault(port, len(appearance))
 
@@ -196,27 +173,25 @@ def _required_literals(rule: SelectionRule) -> tuple[set[str], set[str]]:
     return true, false
 
 
-def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list[Diagnostic]:
+def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     """Warn about same-port rule pairs that can both select at once.
 
     For each pair with distinct candidates, both candidates are assumed
-    active and the joint constraint is checked for satisfiability on the
-    BDD; a satisfiable joint yields a warning carrying one witness
-    assignment (the lowest in variable order). A pair where one rule needs
+    active and the joint constraint's BDD is searched with
+    `first_satisfying`; a joint that has a witness yields a warning carrying
+    it (the lowest assignment in variable order). A pair where one rule needs
     a port true (its candidate or a top-level literal) and the other needs
     it false (a top-level `not p`) cannot both select and is skipped
     without a BDD. A rule's `candidate and constraint` BDD is built only
     when a pair that needs it survives that test; the BDD alone decides
-    satisfiability and the witness. Variables are registered in rule order
+    whether there is a witness and which. Variables are registered in rule order
     before any BDD is built, so the order and every witness are the same
     whichever pairs are skipped.
     """
-    if manager is None:
-        manager = BddManager()
-    for rule in ruleset.rules:
-        manager.var(rule.candidate)
-        for port in condition_literals(rule.constraint):
-            manager.var(port)
+    manager = BddManager(
+        port for rule in ruleset.rules
+        for port in (rule.candidate, *condition_literals(rule.constraint))
+    )
 
     diagnostics: list[Diagnostic] = []
     for port, rules in sorted(ruleset.by_port().items()):
@@ -239,10 +214,9 @@ def check_conflicts(ruleset: RuleSet, manager: BddManager | None = None) -> list
                 if (first.candidate == second.candidate
                         or not true_i.isdisjoint(false_j) or not false_i.isdisjoint(true_j)):
                     continue
-                joint = manager.combine(AND, select(i), select(j))
-                if not manager.satisfiable(joint):
+                witness = manager.first_satisfying(manager.combine(AND, select(i), select(j)))
+                if witness is None:
                     continue
-                witness = manager.first_satisfying(joint) or []
                 shown = ", ".join(f"{p}={str(v).lower()}" for p, v in witness)
                 diagnostics.append(Diagnostic(
                     WARNING, "C1",

@@ -18,6 +18,15 @@ class ParseError(ValueError):
     """Malformed input: XML structure, condition syntax, or file schema."""
 
 
+def read_text(path) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 ERROR = "error"
 WARNING = "warning"
 
@@ -372,7 +381,10 @@ class NodePlan:
     """What compilation needs of one node, computed once per model."""
 
     condition: BoolExpr  # own condition conjoined with every ancestor's, outermost first
-    inhibitor_sources: tuple[str, ...]  # sources of every leaf inhibiting it or an ancestor
+    # sources of the leaves under every node inhibiting this one or an ancestor,
+    # deduplicated: own inhibitors first, then each ancestor's going outward;
+    # within one scope, inhibitors and their leaves in document-walk order
+    inhibitor_sources: tuple[str, ...]
     needed: tuple[str, ...]  # literals of both, in first-appearance order
 
 
@@ -383,14 +395,11 @@ class BehaviorModel:
 
     def walk(self) -> Iterator[BehaviorNode]:
         """All nodes, depth-first in document order."""
-
-        def visit(node: BehaviorNode) -> Iterator[BehaviorNode]:
+        stack = list(reversed(self.roots))
+        while stack:
+            node = stack.pop()
             yield node
-            for child in node.children:
-                yield from visit(child)
-
-        for root in self.roots:
-            yield from visit(root)
+            stack.extend(reversed(node.children))
 
     @cached_property
     def _by_name(self) -> dict[str, BehaviorNode]:
@@ -409,10 +418,6 @@ class BehaviorModel:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"no behavior named {name!r} in the model") from None
-
-    def parent_name(self, name: str) -> str | None:
-        self.node(name)
-        return self._parent_name[name]
 
     def leaf_behaviors(self) -> tuple[BehaviorNode, ...]:
         return tuple(node for node in self.walk() if not node.is_meta)
@@ -445,10 +450,8 @@ class BehaviorModel:
             plans[node.name] = NodePlan(condition, sources, needed)
         return plans
 
-    def plan(self, behavior: BehaviorNode | str) -> NodePlan:
-        """The node's compilation plan; KeyError for unknown names."""
-        name = behavior if isinstance(behavior, str) else behavior.name
-        self.node(name)
+    def plan(self, name: str) -> NodePlan:
+        """The named node's compilation plan; KeyError for unknown names."""
         return self._plans[name]
 
 
@@ -540,7 +543,7 @@ def _parse_definition(el: ElementTree.Element, name: str):
     configuration: list[Connection] = []
     child_refs: list[str] = []
     condition: BoolExpr | None = None
-    inhibitions: list[str] = []
+    inhibitions: dict[str, None] = {}  # insertion-ordered set
     for child in el:
         if child.tag == "config" and kind == BEHAVIOR:
             at = (child.get("at") or "").strip()
@@ -573,8 +576,8 @@ def _parse_definition(el: ElementTree.Element, name: str):
         elif child.tag == "inhibition":
             for item in (child.text or "").split(","):
                 item = item.strip()
-                if item and item not in inhibitions:
-                    inhibitions.append(item)
+                if item:
+                    inhibitions[item] = None
         else:
             raise ParseError(f"unexpected <{child.tag}> inside <{kind} name={name!r}>")
     if kind == BEHAVIOR and not configuration:
@@ -748,15 +751,6 @@ class NetworkDescription:
     def incoming(self, port: str) -> tuple[Connection, ...]:
         return self._incoming.get(port, ())
 
-    def with_connections(self, extra) -> "NetworkDescription":
-        present = set(self.connections)
-        extra = tuple(c for c in extra if c not in present)
-        return NetworkDescription(
-            components=self.components,
-            connections=self.connections + extra,
-            windows=dict(self.windows),
-        )
-
 
 def parse_network(xml_text: str) -> NetworkDescription:
     """Parse an application-description document.
@@ -813,8 +807,6 @@ def parse_network(xml_text: str) -> NetworkDescription:
                 window = int(raw_window)
             except ValueError:
                 raise ParseError(f"window={raw_window!r} is not an integer") from None
-            if window <= 0:
-                raise ParseError(f"window={window} must be positive")
             if windows.get(destination, window) != window:
                 raise ParseError(f"conflicting window overrides for {destination!r}")
             windows[destination] = window
@@ -864,7 +856,7 @@ def _unobserved_literals(
     configured connection, leaves in document order."""
     present = {(c.source, c.destination) for c in network.connections}
     for leaf in model.leaf_behaviors():
-        needed = [p for p in model.plan(leaf).needed if p in network.declared_outputs]
+        needed = [p for p in model.plan(leaf.name).needed if p in network.declared_outputs]
         for conn in leaf.configuration:
             for port in needed:
                 if (port, conn.destination) not in present:
@@ -882,45 +874,38 @@ def observer_connections(
     return tuple(Connection(port, destination) for port, destination in missing)
 
 
-def apply_auto_observe(
-    model: BehaviorModel, network: NetworkDescription
-) -> NetworkDescription:
-    return network.with_connections(observer_connections(model, network))
+def apply_auto_observe(model: BehaviorModel, network: NetworkDescription) -> NetworkDescription:
+    extra = observer_connections(model, network)  # only pairs the network lacks
+    return NetworkDescription(network.components, network.connections + extra, dict(network.windows))
 
 
-def _sibling_cycles(model: BehaviorModel) -> list[list[str]]:
-    groups: dict[str | None, list[BehaviorNode]] = {}
-    for node in model.walk():
-        groups.setdefault(model.parent_name(node.name), []).append(node)
+def _sibling_cycles(members: list[BehaviorNode], names: set[str]) -> list[list[str]]:
+    """Inhibition cycles within one sibling group; `names` are the members'."""
+    adjacency = {n.name: [t for t in n.inhibitions if t in names] for n in members}
+    # depth-first along inhibition edges on an explicit stack: `path` holds
+    # the names being visited (color 1), `pending` the iterator over each
+    # one's remaining targets; finished names get color 2
     cycles: list[list[str]] = []
-    for parent, members in groups.items():
-        names = {n.name for n in members}
-        adjacency = {
-            n.name: [t for t in n.inhibitions if t in names] for n in members
-        }
-        # depth-first along inhibition edges on an explicit stack: `path`
-        # holds the names being visited (color 1), `pending` the iterator
-        # over each one's remaining targets; finished names get color 2
-        color: dict[str, int] = {}
-        for member in members:
-            if member.name in color:
-                continue
-            color[member.name] = 1
-            path = [member.name]
-            pending = [iter(adjacency[member.name])]
-            while pending:
-                for target in pending[-1]:
-                    state = color.get(target, 0)
-                    if state == 0:
-                        color[target] = 1
-                        path.append(target)
-                        pending.append(iter(adjacency[target]))
-                        break
-                    if state == 1:
-                        cycles.append(path[path.index(target):] + [target])
-                else:
-                    color[path.pop()] = 2
-                    pending.pop()
+    color: dict[str, int] = {}
+    for member in members:
+        if member.name in color:
+            continue
+        color[member.name] = 1
+        path = [member.name]
+        pending = [iter(adjacency[member.name])]
+        while pending:
+            for target in pending[-1]:
+                state = color.get(target, 0)
+                if state == 0:
+                    color[target] = 1
+                    path.append(target)
+                    pending.append(iter(adjacency[target]))
+                    break
+                if state == 1:
+                    cycles.append(path[path.index(target):] + [target])
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return cycles
 
 
@@ -936,29 +921,33 @@ def validate(
     are acyclic; V5 inhibition targets resolve.
     """
     diagnostics: list[Diagnostic] = []
-    names = {node.name for node in model.walk()}
-
+    parents = model._parent_name
+    groups: dict[str | None, list[BehaviorNode]] = {}
     for node in model.walk():
-        for target in node.inhibitions:
-            if target not in names:
-                diagnostics.append(Diagnostic(
-                    ERROR, "V5",
-                    f"inhibition target {target!r} does not exist",
-                    node.name,
-                ))
-            elif model.parent_name(target) != model.parent_name(node.name):
-                diagnostics.append(Diagnostic(
-                    ERROR, "V1",
-                    f"{node.name!r} may only inhibit siblings; {target!r} has a different parent",
-                    node.name,
-                ))
+        groups.setdefault(parents[node.name], []).append(node)
 
-    for cycle in _sibling_cycles(model):
-        diagnostics.append(Diagnostic(
-            ERROR, "V4",
-            "inhibition cycle among siblings: " + " -> ".join(cycle),
-            min(cycle),
-        ))
+    for members in groups.values():
+        siblings = {node.name for node in members}
+        for node in members:
+            for target in node.inhibitions:
+                if target not in parents:
+                    diagnostics.append(Diagnostic(
+                        ERROR, "V5",
+                        f"inhibition target {target!r} does not exist",
+                        node.name,
+                    ))
+                elif target not in siblings:
+                    diagnostics.append(Diagnostic(
+                        ERROR, "V1",
+                        f"{node.name!r} may only inhibit siblings; {target!r} has a different parent",
+                        node.name,
+                    ))
+        for cycle in _sibling_cycles(members, siblings):
+            diagnostics.append(Diagnostic(
+                ERROR, "V4",
+                "inhibition cycle among siblings: " + " -> ".join(cycle),
+                min(cycle),
+            ))
 
     present = set(network.connections)
     for leaf in model.leaf_behaviors():
@@ -969,9 +958,7 @@ def validate(
                     f"configured connection {conn} is not in the network",
                     leaf.name,
                 ))
-
-    for leaf in model.leaf_behaviors():
-        for port in model.plan(leaf).needed:
+        for port in model.plan(leaf.name).needed:
             if port not in network.declared_outputs:
                 diagnostics.append(Diagnostic(
                     ERROR, "V3",

@@ -31,6 +31,7 @@ from .model import (
     is_output,
     parse_behavior_model,
     parse_network,
+    read_text,
 )
 
 
@@ -209,7 +210,7 @@ def load_scenario(path) -> Scenario:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise _schema_error(path, f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -221,8 +222,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data["components"], list):
         raise _schema_error(path, "'components' must be a list")
 
-    model = parse_behavior_model((path.parent / str(data["model"])).read_text(encoding="utf-8"))
-    network = parse_network((path.parent / str(data["network"])).read_text(encoding="utf-8"))
+    model = parse_behavior_model(read_text(path.parent / str(data["model"])))
+    network = parse_network(read_text(path.parent / str(data["network"])))
 
     components: list = []
     names: set[str] = set()
@@ -292,13 +293,12 @@ def run(
         horizon = min(horizon, horizon_ms)
 
     sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
-    rules = ruleset.by_port()
     arbiters: dict[str, PortArbiter] = {}
     for port in sorted({c.destination for c in net.connections}):
         arbiters[port] = PortArbiter(
             port,
             net.incoming(port),
-            rules.get(port, ()),
+            ruleset,
             window_ms=net.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
@@ -395,7 +395,7 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
     parsed: dict[str, dict] = {}
     records: list[TraceRecord] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         match = head(line)
         if match is not None and line.endswith("}"):
             t, src, dst, outcome, reason, rule = match.groups()

@@ -18,6 +18,7 @@ from portarb import (
     Or,
     PortArbiter,
     SELECTED,
+    RuleSet,
     SelectionRule,
     ActivationTable,
     evaluate_condition,
@@ -34,10 +35,9 @@ OBJ, REST, COLL = ARM_CONNS
 
 
 def arm_arbiter(with_rules=True):
-    if with_rules:
-        _, _, ruleset, _ = compile_fixture("search-and-track")
-    else:
-        ruleset = ()
+    if not with_rules:
+        return PortArbiter(ARM, ARM_CONNS)
+    _, _, ruleset, _ = compile_fixture("search-and-track")
     return PortArbiter(ARM, ARM_CONNS, ruleset)
 
 
@@ -80,35 +80,30 @@ def test_rule_for_missing_incoming_connection_rejected():
         PortArbiter(ARM, (REST, COLL), ruleset)  # Object rule has no connection
 
 
-def test_arbiter_from_ruleset_decides_as_from_its_port_group():
+def test_arbiter_from_ruleset_replays_fixture_traces():
+    # one arbiter per port, each given the whole rule set, decides every
+    # record of the fixture's trace as the simulator did
     for name in ("search-and-track", "be-curious", "conflict-demo"):
         _, network, ruleset, _ = compile_fixture(name)
         groups = ruleset.by_port()
         assert groups == ruleset.by_port() and groups is not ruleset.by_port()
         ports = sorted({conn.destination for conn in network.connections})
-        pairs = {
-            port: (PortArbiter(port, network.incoming(port), ruleset),
-                   PortArbiter(port, network.incoming(port), groups.get(port, ())))
-            for port in ports
-        }
+        arbiters = {port: PortArbiter(port, network.incoming(port), ruleset) for port in ports}
         trace = run_fixture(name)
         for record in trace.records:
             conn = Connection(record.src, record.dst)
-            decisions = []
-            for arb in pairs[record.dst]:
-                arb.record_arrival(conn, record.t)
-                decisions.append(arb.decide(conn, record.t))
-                assert arb.rule_text_for(record.src) == (None if record.rule == "-" else record.rule)
-            whole, grouped = decisions
-            assert whole == grouped, (name, record)
-            assert (whole.outcome, whole.reason) == (record.outcome, record.reason)
+            arb = arbiters[record.dst]
+            arb.record_arrival(conn, record.t)
+            decision = arb.decide(conn, record.t)
+            assert arb.rule_text_for(record.src) == (None if record.rule == "-" else record.rule)
+            assert (decision.outcome, decision.reason) == (record.outcome, record.reason), (
+                name, record)
+            assert dict(decision.assignment) == dict(record.assignment)
         # a rule whose candidate has no connection at its port is rejected
-        # from the whole set as from the port's group
         port = min(groups)
         missing = tuple(c for c in network.incoming(port) if c.source != groups[port][0].candidate)
-        for rules in (ruleset, groups[port]):
-            with pytest.raises(ValueError, match="no incoming connection"):
-                PortArbiter(port, missing, rules)
+        with pytest.raises(ValueError, match="no incoming connection"):
+            PortArbiter(port, missing, ruleset)
 
 
 def test_collision_message_is_no_rule_discard():
@@ -268,7 +263,7 @@ def test_arbiter_matches_brute_force(case):
     prefix and a direct evaluation of the arriving source's rule."""
     sources, window, arrivals, rules = case
     conns = {source: Connection(source, PORT) for source in sources}
-    arb = PortArbiter(PORT, conns.values(), rules, window_ms=window)
+    arb = PortArbiter(PORT, conns.values(), RuleSet(tuple(rules)), window_ms=window)
     rule_of = {rule.candidate: rule for rule in rules}
 
     def scan(prefix, probe):

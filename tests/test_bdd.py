@@ -209,8 +209,8 @@ def test_object_rule_truth_points():
 
 def test_satisfiable():
     m = BddManager()
-    assert m.satisfiable(FALSE) is False
-    assert m.satisfiable(m.var("/x:o")) is True
+    assert m.first_satisfying(FALSE) is None
+    assert m.first_satisfying(m.var("/x:o")) == [("/x:o", True)]
 
 
 def test_arm_rules_are_mutually_exclusive():
@@ -221,7 +221,7 @@ def test_arm_rules_are_mutually_exclusive():
         Not(Lit(O)), Not(Lit(C)),  # RestArm constraint (variant form)
         Not(Lit(C)),               # Object constraint
     )))
-    assert not m.satisfiable(joint)
+    assert joint == FALSE and m.first_satisfying(joint) is None
     # cross-check by enumeration over the three variables
     expr = And((Lit(R), Lit(O), Not(Lit(O)), Not(Lit(C))))
     assert not any(tt_eval(expr, sigma) for sigma in assignments_over([R, O, C]))

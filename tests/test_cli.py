@@ -1,14 +1,20 @@
 """CLI exit codes and byte-stable outputs, driven through main()."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+import hypothesis.strategies as st
 
-from portarb import fixture, read_trace
+from portarb import FIXTURE_NAMES, fixture, read_trace
 import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from portarb.model import MAX_NESTING_DEPTH
@@ -281,3 +287,171 @@ def test_import_leaves_the_network_stack_out():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+INPUT_KINDS = ("model", "network", "scenario", "trace")
+
+
+def _input_file(fx, kind):
+    return fx.expected_trace if kind == "trace" else getattr(fx, kind)
+
+
+def _write_inputs(fx, directory, kind, data):
+    """The fixture's model, network, scenario and expected trace copied into
+    `directory`, the file of `kind` holding `data` instead; their paths."""
+    paths = {}
+    for name in INPUT_KINDS:
+        source = _input_file(fx, name)
+        paths[name] = Path(directory) / source.name
+        paths[name].write_bytes(data if name == kind else source.read_bytes())
+    return paths
+
+
+def _commands(kind, paths):
+    """The CLI runs that read the file of `kind`."""
+    model, network, scenario = paths["model"], paths["network"], paths["scenario"]
+    if kind == "trace":
+        return [("explain", paths["trace"])]
+    if kind == "scenario":
+        return [("simulate", scenario)]
+    return [("compile", model, network), ("compile", model, network, "--auto-observe"),
+            ("validate", model, network, "--auto-observe"), ("simulate", scenario)]
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
+    # each ended as an internal error whose one line echoed the file's bytes
+    data = _input_file(SAT, kind).read_bytes()
+    bad = b"\xff\xfe" + data if kind in ("model", "network") else data[:20] + b"\xff" + data[20:]
+    offset = 0 if kind in ("model", "network") else 20
+    paths = _write_inputs(SAT, tmp_path, kind, bad)
+    for argv in _commands(kind, paths):
+        assert run_cli(*argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {paths[kind]}: not UTF-8 text (byte {offset})\n", argv
+
+
+# -- fuzzing the four commands over mutated fixture files --------------------
+
+_BASE = {(name, kind): _input_file(fixture(name), kind).read_bytes()
+         for name in FIXTURE_NAMES for kind in INPUT_KINDS}
+_NOT_UTF8 = (b"\xff", b"\xfe", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
+_WRONG_JSON = (None, True, False, 0, -1, 1.5, "", "x", [], [1], [[0]], {}, {"a": 1})
+_WINDOWS = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.text(max_size=10),
+    st.sampled_from(["", "0", "-0", "1e3", "0x10", " 7 ", "1_000", "\u0663", "9" * 5000]),
+)
+
+
+def _replace_element(draw, text, tag, content):
+    """`text` with the content of one drawn `<tag>` element replaced."""
+    spans = [m.span(1) for m in re.finditer(rf"<{tag}>(.*?)</{tag}>", text, re.S)]
+    if not spans:
+        return text
+    start, end = spans[draw(st.integers(0, len(spans) - 1))]
+    return text[:start] + content + text[end:]
+
+
+def _nested(draw):
+    parens, nots = draw(st.integers(0, 160)), draw(st.integers(0, 160))
+    return "(" * parens + "not " * nots + "/Face/pos:o" + ")" * parens
+
+
+def _defines(draw, text):
+    shape = draw(st.sampled_from(("self", "mutual", "doubling")))
+    if shape == "self":
+        defines = '<define name="x">${x}</define>'
+    elif shape == "mutual":
+        defines = '<define name="x">${y}</define><define name="y">${x}</define>'
+    else:
+        depth = draw(st.integers(1, 24))
+        defines = '<define name="x0">/Face/pos:o</define>' + "".join(
+            f'<define name="x{i}">${{x{i - 1}}} or ${{x{i - 1}}}</define>'
+            for i in range(1, depth + 1))
+        text = _replace_element(draw, text, "condition", f"${{x{depth}}}")
+    first = re.search(r"<(?:meta_)?behavior name=", text)
+    at = first.start() if first else 0
+    return text[:at] + defines + text[at:]
+
+
+def _wrong_json_type(draw, data):
+    """The scenario with one drawn field replaced by a value of the wrong type."""
+    scenario = json.loads(data)
+    holders = [(scenario, key) for key in scenario]
+    for entry in scenario["components"]:
+        holders += [(entry, key) for key in entry]
+        for spec in (entry.get("source"), entry.get("sink")):
+            if isinstance(spec, dict):
+                holders += [(spec, key) for key in spec]
+                for interval in spec.get("active", []):
+                    holders += [(interval, i) for i in range(len(interval))]
+    holder, key = holders[draw(st.integers(0, len(holders) - 1))]
+    holder[key] = draw(st.sampled_from(_WRONG_JSON))
+    return json.dumps(scenario).encode()
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(fixture name, file kind, mutated bytes of that file)."""
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    kind = draw(st.sampled_from(INPUT_KINDS))
+    data = _BASE[name, kind]
+    mutations = ["truncate", "not-utf8"] + {
+        "model": ["nesting", "inhibitors", "defines"],
+        "network": ["window"],
+        "scenario": ["json-type"],
+        "trace": ["nesting"],
+    }[kind]
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "truncate":
+        return name, kind, data[:draw(st.integers(0, len(data)))]
+    if mutation == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        return name, kind, data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    if mutation == "json-type":
+        return name, kind, _wrong_json_type(draw, data)
+    text = data.decode()
+    if mutation == "nesting" and kind == "trace":
+        lines = text.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        rule = f"/Face/pos:o and {_nested(draw)} => Select(/Face/pos:o) @ /Gaze/pos:i"
+        lines[i] = re.sub(r'"rule":"[^"]*"', lambda _: f'"rule":"{rule}"', lines[i])
+        lines[i] = lines[i].replace('"outcome":"accept","reason":"SELECTED"',
+                                    '"outcome":"discard","reason":"CONSTRAINT_FALSE"')
+        text = "".join(lines)
+    elif mutation == "nesting":
+        text = _replace_element(draw, text, "condition", _nested(draw))
+    elif mutation == "inhibitors":
+        names = re.findall(r'name="([^"]*)"', text) + ["Ghost"]
+        count = draw(st.integers(0, 3000))
+        step = draw(st.integers(1, 7))
+        targets = [names[k * step % len(names)] for k in range(count)]
+        if draw(st.booleans()):
+            targets += [f"Missing {k}" for k in range(count)]
+        text = _replace_element(draw, text, "inhibition", ", ".join(targets))
+    elif mutation == "defines":
+        text = _defines(draw, text)
+    else:  # window
+        value = draw(_WINDOWS).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+        text = re.sub(r'<connection ((?:(?!/>).)*?)(?: window="[^"]*")?\s*/>',
+                      lambda m: f'<connection {m.group(1)} window="{value}"/>', text, count=1)
+    return name, kind, text.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_inputs())
+@example(("search-and-track", "model", b"\xff\xfe" + _BASE["search-and-track", "model"]))
+@example(("be-curious", "trace", b"\xff\n"))
+def test_cli_survives_mutated_inputs(case):
+    """Whatever the mutation, each command ends in a documented exit code
+    other than 4 and never reports an internal error."""
+    name, kind, data = case
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _write_inputs(fixture(name), directory, kind, data)
+        for argv in _commands(kind, paths):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = run_cli(*argv)
+            assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), (argv, err.getvalue())
+            assert "error: internal" not in err.getvalue()

@@ -26,11 +26,9 @@ from portarb import (
     Not,
     Or,
     check_conflicts,
-    effective_inhibitor_sources,
     emit_rules,
     extract_rules,
     fixture,
-    inherited_condition,
     observer_connections,
     parse_behavior_model,
     parse_network,
@@ -66,12 +64,12 @@ def test_inherited_condition_without_parents():
         '<behavior name="B"><config at="/X:i">/a:o</config>'
         "<condition>not /c:o</condition></behavior>"
     )
-    assert inherited_condition("B", model) == Not(Lit("/c:o"))
+    assert model.plan("B").condition == Not(Lit("/c:o"))
 
 
 def test_inherited_condition_track_object():
     model, _, _, _ = compile_fixture("search-and-track")
-    assert inherited_condition("Track Object", model) == Not(Lit("/collision:o"))
+    assert model.plan("Track Object").condition == Not(Lit("/collision:o"))
 
 
 def test_inherited_condition_conjoins_ancestors_outermost_first():
@@ -84,17 +82,17 @@ def test_inherited_condition_conjoins_ancestors_outermost_first():
         "<condition>/c3:o</condition></behavior>"
     )
     model = parse_behavior_model(text)
-    assert inherited_condition("Leaf", model) == And((Lit("/c1:o"), Lit("/c2:o"), Lit("/c3:o")))
+    assert model.plan("Leaf").condition == And((Lit("/c1:o"), Lit("/c2:o"), Lit("/c3:o")))
 
 
 def test_effective_inhibitor_sources_fig3():
     model, _, _, _ = compile_fixture("search-and-track")
     # Follow Face inhibits it directly; Track Object inhibits ancestor Be Curious
-    assert effective_inhibitor_sources("Look Around", model) == (
+    assert model.plan("Look Around").inhibitor_sources == (
         "/Face/pos:o", "/Object/pos:o",
     )
-    assert effective_inhibitor_sources("Rest Arm", model) == ("/Object/pos:o",)
-    assert effective_inhibitor_sources("Track Object", model) == ()
+    assert model.plan("Rest Arm").inhibitor_sources == ("/Object/pos:o",)
+    assert model.plan("Track Object").inhibitor_sources == ()
 
 
 def test_meta_inhibitor_expands_to_descendant_leaves():
@@ -111,7 +109,7 @@ def test_meta_inhibitor_expands_to_descendant_leaves():
         '<behavior>A</behavior><behavior>B</behavior><inhibition>C</inhibition></meta_behavior>',
     )
     model = parse_behavior_model(text)
-    assert effective_inhibitor_sources("C", model) == ("/a:o", "/b:o")
+    assert model.plan("C").inhibitor_sources == ("/a:o", "/b:o")
 
 
 # Brute-force reading of inhibition and observability, straight from the
@@ -213,7 +211,7 @@ def models_with_networks(draw):
 def test_indexed_inhibitors_and_observers_match_brute_force(model_and_network):
     model, network = model_and_network
     for leaf in (n for n in _walk(model.roots) if not n.is_meta):
-        assert list(effective_inhibitor_sources(leaf.name, model)) == (
+        assert list(model.plan(leaf.name).inhibitor_sources) == (
             _brute_inhibitor_sources(model, leaf)
         )
     assert list(observer_connections(model, network)) == _brute_observers(model, network)
@@ -236,7 +234,7 @@ def _reference_extract(model):
     for leaf in model.leaf_behaviors():
         for conn in leaf.configuration:
             appearance.setdefault(conn.source, len(appearance))
-        plan = model.plan(leaf)
+        plan = model.plan(leaf.name)
         for port in plan.needed:
             appearance.setdefault(port, len(appearance))
         condition = plan.condition
@@ -269,10 +267,10 @@ def _reference_conflict_messages(ruleset):
         selects = [manager.combine(AND, manager.var(r.candidate), manager.build(r.constraint))
                    for r in rules]
         for (i, first), (j, second) in itertools.combinations(enumerate(rules), 2):
-            joint = manager.combine(AND, selects[i], selects[j])
-            if first.candidate == second.candidate or not manager.satisfiable(joint):
+            witness = manager.first_satisfying(manager.combine(AND, selects[i], selects[j]))
+            if first.candidate == second.candidate or witness is None:
                 continue
-            shown = ", ".join(f"{p}={str(v).lower()}" for p, v in manager.first_satisfying(joint))
+            shown = ", ".join(f"{p}={str(v).lower()}" for p, v in witness)
             messages.append(f"rules for {first.candidate} and {second.candidate} at {port} "
                             f"can both select: e.g. {{{shown}}}")
     return messages

@@ -4,10 +4,14 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import behavior_models
 from portarb import (
+    BehaviorModel,
+    BehaviorNode,
     Connection,
+    NetworkDescription,
     ParseError,
     apply_auto_observe,
     check_port,
@@ -19,7 +23,16 @@ from portarb import (
     serialize_network,
     validate,
 )
-from portarb.model import ERROR, MAX_EXPANSION_CHARS, TRUE, WARNING, is_input, is_output
+from portarb.model import (
+    BEHAVIOR,
+    ERROR,
+    MAX_EXPANSION_CHARS,
+    META_BEHAVIOR,
+    TRUE,
+    WARNING,
+    is_input,
+    is_output,
+)
 
 
 LISTING = fixture("be-curious").model.read_text()
@@ -409,3 +422,87 @@ def test_top_level_nodes_may_inhibit_each_other():
     ))
     network = parse_network(fixture("conflict-demo").network.read_text())
     assert validate(model, network) == []
+
+
+@st.composite
+def inhibiting_models(draw):
+    """(model, parent of each name) for a tree of up to 12 nodes whose
+    inhibitions name siblings, cousins, ancestors, the node itself or names
+    that do not exist; half of the drawn targets are siblings, so cycles
+    among siblings are common."""
+    count = draw(st.integers(1, 12))
+    names = [f"N{i}" for i in range(count)]
+    # node i hangs under an earlier node or is a root
+    parents = [None] + [draw(st.one_of(st.none(), st.integers(0, i - 1))) for i in range(1, count)]
+    parent_of = {name: None if j is None else names[j] for name, j in zip(names, parents)}
+    anywhere = st.sampled_from(names + ["Ghost", "N99"])
+    built = {}
+    for i in reversed(range(count)):
+        siblings = [n for n in names if parent_of[n] == parent_of[names[i]]]
+        targets = draw(st.lists(st.one_of(st.sampled_from(siblings), anywhere), max_size=4))
+        children = tuple(built.pop(names[k]) for k in range(i + 1, count) if parents[k] == i)
+        built[names[i]] = BehaviorNode(
+            name=names[i],
+            kind=META_BEHAVIOR if children else BEHAVIOR,
+            children=children,
+            inhibitions=tuple(dict.fromkeys(targets)),
+        )
+    roots = tuple(built[name] for name in names if parent_of[name] is None)
+    return BehaviorModel(roots=roots), parent_of
+
+
+def _has_cycle(members, edges):
+    """Whether repeatedly removing the members no edge points to leaves any."""
+    indegree = {m: 0 for m in members}
+    for _, target in edges:
+        indegree[target] += 1
+    ready = [m for m, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        member = ready.pop()
+        removed += 1
+        for source, target in edges:
+            if source == member:
+                indegree[target] -= 1
+                if indegree[target] == 0:
+                    ready.append(target)
+    return removed < len(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inhibiting_models())
+def test_inhibition_checks_match_a_reference_over_any_targets(case):
+    model, parent_of = case
+    diagnostics = validate(model, NetworkDescription())
+    expected = []
+    for node in model.walk():
+        for target in node.inhibitions:
+            if target not in parent_of:
+                expected.append((node.name, "V5", f"inhibition target {target!r} does not exist"))
+            elif parent_of[target] != parent_of[node.name]:
+                expected.append((node.name, "V1", f"{node.name!r} may only inhibit siblings; "
+                                                  f"{target!r} has a different parent"))
+    assert [(d.location, d.code, d.message) for d in diagnostics
+            if d.code in ("V1", "V5")] == sorted(expected)
+    assert all(d.severity == ERROR for d in diagnostics)
+
+    groups = {}
+    for name, parent in parent_of.items():
+        groups.setdefault(parent, []).append(name)
+    cyclic = set()
+    for parent, members in groups.items():
+        edges = {(node.name, target) for node in model.walk() if node.name in members
+                 for target in node.inhibitions if target in members}
+        if _has_cycle(members, edges):
+            cyclic.add(parent)
+    flagged = set()
+    for d in diagnostics:
+        if d.code != "V4":
+            continue
+        cycle = d.message.removeprefix("inhibition cycle among siblings: ").split(" -> ")
+        assert cycle[0] == cycle[-1] and d.location == min(cycle)
+        assert all(target in model.node(source).inhibitions
+                   for source, target in zip(cycle, cycle[1:]))
+        assert len({parent_of[name] for name in cycle}) == 1
+        flagged.add(parent_of[d.location])
+    assert flagged == cyclic
