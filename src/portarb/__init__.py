@@ -44,19 +44,15 @@ from .model import (
     evaluate_condition,
     has_errors,
     normalize,
-    observer_connections,
     parse_behavior_model,
     parse_condition,
     parse_network,
     render_condition,
-    serialize_behavior_model,
-    serialize_network,
     validate,
 )
 from .simnet import (
     PeriodicSource,
     Scenario,
-    Sink,
     Trace,
     TraceRecord,
     load_scenario,

@@ -58,7 +58,7 @@ class ActivationTable:
         self._latest: int | None = None
 
     def record(self, key: Hashable, t: int) -> int:
-        """Store an arrival at `t`; returns the cutoff at `t` of `within`:
+        """Store an arrival at `t`; returns the cutoff at `t` of `active`:
         the arrivals at or before it no longer count."""
         if self._latest is not None and t < self._latest:
             raise ValueError(f"time regression: arrival at {t} after {self._latest}")
@@ -66,14 +66,11 @@ class ActivationTable:
         self.last_arrival[key] = t
         return t - self.window_ms
 
-    def within(self, last: int, t: int) -> bool:
-        """The window rule: an arrival at `last` still counts at `t`. Strict,
-        so an arrival at 0 with window 1000 is inactive at 1000."""
-        return last > t - self.window_ms
-
     def active(self, key: Hashable, t: int) -> bool:
+        """The window rule: the key's last arrival still counts at `t`.
+        Strict, so an arrival at 0 with window 1000 is inactive at 1000."""
         last = self.last_arrival.get(key)
-        return last is not None and self.within(last, t)
+        return last is not None and last > t - self.window_ms
 
 
 class Snapshot(Mapping[str, bool]):

@@ -402,22 +402,12 @@ class BehaviorModel:
             stack.extend(reversed(node.children))
 
     @cached_property
-    def _by_name(self) -> dict[str, BehaviorNode]:
-        return {node.name: node for node in self.walk()}
-
-    @cached_property
     def _parent_name(self) -> dict[str, str | None]:
         parents: dict[str, str | None] = {root.name: None for root in self.roots}
         for node in self.walk():
             for child in node.children:
                 parents[child.name] = node.name
         return parents
-
-    def node(self, name: str) -> BehaviorNode:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no behavior named {name!r} in the model") from None
 
     def leaf_behaviors(self) -> tuple[BehaviorNode, ...]:
         return tuple(node for node in self.walk() if not node.is_meta)
@@ -660,40 +650,6 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
     return BehaviorModel(roots=roots, defines=defines)
 
 
-def _esc(text: str) -> str:
-    # xml.sax.saxutils.escape(text, {'"': "&quot;"}) without importing it,
-    # which would pull urllib, http.client, email and ssl into every run
-    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-    return text.replace('"', "&quot;")
-
-
-def serialize_behavior_model(model: BehaviorModel) -> str:
-    """Render a model back to XML; parse_behavior_model inverts this."""
-    chunks: list[str] = []
-    for name, value in model.defines.items():
-        chunks.append(f'<define name="{_esc(name)}">{_esc(value)}</define>')
-    for node in model.walk():
-        lines = [f'<{node.kind} name="{_esc(node.name)}">']
-        if node.is_meta:
-            for child in node.children:
-                lines.append(f"   <behavior>{_esc(child.name)}</behavior>")
-        else:
-            for conn in node.configuration:
-                lines.append(
-                    f'   <config at="{_esc(conn.destination)}">{_esc(conn.source)}</config>'
-                )
-        rendered = "" if node.condition == TRUE else _esc(render_condition(node.condition))
-        lines.append(f"   <condition>{rendered}</condition>")
-        if node.inhibitions:
-            for target in node.inhibitions:
-                lines.append(f"   <inhibition>{_esc(target)}</inhibition>")
-        else:
-            lines.append("   <inhibition></inhibition>")
-        lines.append(f"</{node.kind}>")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Application (network) description
 
@@ -813,25 +769,6 @@ def parse_network(xml_text: str) -> NetworkDescription:
     return NetworkDescription(tuple(components), tuple(connections), windows)
 
 
-def serialize_network(network: NetworkDescription) -> str:
-    lines = ["<application>"]
-    for component in network.components:
-        lines.append(f'   <module name="{_esc(component.name)}">')
-        for port in component.inputs:
-            lines.append(f"      <input>{_esc(port)}</input>")
-        for port in component.outputs:
-            lines.append(f"      <output>{_esc(port)}</output>")
-        lines.append("   </module>")
-    for conn in network.connections:
-        window = network.windows.get(conn.destination)
-        attr = f' window="{window}"' if window is not None else ""
-        lines.append(
-            f'   <connection from="{_esc(conn.source)}" to="{_esc(conn.destination)}"{attr}/>'
-        )
-    lines.append("</application>")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -863,19 +800,13 @@ def _unobserved_literals(
                     yield leaf, port, conn.destination
 
 
-def observer_connections(
-    model: BehaviorModel, network: NetworkDescription
-) -> tuple[Connection, ...]:
-    """Connections that must be added so every rule literal is visible at the
-    port where the rule is evaluated."""
-    missing = dict.fromkeys(
+def apply_auto_observe(model: BehaviorModel, network: NetworkDescription) -> NetworkDescription:
+    """The network with the connections added that make every rule literal
+    visible at the port where the rule is evaluated."""
+    missing = dict.fromkeys(  # only pairs the network lacks
         (port, destination) for _, port, destination in _unobserved_literals(model, network)
     )
-    return tuple(Connection(port, destination) for port, destination in missing)
-
-
-def apply_auto_observe(model: BehaviorModel, network: NetworkDescription) -> NetworkDescription:
-    extra = observer_connections(model, network)  # only pairs the network lacks
+    extra = tuple(Connection(port, destination) for port, destination in missing)
     return NetworkDescription(network.components, network.connections + extra, dict(network.windows))
 
 

@@ -1,13 +1,13 @@
 """Deterministic discrete-event simulation of a publish-subscribe network.
 
 Scripted periodic sources emit over the network's connections, per-port
-arbiters gate delivery, sinks record what gets through, and every single
-fan-out becomes one trace record. Time is a simulated integer-millisecond
+arbiters decide each arrival, and every single fan-out becomes one trace
+record, the run's whole output. Time is a simulated integer-millisecond
 clock. Every source's emission instants are listed up front and sorted once
-by the key `(t, t - period if t != phase else -1, -phase, component index)`:
+by the key `(t, t - period if t != phase else -1, -phase, source index)`:
 at one instant, a source emitting at its phase (its first instant ever)
-goes first, in component order; then larger periods; among equal periods,
-larger phases; remaining ties in component order. That is the order in
+goes first, in source order; then larger periods; among equal periods,
+larger phases; remaining ties in source order. That is the order in
 which one chain of per-period wake events per source reaches the instant.
 Identical inputs always produce byte-identical traces.
 """
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .arbiter import ACCEPT, DEFAULT_WINDOW_MS, PortArbiter, Snapshot
+from .arbiter import DEFAULT_WINDOW_MS, PortArbiter, Snapshot
 from .compiler import RuleSet
 from .model import (
     BehaviorModel,
@@ -57,23 +57,13 @@ class PeriodicSource:
 
 
 @dataclass(frozen=True)
-class Sink:
-    name: str
-    port: str
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario file: `components` are its sources, in file order."""
+
     model: BehaviorModel
     network: NetworkDescription
     horizon_ms: int
-    components: tuple = ()
-
-    def sources(self) -> tuple[PeriodicSource, ...]:
-        return tuple(c for c in self.components if isinstance(c, PeriodicSource))
-
-    def sinks(self) -> tuple[Sink, ...]:
-        return tuple(c for c in self.components if isinstance(c, Sink))
+    components: tuple[PeriodicSource, ...] = ()
 
 
 class TraceRecord(NamedTuple):
@@ -87,9 +77,6 @@ class TraceRecord(NamedTuple):
     reason: str
     rule: str
     assignment: Mapping[str, bool]
-
-    def json_line(self) -> str:
-        return _TraceFormatter().line(self)
 
 
 class _TraceFormatter:
@@ -158,7 +145,6 @@ class _TraceFormatter:
 @dataclass(frozen=True)
 class Trace:
     records: tuple[TraceRecord, ...] = ()
-    deliveries: Mapping[str, tuple[tuple[int, str], ...]] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.records)
@@ -205,8 +191,9 @@ def _parse_intervals(path, raw) -> tuple[tuple[int, int], ...]:
 def load_scenario(path) -> Scenario:
     """Load a scenario file and the model/network files it references.
 
-    Component ports are checked against the network's declarations; the
-    referenced file paths resolve relative to the scenario file.
+    Component ports are checked against the network's declarations, and
+    sink entries are checked but not kept; the referenced file paths
+    resolve relative to the scenario file.
     """
     path = Path(path)
     try:
@@ -219,13 +206,16 @@ def load_scenario(path) -> Scenario:
         if key not in data:
             raise _schema_error(path, f"missing {key!r}")
     horizon_ms = _require_int(path, data, "horizon_ms", minimum=0)
+    for key in ("model", "network"):
+        if not isinstance(data[key], str):
+            raise _schema_error(path, f"{key!r} must be a string")
     if not isinstance(data["components"], list):
         raise _schema_error(path, "'components' must be a list")
 
-    model = parse_behavior_model(read_text(path.parent / str(data["model"])))
-    network = parse_network(read_text(path.parent / str(data["network"])))
+    model = parse_behavior_model(read_text(path.parent / data["model"]))
+    network = parse_network(read_text(path.parent / data["network"]))
 
-    components: list = []
+    components: list[PeriodicSource] = []
     names: set[str] = set()
     for entry in data["components"]:
         if not isinstance(entry, dict) or "name" not in entry:
@@ -261,56 +251,47 @@ def load_scenario(path) -> Scenario:
                 raise _schema_error(path, f"sink port {port!r} of {name!r} must be an input")
             if port not in network.declared_inputs:
                 raise _schema_error(path, f"sink port {port!r} is not declared in the network")
-            components.append(Sink(name=name, port=port))
 
-    return Scenario(
-        model=model,
-        network=network,
-        horizon_ms=horizon_ms,
-        components=tuple(components),
-    )
+    return Scenario(model, network, horizon_ms, tuple(components))
 
 
 def run(
     scenario: Scenario,
     ruleset: RuleSet,
-    network: NetworkDescription | None = None,
+    network: NetworkDescription,
     horizon_ms: int | None = None,
 ) -> Trace:
-    """Run the scenario against a compiled rule set and return the trace.
+    """Run the scenario's sources over `network`, the one the rule set was
+    compiled for (the scenario's, perhaps with observer connections added),
+    and return the trace.
 
     Emissions are processed in the schedule's order (see the module
     docstring). Each fans out to every connection leaving the source port in
     lexicographic destination order; per destination the arrival is recorded
     first and then decided, so a discarded message still refreshes its
-    connection's activation.
-    `network` overrides the scenario's parsed network (e.g. one augmented
-    with observer connections); `horizon_ms` can only shorten the run.
+    connection's activation. `horizon_ms` can only shorten the run.
     """
-    net = network if network is not None else scenario.network
     horizon = scenario.horizon_ms
     if horizon_ms is not None:
         horizon = min(horizon, horizon_ms)
 
-    sink_log: dict[str, list[tuple[int, str]]] = {s.port: [] for s in scenario.sinks()}
     arbiters: dict[str, PortArbiter] = {}
-    for port in sorted({c.destination for c in net.connections}):
+    for port in sorted({c.destination for c in network.connections}):
         arbiters[port] = PortArbiter(
             port,
-            net.incoming(port),
+            network.incoming(port),
             ruleset,
-            window_ms=net.windows.get(port, DEFAULT_WINDOW_MS),
+            window_ms=network.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
     # per source port, by destination: the connection's arbiter steps, its
-    # slot there, the record's fixed fields and the sink's log (or None)
+    # slot there and the record's fixed fields
     grouped: dict[str, list] = {}
-    for conn in net.connections:
+    for conn in network.connections:
         arb = arbiters[conn.destination]
         grouped.setdefault(conn.source, []).append((
             arb._arrive, arb._verdict, arb._slot(conn), arb.sources, arb._slots,
             conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
-            sink_log.get(conn.destination),
         ))
     fanout = {
         src: tuple(sorted(entries, key=lambda e: e[6]))
@@ -319,24 +300,19 @@ def run(
 
     schedule = sorted(
         (t, t - comp.period_ms if t != comp.phase_ms else -1, -comp.phase_ms, index, comp.port)
-        for index, comp in enumerate(scenario.sources())
+        for index, comp in enumerate(scenario.components)
         for t in comp.instants(horizon)
     )
 
     records: list[TraceRecord] = []
     append = records.append
     for t, _, _, _, port in schedule:
-        for arrive, verdict, slot, sources, slots, src, dst, rule, log in fanout.get(port, ()):
+        for arrive, verdict, slot, sources, slots, src, dst, rule in fanout.get(port, ()):
             mask = arrive(slot, t)
             outcome, reason = verdict(slot, mask)
             append(TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask)))
-            if log is not None and outcome == ACCEPT:
-                log.append((t, src))
 
-    return Trace(
-        records=tuple(records),
-        deliveries={port: tuple(log) for port, log in sink_log.items()},
-    )
+    return Trace(records=tuple(records))
 
 
 # The most characters of trace lines that write_trace hands to one write;
@@ -344,16 +320,15 @@ def run(
 _BLOCK_CHARS = 1 << 16
 
 
-def write_trace(trace: Trace | Iterable[TraceRecord], path) -> None:
+def write_trace(trace: Iterable[TraceRecord], path) -> None:
     """One JSON object per record, fields in fixed order; byte-stable.
     Whole lines go out in blocks of at most _BLOCK_CHARS, one write each;
     a longer line is a block of its own."""
-    records = trace.records if isinstance(trace, Trace) else trace
     line = _TraceFormatter().line
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         block: list[str] = []
         size = 0  # of the block, newlines included
-        for record in records:
+        for record in trace:
             text = line(record)
             if block and size + len(text) >= _BLOCK_CHARS:
                 block.append("")  # for the last line's newline

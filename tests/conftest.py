@@ -1,6 +1,9 @@
 """Shared helpers: the compile/run pipeline over fixtures and hypothesis
 strategies for condition expressions and behavior models."""
 
+import tempfile
+from pathlib import Path
+
 import hypothesis.strategies as st
 
 from portarb import (
@@ -18,6 +21,7 @@ from portarb import (
     parse_behavior_model,
     parse_network,
     run,
+    write_trace,
 )
 from portarb.model import BEHAVIOR, FALSE, META_BEHAVIOR, TRUE
 
@@ -38,6 +42,14 @@ def run_fixture(name, horizon_ms=None):
     scenario = load_scenario(fx.scenario)
     _, network, ruleset, _ = compile_fixture(name)
     return run(scenario, ruleset, network=network, horizon_ms=horizon_ms)
+
+
+def trace_text(records):
+    """The text write_trace writes for `records`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_trace(records, path)
+        return path.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

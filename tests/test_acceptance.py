@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from conftest import compile_fixture, run_fixture
+from conftest import compile_fixture, run_fixture, trace_text
 from portarb import (
     ACCEPT,
     And,
@@ -132,8 +132,7 @@ def test_criterion_2_bdd_oracle_equivalence():
 def test_criterion_3_search_and_track_end_to_end():
     start = time.perf_counter()
     trace = run_fixture("search-and-track")
-    got = "".join(r.json_line() + "\n" for r in trace.records)
-    assert got == fixture("search-and-track").expected_trace.read_text()
+    assert trace_text(trace) == fixture("search-and-track").expected_trace.read_text()
 
     def window(lo, hi):
         return [r for r in trace.records if lo <= r.t < hi]
@@ -214,7 +213,7 @@ def test_criterion_6_determinism():
             outputs.add(
                 emit_rules(ruleset)
                 + emit_rules(ruleset, "json")
-                + "".join(r.json_line() + "\n" for r in trace.records)
+                + trace_text(trace)
             )
         assert len(outputs) == 1, f"{name} produced {len(outputs)} distinct outputs"
     print("\nACCEPTANCE 6 PASS: 10 compile+simulate repetitions byte-identical "

@@ -193,6 +193,20 @@ def test_explain_rejects_a_string_time(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {trace_path}:6: 't' must be an integer\n"
 
 
+@pytest.mark.parametrize("value", [5, None, ["network.xml"]], ids=["int", "null", "list"])
+@pytest.mark.parametrize("key", ["model", "network"])
+def test_scenario_file_reference_must_be_a_string(tmp_path, capsys, key, value):
+    # was read as the path its str() gives, a file the user never named (exit 3)
+    for name in ("model.xml", "network.xml"):
+        (tmp_path / name).write_text((SAT.model.parent / name).read_text())
+    scenario = json.loads(SAT.scenario.read_text())
+    scenario[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("simulate", path) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: {key!r} must be a string\n"
+
+
 def _nested_model(parens=0, nots=0, metas=0):
     """One behavior whose condition sits inside `parens` parentheses and
     `nots` negations, under a chain of `metas` nested meta-behaviors."""

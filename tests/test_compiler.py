@@ -25,11 +25,11 @@ from portarb import (
     NetworkDescription,
     Not,
     Or,
+    apply_auto_observe,
     check_conflicts,
     emit_rules,
     extract_rules,
     fixture,
-    observer_connections,
     parse_behavior_model,
     parse_network,
     rule_text,
@@ -214,7 +214,8 @@ def test_indexed_inhibitors_and_observers_match_brute_force(model_and_network):
         assert list(model.plan(leaf.name).inhibitor_sources) == (
             _brute_inhibitor_sources(model, leaf)
         )
-    assert list(observer_connections(model, network)) == _brute_observers(model, network)
+    added = apply_auto_observe(model, network).connections[len(network.connections):]
+    assert list(added) == _brute_observers(model, network)
 
 
 # References for the linear extraction and the screened conflict check:

@@ -25,7 +25,7 @@ from portarb import (
 from portarb.arbiter import DEFAULT_WINDOW_MS
 from portarb.cli import EXIT_OK, _port_history, main
 from portarb.model import BEHAVIOR
-from portarb.simnet import PeriodicSource, Sink
+from portarb.simnet import PeriodicSource
 
 SOURCES = ("/s0:o", "/s1:o", "/s2:o")
 INPUTS = ("/x:i", "/y:i")
@@ -99,8 +99,7 @@ def scenarios(draw):
             phase_ms=draw(st.integers(0, 300)),
             active=tuple(zip(bounds[::2], bounds[1::2])),
         ))
-    sinks = tuple(Sink(f"D{d}", d) for d in INPUTS)
-    return Scenario(BehaviorModel(roots=leaves), network, horizon, tuple(sources) + sinks)
+    return Scenario(BehaviorModel(roots=leaves), network, horizon, tuple(sources))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

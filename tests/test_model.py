@@ -16,11 +16,9 @@ from portarb import (
     apply_auto_observe,
     check_port,
     fixture,
-    observer_connections,
     parse_behavior_model,
     parse_network,
-    serialize_behavior_model,
-    serialize_network,
+    render_condition,
     validate,
 )
 from portarb.model import (
@@ -38,6 +36,65 @@ from portarb.model import (
 LISTING = fixture("be-curious").model.read_text()
 FIG3_MODEL = fixture("search-and-track").model.read_text()
 FIG2_NETWORK = fixture("search-and-track").network.read_text()
+
+
+def _node(model, name):
+    return next(node for node in model.walk() if node.name == name)
+
+
+# Writers of both XML formats for the round-trip tests; parse_behavior_model
+# and parse_network invert them
+def _esc(text: str) -> str:
+    # xml.sax.saxutils.escape(text, {'"': "&quot;"}), written out so that
+    # test_serialize_escapes_like_saxutils compares two implementations
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;")
+
+
+def serialize_behavior_model(model: BehaviorModel) -> str:
+    """Render a model back to XML; parse_behavior_model inverts this."""
+    chunks: list[str] = []
+    for name, value in model.defines.items():
+        chunks.append(f'<define name="{_esc(name)}">{_esc(value)}</define>')
+    for node in model.walk():
+        lines = [f'<{node.kind} name="{_esc(node.name)}">']
+        if node.is_meta:
+            for child in node.children:
+                lines.append(f"   <behavior>{_esc(child.name)}</behavior>")
+        else:
+            for conn in node.configuration:
+                lines.append(
+                    f'   <config at="{_esc(conn.destination)}">{_esc(conn.source)}</config>'
+                )
+        rendered = "" if node.condition == TRUE else _esc(render_condition(node.condition))
+        lines.append(f"   <condition>{rendered}</condition>")
+        if node.inhibitions:
+            for target in node.inhibitions:
+                lines.append(f"   <inhibition>{_esc(target)}</inhibition>")
+        else:
+            lines.append("   <inhibition></inhibition>")
+        lines.append(f"</{node.kind}>")
+        chunks.append("\n".join(lines))
+    return "\n\n".join(chunks) + "\n"
+
+
+def serialize_network(network: NetworkDescription) -> str:
+    lines = ["<application>"]
+    for component in network.components:
+        lines.append(f'   <module name="{_esc(component.name)}">')
+        for port in component.inputs:
+            lines.append(f"      <input>{_esc(port)}</input>")
+        for port in component.outputs:
+            lines.append(f"      <output>{_esc(port)}</output>")
+        lines.append("   </module>")
+    for conn in network.connections:
+        window = network.windows.get(conn.destination)
+        attr = f' window="{window}"' if window is not None else ""
+        lines.append(
+            f'   <connection from="{_esc(conn.source)}" to="{_esc(conn.destination)}"{attr}/>'
+        )
+    lines.append("</application>")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("port", ["/Gaze/pos:i", "/collision:o", "/a/b/c/d:o", "/RestArm/pos:o"])
@@ -76,10 +133,10 @@ def test_listing_parses_to_expected_structure():
     curious = model.roots[0]
     assert curious.is_meta
     assert [c.name for c in curious.children] == ["Look Around", "Follow Face"]
-    look = model.node("Look Around")
+    look = _node(model, "Look Around")
     assert look.configuration == (Connection("/RandomLook/pos:o", "/Gaze/pos:i"),)
     assert look.condition == TRUE and look.inhibitions == ()
-    follow = model.node("Follow Face")
+    follow = _node(model, "Follow Face")
     assert follow.configuration == (Connection("/Face/pos:o", "/Gaze/pos:i"),)
     assert follow.inhibitions == ("Look Around",)
 
@@ -186,7 +243,7 @@ def test_behavior_without_config_rejected():
 
 def test_comma_separated_inhibition_list():
     model = parse_behavior_model(FIG3_MODEL)
-    assert model.node("Track Object").inhibitions == ("Rest Arm", "Be Curious")
+    assert _node(model, "Track Object").inhibitions == ("Rest Arm", "Be Curious")
 
 
 def test_repeated_inhibition_elements():
@@ -197,7 +254,7 @@ def test_repeated_inhibition_elements():
         "<inhibition>A</inhibition><inhibition>A</inhibition></behavior>"
         "</behaviors>"
     )
-    assert parse_behavior_model(text).node("B").inhibitions == ("A",)
+    assert _node(parse_behavior_model(text), "B").inhibitions == ("A",)
 
 
 def test_multiple_condition_elements_rejected():
@@ -358,10 +415,9 @@ def test_auto_observe_downgrades_v3_to_warning_and_adds_connection():
     model, network = _fig3()
     diagnostics = validate(model, network, auto_observe=True)
     assert [d.severity for d in diagnostics] == [WARNING]
-    added = observer_connections(model, network)
-    assert added == (Connection("/collision:o", "/Gaze/pos:i"),)
     augmented = apply_auto_observe(model, network)
-    assert Connection("/collision:o", "/Gaze/pos:i") in augmented.connections
+    added = augmented.connections[len(network.connections):]
+    assert added == (Connection("/collision:o", "/Gaze/pos:i"),)
     assert validate(model, augmented) == []
 
 
@@ -501,7 +557,7 @@ def test_inhibition_checks_match_a_reference_over_any_targets(case):
             continue
         cycle = d.message.removeprefix("inhibition cycle among siblings: ").split(" -> ")
         assert cycle[0] == cycle[-1] and d.location == min(cycle)
-        assert all(target in model.node(source).inhibitions
+        assert all(target in _node(model, source).inhibitions
                    for source, target in zip(cycle, cycle[1:]))
         assert len({parent_of[name] for name in cycle}) == 1
         flagged.add(parent_of[d.location])

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import compile_fixture, run_fixture
+from conftest import compile_fixture, run_fixture, trace_text
 from portarb import (
     ACCEPT,
     NO_RULE,
@@ -23,7 +23,6 @@ from portarb import (
     RuleSet,
     Scenario,
     SelectionRule,
-    Sink,
     fixture,
     load_scenario,
     read_trace,
@@ -39,10 +38,8 @@ from portarb.simnet import PeriodicSource, TraceRecord
 def test_load_search_and_track_scenario():
     scenario = load_scenario(fixture("search-and-track").scenario)
     assert scenario.horizon_ms == 20000
-    assert len(scenario.components) == 7
-    assert len(scenario.sources()) == 5
-    assert {s.port for s in scenario.sinks()} == {"/Gaze/pos:i", "/Arm/pos:i"}
-    face = next(s for s in scenario.sources() if s.name == "Face Detector")
+    assert len(scenario.components) == 5
+    face = next(s for s in scenario.components if s.name == "Face Detector")
     assert face.period_ms == 100 and face.active == ((5000, 9000),)
 
 
@@ -64,7 +61,7 @@ def test_empty_component_list_runs_to_empty_trace(tmp_path):
     path = _scenario_file(tmp_path, {})
     scenario = load_scenario(path)
     _, _, ruleset, _ = compile_fixture("conflict-demo")
-    trace = run(scenario, ruleset)
+    trace = run(scenario, ruleset, network=scenario.network)
     assert trace.records == ()
 
 
@@ -91,6 +88,23 @@ def test_overlapping_intervals_rejected(tmp_path):
     ]})
     with pytest.raises(ParseError, match="disjoint"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"sink": "/Motor/cmd:i"}, "sink of 'C' must be an object"),
+    ({"sink": {"port": "/Ping/cmd:o"}}, "sink port '/Ping/cmd:o' of 'C' must be an input"),
+    ({"sink": {"port": "/ghost:i"}}, "sink port '/ghost:i' is not declared in the network"),
+    ({"source": ["/Ping/cmd:o"]}, "source of 'C' must be an object"),
+    ({"source": {"port": "/Motor/cmd:i", "period_ms": 100}},
+     "source port '/Motor/cmd:i' of 'C' must be an output"),
+    ({"source": {"port": "/ghost:o", "period_ms": 100}},
+     "source port '/ghost:o' is not declared in the network"),
+])
+def test_component_entry_checks(tmp_path, entry, message):
+    path = _scenario_file(tmp_path, {"components": [{"name": "C", **entry}]})
+    with pytest.raises(ParseError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_component_needs_exactly_one_role(tmp_path):
@@ -193,13 +207,10 @@ def periodic_sources(draw):
     periodic_sources(),
     st.integers(0, 200),
     st.none() | st.integers(0, 200),
-    st.booleans(),
 )
-def test_schedule_matches_the_wake_chain(sources, horizon, truncate, sinks_first):
-    sinks = [Sink(f"K{port}", port) for port in SCHEDULE_INPUTS]
-    components = sinks + sources if sinks_first else sources + sinks
-    scenario = Scenario(BehaviorModel(), SCHEDULE_NETWORK, horizon, tuple(components))
-    trace = run(scenario, SCHEDULE_RULES, horizon_ms=truncate)
+def test_schedule_matches_the_wake_chain(sources, horizon, truncate):
+    scenario = Scenario(BehaviorModel(), SCHEDULE_NETWORK, horizon, tuple(sources))
+    trace = run(scenario, SCHEDULE_RULES, network=scenario.network, horizon_ms=truncate)
 
     end = horizon if truncate is None else min(horizon, truncate)
     expected = [
@@ -208,10 +219,10 @@ def test_schedule_matches_the_wake_chain(sources, horizon, truncate, sinks_first
         for dst in sorted(c.destination for c in SCHEDULE_NETWORK.connections if c.source == port)
     ]
     assert [(r.t, r.src, r.dst) for r in trace.records] == expected
-    assert trace.deliveries == {
-        "/gate:i": tuple((t, src) for t, src, dst in expected if dst == "/gate:i"),
-        "/free:i": (),
-    }
+    # every arrival at /gate:i is accepted and none at /free:i
+    assert [(r.t, r.src, r.dst) for r in trace.records if r.outcome == ACCEPT] == [
+        e for e in expected if e[2] == "/gate:i"
+    ]
 
 
 def test_search_and_track_phase_facts():
@@ -238,7 +249,7 @@ def test_conservation():
     for conn in network.connections:
         fan_degree[conn.source] = fan_degree.get(conn.source, 0) + 1
     expected = 0
-    for source in scenario.sources():
+    for source in scenario.components:
         emissions = sum(
             1 for t in range(source.phase_ms, scenario.horizon_ms, source.period_ms)
             if _emits_at(source, t)
@@ -250,17 +261,10 @@ def test_conservation():
     assert accepted + discarded == len(trace.records)
 
 
-def test_causality_sinks_record_exactly_the_accepts():
-    trace = run_fixture("search-and-track")
-    for port, deliveries in trace.deliveries.items():
-        accepts = [(r.t, r.src) for r in trace.records if r.dst == port and r.outcome == ACCEPT]
-        assert list(deliveries) == accepts
-
-
 def test_determinism_byte_identical_runs():
     first = run_fixture("search-and-track")
     second = run_fixture("search-and-track")
-    assert [r.json_line() for r in first.records] == [r.json_line() for r in second.records]
+    assert trace_text(first) == trace_text(second)
 
 
 def test_empty_model_discards_everything_with_no_rule():
@@ -289,7 +293,7 @@ def test_write_and_read_trace_roundtrip(tmp_path):
     assert len(lines) == len(trace.records)
     assert '"outcome":"accept"' in lines[0]
     again = read_trace(path)
-    assert [r.json_line() for r in again] == [r.json_line() for r in trace.records]
+    assert trace_text(again) == path.read_text()
     assert all(type(r.assignment) is dict for r in again)
 
 
@@ -306,15 +310,14 @@ def test_read_trace_rejects_garbage(tmp_path):
 def test_trace_matches_expected_golden_files():
     for name in ("search-and-track", "no-rules", "be-curious", "conflict-demo"):
         trace = run_fixture(name)
-        got = "".join(r.json_line() + "\n" for r in trace.records)
-        assert got == fixture(name).expected_trace.read_text(), name
+        assert trace_text(trace) == fixture(name).expected_trace.read_text(), name
 
 
 def test_trace_record_field_order():
     record = TraceRecord(5, "/a:o", "/b:i", "accept", "SELECTED", "r", {"/a:o": True})
-    assert record.json_line() == (
+    assert trace_text([record]) == (
         '{"t":5,"src":"/a:o","dst":"/b:i","outcome":"accept","reason":"SELECTED",'
-        '"rule":"r","assignment":{"/a:o":true}}'
+        '"rule":"r","assignment":{"/a:o":true}}\n'
     )
 
 
@@ -332,7 +335,7 @@ def test_trace_record_is_a_named_tuple_with_the_dataclass_repr(tmp_path):
     assert (t, src) == (5, "/a:o")
     path = tmp_path / "trace.jsonl"
     write_trace([record], path)
-    assert path.read_text() == record.json_line() + "\n"
+    assert path.read_text() == _reference_line(record) + "\n"
     assert read_trace(path) == (record,)
 
 
@@ -373,9 +376,8 @@ def test_trace_lines_escape_like_json_dumps(tmp_path):
         PeriodicSource("q", quote, period_ms=70, active=((0, 800),)),
         PeriodicSource("b", slash, period_ms=110, phase_ms=5, active=((300, 600),)),
         PeriodicSource("c", cafe, period_ms=90, active=((0, 1000),)),
-        Sink("in", dest),
     ))
-    trace = run(scenario, ruleset)
+    trace = run(scenario, ruleset, network=scenario.network)
     assert {r.outcome for r in trace.records} == {"accept", "discard"}
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
@@ -385,7 +387,7 @@ def test_trace_lines_escape_like_json_dumps(tmp_path):
 
     by_hand = TraceRecord(7, cafe, dest, "discard", "CONSTRAINT_FALSE", 'say "é" \\',
                           {cafe: True, quote: False, slash: True})
-    assert by_hand.json_line() == _reference_line(by_hand)
+    assert trace_text([by_hand]) == _reference_line(by_hand) + "\n"
 
 
 # source names that sort apart and that JSON must escape
@@ -449,7 +451,6 @@ def snapshot_traces(draw):
 @given(snapshot_traces())
 def test_write_trace_matches_json_dumps_per_line(tmp_path_factory, records):
     expected = "".join(_reference_line(r) + "\n" for r in records)
-    assert "".join(r.json_line() + "\n" for r in records) == expected
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     for given_records in (records, (r for r in records)):
         write_trace(given_records, path)
@@ -584,7 +585,7 @@ def trace_lines(draw):
         "assignment": assignment,
     }
     if layout and draw(st.booleans()):
-        line = TraceRecord(**payload).json_line()
+        line = _reference_line(TraceRecord(**payload))
     elif layout:
         value = assignment if draw(st.booleans()) else draw(_trace_scalars)
         line = f'{{"t":{payload["t"]}' + "".join(
