@@ -55,6 +55,7 @@ from .simnet import (
     Scenario,
     Trace,
     TraceRecord,
+    iter_run,
     load_scenario,
     read_trace,
     run,

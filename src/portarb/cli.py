@@ -29,7 +29,7 @@ from .model import (
     read_text,
     render_condition,
 )
-from .simnet import read_trace, run, load_scenario, write_trace
+from .simnet import iter_run, load_scenario, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,22 +82,29 @@ def cmd_validate(args) -> int:
     return _status(diagnostics, args.strict)
 
 
-def _print_summary(trace) -> None:
-    per_port: dict[str, dict[str, int]] = {}
-    for _, _, dst, outcome, reason, _, _ in trace.records:
-        counts = per_port.setdefault(dst, {ACCEPT: 0, NO_RULE: 0, CONSTRAINT_FALSE: 0})
-        counts[ACCEPT if outcome == ACCEPT else reason] += 1
+def _counted(records, tally: dict[tuple[str, str], int]):
+    """Pass `records` on, counting each into `tally` under its destination
+    port and ACCEPT or its discard reason."""
+    for record in records:
+        _, _, dst, outcome, reason, _, _ = record
+        key = dst, ACCEPT if outcome == ACCEPT else reason
+        tally[key] = tally.get(key, 0) + 1
+        yield record
+
+
+def _print_summary(tally: dict[tuple[str, str], int]) -> None:
     accepted = 0
-    for port in sorted(per_port):
-        counts = per_port[port]
-        accepted += counts[ACCEPT]
-        discarded = counts[NO_RULE] + counts[CONSTRAINT_FALSE]
+    for port in sorted({port for port, _ in tally}):
+        accepts = tally.get((port, ACCEPT), 0)
+        no_rule = tally.get((port, NO_RULE), 0)
+        constraint_false = tally.get((port, CONSTRAINT_FALSE), 0)
+        accepted += accepts
         print(
-            f"{port}: {counts[ACCEPT]} accepted, {discarded} discarded "
-            f"(NO_RULE {counts[NO_RULE]}, CONSTRAINT_FALSE {counts[CONSTRAINT_FALSE]})"
+            f"{port}: {accepts} accepted, {no_rule + constraint_false} discarded "
+            f"(NO_RULE {no_rule}, CONSTRAINT_FALSE {constraint_false})"
         )
-    print(f"total: {accepted} accepted, {len(trace.records) - accepted} discarded, "
-          f"{len(trace.records)} records")
+    records = sum(tally.values())
+    print(f"total: {accepted} accepted, {records - accepted} discarded, {records} records")
 
 
 def cmd_simulate(args) -> int:
@@ -110,11 +117,15 @@ def cmd_simulate(args) -> int:
     _print_diagnostics(diagnostics)
     if ruleset is None:
         return EXIT_VALIDATION
-    trace = run(scenario, ruleset, network=network, horizon_ms=args.until)
+    # one pass over the records, none of them kept
+    tally: dict[tuple[str, str], int] = {}
+    records = _counted(iter_run(scenario, ruleset, network, args.until), tally)
     if args.trace:
-        write_trace(trace, args.trace)
-        print(f"wrote {len(trace.records)} records to {args.trace}", file=sys.stderr)
-    _print_summary(trace)
+        write_trace(records, args.trace)
+        print(f"wrote {sum(tally.values())} records to {args.trace}", file=sys.stderr)
+    else:
+        deque(records, maxlen=0)
+    _print_summary(tally)
     return _status(diagnostics, args.strict)
 
 
@@ -248,6 +259,17 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _until_ms(text: str) -> int:
+    """--until's type: an integer >= 0, as a scenario's horizon_ms."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portarb",
@@ -277,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_p = sub.add_parser("simulate", help="compile and run a scenario")
     simulate_p.add_argument("scenario", help="scenario JSON file")
     simulate_p.add_argument("--trace", help="write the JSON-lines trace here")
-    simulate_p.add_argument("--until", type=int, help="stop before this time (ms)")
+    simulate_p.add_argument("--until", type=_until_ms, help="stop before this time (ms)")
     simulate_p.add_argument("--strict", action="store_true")
     simulate_p.set_defaults(func=cmd_simulate)
 

@@ -3,17 +3,20 @@
 Scripted periodic sources emit over the network's connections, per-port
 arbiters decide each arrival, and every single fan-out becomes one trace
 record, the run's whole output. Time is a simulated integer-millisecond
-clock. Every source's emission instants are listed up front and sorted once
-by the key `(t, t - period if t != phase else -1, -phase, source index)`:
-at one instant, a source emitting at its phase (its first instant ever)
-goes first, in source order; then larger periods; among equal periods,
-larger phases; remaining ties in source order. That is the order in
-which one chain of per-period wake events per source reaches the instant.
-Identical inputs always produce byte-identical traces.
+clock. Emissions are ordered by the key `(t, t - period if t != phase else
+-1, -phase, source index)`: at one instant, a source emitting at its phase
+(its first instant ever) goes first, in source order; then larger periods;
+among equal periods, larger phases; remaining ties in source order. That is
+the order in which one chain of per-period wake events per source reaches
+the instant. Each source yields its keys in increasing order as the run
+reaches them, and the run merges these streams, so it holds one pending key
+per source and no record it has handed on: memory is set by the network,
+not by the horizon. Identical inputs always produce byte-identical traces.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
@@ -209,6 +212,8 @@ def load_scenario(path) -> Scenario:
     for key in ("model", "network"):
         if not isinstance(data[key], str):
             raise _schema_error(path, f"{key!r} must be a string")
+        if not data[key]:
+            raise _schema_error(path, f"{key!r} must not be empty")
     if not isinstance(data["components"], list):
         raise _schema_error(path, "'components' must be a list")
 
@@ -255,15 +260,26 @@ def load_scenario(path) -> Scenario:
     return Scenario(model, network, horizon_ms, tuple(components))
 
 
-def run(
+def _schedule_keys(
+    comp: PeriodicSource, at_phase: int, later: int, ranks: int, horizon: int
+) -> Iterator[int]:
+    """`t * ranks + rank` for each of `comp`'s emissions before `horizon`,
+    the rank being `at_phase` at its phase and `later` after it; strictly
+    increasing, since its instants are."""
+    phase = comp.phase_ms
+    for t in comp.instants(horizon):
+        yield t * ranks + (at_phase if t == phase else later)
+
+
+def iter_run(
     scenario: Scenario,
     ruleset: RuleSet,
     network: NetworkDescription,
     horizon_ms: int | None = None,
-) -> Trace:
+) -> Iterator[TraceRecord]:
     """Run the scenario's sources over `network`, the one the rule set was
     compiled for (the scenario's, perhaps with observer connections added),
-    and return the trace.
+    and yield the trace's records in order as they are decided.
 
     Emissions are processed in the schedule's order (see the module
     docstring). Each fans out to every connection leaving the source port in
@@ -298,21 +314,39 @@ def run(
         for src, entries in grouped.items()
     }
 
-    schedule = sorted(
-        (t, t - comp.period_ms if t != comp.phase_ms else -1, -comp.phase_ms, index, comp.port)
-        for index, comp in enumerate(scenario.components)
-        for t in comp.instants(horizon)
-    )
-
-    records: list[TraceRecord] = []
-    append = records.append
-    for t, _, _, _, port in schedule:
-        for arrive, verdict, slot, sources, slots, src, dst, rule in fanout.get(port, ()):
+    # A key is t * 2n + the emission's rank at t among the n sources, in
+    # the module docstring's order: below n, a source at its phase, by
+    # index; from n, the others by (-period, -phase, index), as t - period
+    # orders like -period at one t. Keys are unique, so merging the
+    # sources' increasing streams gives that order; one int compares
+    # faster in the merge's heap than the tuple it stands for.
+    components = scenario.components
+    n = len(components)
+    later = sorted(range(n), key=lambda i: (-components[i].period_ms, -components[i].phase_ms, i))
+    later_rank = {index: n + place for place, index in enumerate(later)}
+    rank_ports = [comp.port for comp in components] + [components[i].port for i in later]
+    ranks = 2 * n
+    schedule = heapq.merge(*(
+        _schedule_keys(comp, index, later_rank[index], ranks, horizon)
+        for index, comp in enumerate(components)
+    ))
+    for key in schedule:
+        t, rank = divmod(key, ranks)
+        for arrive, verdict, slot, sources, slots, src, dst, rule in fanout.get(rank_ports[rank], ()):
             mask = arrive(slot, t)
             outcome, reason = verdict(slot, mask)
-            append(TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask)))
+            yield TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask))
 
-    return Trace(records=tuple(records))
+
+def run(
+    scenario: Scenario,
+    ruleset: RuleSet,
+    network: NetworkDescription,
+    horizon_ms: int | None = None,
+) -> Trace:
+    """The whole trace of iter_run(scenario, ruleset, network, horizon_ms),
+    held in memory."""
+    return Trace(tuple(iter_run(scenario, ruleset, network, horizon_ms)))
 
 
 # The most characters of trace lines that write_trace hands to one write;

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from portarb import FIXTURE_NAMES, fixture, read_trace
 import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from portarb.model import MAX_NESTING_DEPTH
+
+from conftest import run_fixture, trace_text
 
 SAT = fixture("search-and-track")
 
@@ -125,6 +128,114 @@ def test_simulate_until_truncates(tmp_path):
     assert records and all(r.t < 5000 for r in records)
 
 
+def test_simulate_until_zero_runs_nothing(capsys):
+    assert run_cli("simulate", SAT.scenario, "--until", 0) == EXIT_OK
+    assert capsys.readouterr().out == "total: 0 accepted, 0 discarded, 0 records\n"
+
+
+def test_simulate_until_must_not_be_negative(capsys):
+    # was run as an empty horizon, exit 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", SAT.scenario, "--until", -5)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --until: must be >= 0, got -5\n")
+
+
+def _summary(records):
+    """simulate's stdout for `records`, counted without the CLI's code."""
+    ports = sorted({r.dst for r in records})
+    lines = []
+    for port in ports:
+        here = [r for r in records if r.dst == port]
+        accepted = sum(r.outcome == "accept" for r in here)
+        no_rule = sum(r.outcome != "accept" and r.reason == "NO_RULE" for r in here)
+        constraint_false = sum(r.outcome != "accept" and r.reason == "CONSTRAINT_FALSE" for r in here)
+        assert accepted + no_rule + constraint_false == len(here)
+        lines.append(f"{port}: {accepted} accepted, {len(here) - accepted} discarded "
+                     f"(NO_RULE {no_rule}, CONSTRAINT_FALSE {constraint_false})\n")
+    accepted = sum(r.outcome == "accept" for r in records)
+    lines.append(f"total: {accepted} accepted, {len(records) - accepted} discarded, "
+                 f"{len(records)} records\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("until", [None, 5000], ids=["whole", "until-5000"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_streamed_simulate_matches_the_in_memory_run(tmp_path, capsys, name, traced, until):
+    trace = run_fixture(name, horizon_ms=until)
+    argv = ["simulate", fixture(name).scenario]
+    if until is not None:
+        argv += ["--until", until]
+    trace_path = tmp_path / "trace.jsonl"
+    if traced:
+        argv += ["--trace", trace_path]
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == _summary(trace.records)
+    if traced:
+        assert trace_path.read_text(encoding="utf-8") == trace_text(trace)
+        assert captured.err.endswith(f"wrote {len(trace)} records to {trace_path}\n")
+    else:
+        assert not trace_path.exists() and "wrote" not in captured.err
+
+
+def test_internal_error_mid_run_keeps_the_whole_lines_written(tmp_path, monkeypatch, capsys):
+    iter_run = portarb.cli.iter_run
+
+    def failing(*args):
+        for count, record in enumerate(iter_run(*args)):
+            if count == 500:
+                raise RuntimeError("mid-run")
+            yield record
+
+    monkeypatch.setattr(portarb.cli, "iter_run", failing)
+    trace_path = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", SAT.scenario, "--trace", trace_path) == EXIT_INTERNAL
+    assert capsys.readouterr().err.endswith("error: internal: RuntimeError('mid-run')\n")
+    written = trace_path.read_text(encoding="utf-8")
+    # the 64 KiB blocks before the failure, each of whole lines
+    assert written and written.endswith("\n")
+    assert SAT.expected_trace.read_text().startswith(written)
+
+
+def _stretched_scenario(directory, times):
+    """search-and-track run `times` times over: the horizon scaled and each
+    source's active intervals repeated every 20,000 ms."""
+    for name in ("model.xml", "network.xml"):
+        (directory / name).write_text((SAT.model.parent / name).read_text())
+    scenario = json.loads(SAT.scenario.read_text())
+    span = scenario["horizon_ms"]
+    assert span == 20_000
+    scenario["horizon_ms"] = span * times
+    for entry in scenario["components"]:
+        if "source" in entry:
+            active = entry["source"]["active"]
+            entry["source"]["active"] = [[s + span * k, e + span * k]
+                                         for k in range(times) for s, e in active]
+    path = directory / f"scenario-{times}.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    out = tmp_path / "trace.jsonl"
+    short, long = (_stretched_scenario(tmp_path, times) for times in (1, 10))
+    assert run_cli("simulate", short, "--trace", out) == EXIT_OK  # warm-up
+    peaks = []
+    for path in (short, long):
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", path, "--trace", out) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert "total: 3150 accepted, 3250 discarded, 6400 records" in capsys.readouterr().out
+    # holding the 6,400 records of the long run took about 1.5 MB more
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_explain_object_discard(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     run_cli("simulate", SAT.scenario, "--trace", trace_path)
@@ -205,6 +316,19 @@ def test_scenario_file_reference_must_be_a_string(tmp_path, capsys, key, value):
     path.write_text(json.dumps(scenario))
     assert run_cli("simulate", path) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {path}: {key!r} must be a string\n"
+
+
+@pytest.mark.parametrize("key", ["model", "network"])
+def test_scenario_file_reference_must_not_be_empty(tmp_path, capsys, key):
+    # "" resolved to the scenario's own directory: "Is a directory" (exit 3)
+    for name in ("model.xml", "network.xml"):
+        (tmp_path / name).write_text((SAT.model.parent / name).read_text())
+    scenario = json.loads(SAT.scenario.read_text())
+    scenario[key] = ""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("simulate", path) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: {key!r} must not be empty\n"
 
 
 def _nested_model(parens=0, nots=0, metas=0):
