@@ -25,12 +25,13 @@ arbiters is linear in the connections and rule literals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
 from .bdd import BddManager
-from .model import Connection
+from .model import Connection, Value
+
+_set = object.__setattr__  # sets a Value's fields past its own __setattr__
 
 DEFAULT_WINDOW_MS = 1000
 
@@ -104,15 +105,15 @@ class Snapshot(Mapping[str, bool]):
         return f"Snapshot({dict(self)!r})"
 
 
-@dataclass(frozen=True)
-class Decision:
-    outcome: str
-    reason: str
-    assignment: Mapping[str, bool]
+class Decision(Value):
+    _fields = __slots__ = ("outcome", "reason", "assignment")
 
-    def __post_init__(self) -> None:
-        if (self.outcome == ACCEPT) != (self.reason == SELECTED):
+    def __init__(self, outcome: str, reason: str, assignment: Mapping[str, bool]) -> None:
+        if (outcome == ACCEPT) != (reason == SELECTED):
             raise ValueError("accept decisions must carry reason SELECTED")
+        _set(self, "outcome", outcome)
+        _set(self, "reason", reason)
+        _set(self, "assignment", assignment)
 
 
 class PortArbiter:

@@ -9,7 +9,6 @@ connection, merged per (port, candidate) and rendered deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .bdd import AND, BddManager
@@ -25,6 +24,7 @@ from .model import (
     Or,
     TRUE,
     WARNING,
+    Value,
     apply_auto_observe,
     condition_literals,
     has_errors,
@@ -33,23 +33,32 @@ from .model import (
     validate,
 )
 
+_set = object.__setattr__  # sets a Value's fields past its own __setattr__
 
-@dataclass(frozen=True)
-class SelectionRule:
+
+class SelectionRule(Value):
     """`candidate active and constraint => Select(candidate)` at `port`.
 
     The candidate's own positive literal is implicit and never stored in the
     constraint."""
 
-    port: str
-    candidate: str
-    constraint: BoolExpr
-    provenance: tuple[str, ...] = ()
+    _fields = __slots__ = ("port", "candidate", "constraint", "provenance")
+
+    def __init__(
+        self, port: str, candidate: str, constraint: BoolExpr, provenance: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "port", port)
+        _set(self, "candidate", candidate)
+        _set(self, "constraint", constraint)
+        _set(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[SelectionRule, ...] = ()
+class RuleSet(Value):
+    # no __slots__: the cached_property below keeps its value in __dict__
+    _fields = ("rules",)
+
+    def __init__(self, rules: tuple[SelectionRule, ...] = ()) -> None:
+        _set(self, "rules", rules)
 
     @cached_property
     def _by_port(self) -> dict[str, tuple[SelectionRule, ...]]:

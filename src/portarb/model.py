@@ -7,8 +7,8 @@ validation of a model against a network.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 from xml.etree import ElementTree
@@ -25,6 +25,57 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+_set = object.__setattr__  # sets a Value's fields past its own __setattr__
+
+
+def _no_values(obj) -> tuple:
+    return ()
+
+
+class Value:
+    """An immutable record of the fields named in `_fields`.
+
+    Instances are equal when they are of the same class and their fields
+    are equal, hash over their fields and print as `Name(field=value, ...)`.
+    Each subclass lists `_fields`, sets them in its own `__init__` through
+    `object.__setattr__`, and declares `__slots__ = _fields` unless a
+    `cached_property` needs an instance `__dict__`. Assigning or deleting
+    an attribute raises AttributeError; copy and pickle rebuild an instance
+    through its `__init__`, with the fields as positional arguments.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # what equality and the hash compare: the tuple of the field values,
+        # or the one value of a one-field class
+        fields = cls._fields
+        cls._values = staticmethod(operator.attrgetter(*fields) if fields else _no_values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 ERROR = "error"
@@ -53,20 +104,20 @@ def is_input(port: str) -> bool:
     return port.endswith(":i")
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """Directed data path from an output port to an input port."""
 
-    source: str
-    destination: str
+    _fields = __slots__ = ("source", "destination")
 
-    def __post_init__(self) -> None:
-        check_port(self.source)
-        check_port(self.destination)
-        if not is_output(self.source):
-            raise ParseError(f"connection source {self.source!r} must be an output port (:o)")
-        if not is_input(self.destination):
-            raise ParseError(f"connection destination {self.destination!r} must be an input port (:i)")
+    def __init__(self, source: str, destination: str) -> None:
+        check_port(source)
+        check_port(destination)
+        if not is_output(source):
+            raise ParseError(f"connection source {source!r} must be an output port (:o)")
+        if not is_input(destination):
+            raise ParseError(f"connection destination {destination!r} must be an input port (:i)")
+        _set(self, "source", source)
+        _set(self, "destination", destination)
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.destination}"
@@ -76,45 +127,51 @@ class Connection:
 # Boolean condition expressions
 
 
-class BoolExpr:
+class BoolExpr(Value):
     """Base class for condition expressions over output-port activation."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TrueExpr(BoolExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseExpr(BoolExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(BoolExpr):
-    port: str
+    _fields = __slots__ = ("port",)
 
-    def __post_init__(self) -> None:
-        check_port(self.port)
-        if not is_output(self.port):
+    def __init__(self, port: str) -> None:
+        check_port(port)
+        if not is_output(port):
             raise ParseError(
-                f"condition literal {self.port!r} must name an output port (:o)"
+                f"condition literal {port!r} must name an output port (:o)"
             )
+        _set(self, "port", port)
 
 
-@dataclass(frozen=True)
 class Not(BoolExpr):
-    child: BoolExpr
+    _fields = __slots__ = ("child",)
+
+    def __init__(self, child: BoolExpr) -> None:
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True)
 class And(BoolExpr):
-    children: tuple[BoolExpr, ...]
+    _fields = __slots__ = ("children",)
+
+    def __init__(self, children: tuple[BoolExpr, ...]) -> None:
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Or(BoolExpr):
-    children: tuple[BoolExpr, ...]
+    _fields = __slots__ = ("children",)
+
+    def __init__(self, children: tuple[BoolExpr, ...]) -> None:
+        _set(self, "children", children)
 
 
 TRUE = TrueExpr()
@@ -358,40 +415,63 @@ def evaluate_condition(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
 # Behavior tree
 
 
-@dataclass(frozen=True)
-class BehaviorNode:
+class BehaviorNode(Value):
     """A behavior (leaf, with configuration connections) or a meta-behavior
     (group, with child nodes). Conditions constrain activation; inhibitions
     name sibling nodes this node suppresses."""
 
-    name: str
-    kind: str
-    configuration: tuple[Connection, ...] = ()
-    children: tuple["BehaviorNode", ...] = ()
-    condition: BoolExpr = TRUE
-    inhibitions: tuple[str, ...] = ()
+    _fields = __slots__ = ("name", "kind", "configuration", "children", "condition", "inhibitions")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        configuration: tuple[Connection, ...] = (),
+        children: tuple[BehaviorNode, ...] = (),
+        condition: BoolExpr = TRUE,
+        inhibitions: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "configuration", configuration)
+        _set(self, "children", children)
+        _set(self, "condition", condition)
+        _set(self, "inhibitions", inhibitions)
 
     @property
     def is_meta(self) -> bool:
         return self.kind == META_BEHAVIOR
 
 
-@dataclass(frozen=True)
-class NodePlan:
-    """What compilation needs of one node, computed once per model."""
+class NodePlan(Value):
+    """What compilation needs of one node, computed once per model.
 
-    condition: BoolExpr  # own condition conjoined with every ancestor's, outermost first
-    # sources of the leaves under every node inhibiting this one or an ancestor,
-    # deduplicated: own inhibitors first, then each ancestor's going outward;
-    # within one scope, inhibitors and their leaves in document-walk order
-    inhibitor_sources: tuple[str, ...]
-    needed: tuple[str, ...]  # literals of both, in first-appearance order
+    `condition` is the node's own condition conjoined with every ancestor's,
+    outermost first. `inhibitor_sources` are the sources of the leaves under
+    every node inhibiting this one or an ancestor, deduplicated: own
+    inhibitors first, then each ancestor's going outward; within one scope,
+    inhibitors and their leaves in document-walk order. `needed` holds the
+    literals of both, in first-appearance order."""
+
+    _fields = __slots__ = ("condition", "inhibitor_sources", "needed")
+
+    def __init__(
+        self, condition: BoolExpr, inhibitor_sources: tuple[str, ...], needed: tuple[str, ...]
+    ) -> None:
+        _set(self, "condition", condition)
+        _set(self, "inhibitor_sources", inhibitor_sources)
+        _set(self, "needed", needed)
 
 
-@dataclass(frozen=True)
-class BehaviorModel:
-    roots: tuple[BehaviorNode, ...] = ()
-    defines: Mapping[str, str] = field(default_factory=dict)
+class BehaviorModel(Value):
+    # no __slots__: the cached_propertys below keep their values in __dict__
+    _fields = ("roots", "defines")
+
+    def __init__(
+        self, roots: tuple[BehaviorNode, ...] = (), defines: Mapping[str, str] | None = None
+    ) -> None:
+        _set(self, "roots", roots)
+        _set(self, "defines", {} if defines is None else defines)
 
     def walk(self) -> Iterator[BehaviorNode]:
         """All nodes, depth-first in document order."""
@@ -654,20 +734,28 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
 # Application (network) description
 
 
-@dataclass(frozen=True)
-class Component:
-    name: str
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
+class Component(Value):
+    _fields = __slots__ = ("name", "inputs", "outputs")
+
+    def __init__(self, name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
 
 
-@dataclass(frozen=True)
-class NetworkDescription:
-    components: tuple[Component, ...] = ()
-    connections: tuple[Connection, ...] = ()
-    windows: Mapping[str, int] = field(default_factory=dict)
+class NetworkDescription(Value):
+    # no __slots__: the cached_propertys below keep their values in __dict__
+    _fields = ("components", "connections", "windows")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        components: tuple[Component, ...] = (),
+        connections: tuple[Connection, ...] = (),
+        windows: Mapping[str, int] | None = None,
+    ) -> None:
+        _set(self, "components", components)
+        _set(self, "connections", connections)
+        _set(self, "windows", {} if windows is None else windows)
         declared: set[str] = set()
         for component in self.components:
             for port in component.inputs + component.outputs:
@@ -773,12 +861,14 @@ def parse_network(xml_text: str) -> NetworkDescription:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    code: str
-    message: str
-    location: str = ""
+class Diagnostic(Value):
+    _fields = __slots__ = ("severity", "code", "message", "location")
+
+    def __init__(self, severity: str, code: str, message: str, location: str = "") -> None:
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "location", location)
 
 
 def has_errors(diagnostics) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -29,6 +29,7 @@ from .model import (
     BehaviorModel,
     NetworkDescription,
     ParseError,
+    Value,
     check_port,
     is_input,
     is_output,
@@ -37,36 +38,59 @@ from .model import (
     read_text,
 )
 
+_set = object.__setattr__  # sets a Value's fields past its own __setattr__
 
-@dataclass(frozen=True)
-class PeriodicSource:
+
+class PeriodicSource(Value):
     """Emits on `port` at phase + k*period for every k whose instant falls
     inside one of the half-open active intervals."""
 
-    name: str
-    port: str
-    period_ms: int
-    phase_ms: int = 0
-    active: tuple[tuple[int, int], ...] = ()
+    _fields = __slots__ = ("name", "port", "period_ms", "phase_ms", "active")
 
-    def instants(self, horizon: int) -> Iterator[int]:
-        """The emission instants before `horizon`, interval by interval: in
-        each, phase + k*period from the first such instant at or after its
-        start."""
+    def __init__(
+        self,
+        name: str,
+        port: str,
+        period_ms: int,
+        phase_ms: int = 0,
+        active: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "port", port)
+        _set(self, "period_ms", period_ms)
+        _set(self, "phase_ms", phase_ms)
+        _set(self, "active", active)
+
+    def instant_ranges(self, horizon: int) -> Iterator[range]:
+        """The emission instants before `horizon` as one range per active
+        interval: phase + k*period from the first such instant at or after
+        the interval's start."""
         period, phase = self.period_ms, self.phase_ms
         for start, end in self.active:
             first = phase if phase >= start else start + (phase - start) % period
-            yield from range(first, min(end, horizon), period)
+            yield range(first, min(end, horizon), period)
+
+    def instants(self, horizon: int) -> Iterator[int]:
+        """The emission instants before `horizon`, in increasing order."""
+        return chain.from_iterable(self.instant_ranges(horizon))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """A loaded scenario file: `components` are its sources, in file order."""
 
-    model: BehaviorModel
-    network: NetworkDescription
-    horizon_ms: int
-    components: tuple[PeriodicSource, ...] = ()
+    _fields = __slots__ = ("model", "network", "horizon_ms", "components")
+
+    def __init__(
+        self,
+        model: BehaviorModel,
+        network: NetworkDescription,
+        horizon_ms: int,
+        components: tuple[PeriodicSource, ...] = (),
+    ) -> None:
+        _set(self, "model", model)
+        _set(self, "network", network)
+        _set(self, "horizon_ms", horizon_ms)
+        _set(self, "components", components)
 
 
 class TraceRecord(NamedTuple):
@@ -145,9 +169,11 @@ class _TraceFormatter:
         )
 
 
-@dataclass(frozen=True)
-class Trace:
-    records: tuple[TraceRecord, ...] = ()
+class Trace(Value):
+    _fields = __slots__ = ("records",)
+
+    def __init__(self, records: tuple[TraceRecord, ...] = ()) -> None:
+        _set(self, "records", records)
 
     def __iter__(self):
         return iter(self.records)
@@ -262,13 +288,20 @@ def load_scenario(path) -> Scenario:
 
 def _schedule_keys(
     comp: PeriodicSource, at_phase: int, later: int, ranks: int, horizon: int
-) -> Iterator[int]:
+) -> Iterator[Iterable[int]]:
     """`t * ranks + rank` for each of `comp`'s emissions before `horizon`,
-    the rank being `at_phase` at its phase and `later` after it; strictly
-    increasing, since its instants are."""
+    the rank being `at_phase` at its phase and `later` after it, as one
+    range per active interval (and the phase's key on its own); chained,
+    strictly increasing, since the instants are. As `later < ranks`, the
+    instants `range(first, stop, step)` have the keys `range(first * ranks +
+    later, stop * ranks, step * ranks)`."""
     phase = comp.phase_ms
-    for t in comp.instants(horizon):
-        yield t * ranks + (at_phase if t == phase else later)
+    for instants in comp.instant_ranges(horizon):
+        first, step = instants.start, instants.step
+        if first == phase and instants:
+            yield (phase * ranks + at_phase,)
+            first += step
+        yield range(first * ranks + later, instants.stop * ranks, step * ranks)
 
 
 def iter_run(
@@ -327,7 +360,7 @@ def iter_run(
     rank_ports = [comp.port for comp in components] + [components[i].port for i in later]
     ranks = 2 * n
     schedule = heapq.merge(*(
-        _schedule_keys(comp, index, later_rank[index], ranks, horizon)
+        chain.from_iterable(_schedule_keys(comp, index, later_rank[index], ranks, horizon))
         for index, comp in enumerate(components)
     ))
     for key in schedule:

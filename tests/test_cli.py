@@ -1,5 +1,6 @@
 """CLI exit codes and byte-stable outputs, driven through main()."""
 
+import ast
 import contextlib
 import io
 import json
@@ -413,18 +414,46 @@ def test_cli_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_import_leaves_the_network_stack_out():
-    # xml.sax.saxutils would pull in urllib.request and http.client
-    src = str(Path(portarb.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+PACKAGE_DIR = Path(portarb.cli.__file__).resolve().parent
+
+
+def _loaded_by_cli_import(names):
+    """Those of `names` in sys.modules of a fresh interpreter after `import portarb.cli`."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     child = subprocess.run(
         [sys.executable, "-c",
-         "import sys, portarb.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"],
+         f"import sys, portarb.cli; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    return child.stdout
+
+
+def test_import_leaves_the_network_stack_out():
+    # xml.sax.saxutils would pull in urllib.request and http.client
+    assert _loaded_by_cli_import({"urllib.request", "http.client"}) == "[]\n"
+
+
+def test_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast and dis, and each @dataclass execs
+    # the methods it generates: together most of the start-up of a run
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis"}) == "[]\n"
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 INPUT_KINDS = ("model", "network", "scenario", "trace")

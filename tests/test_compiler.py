@@ -3,7 +3,6 @@ and deterministic rendering."""
 
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,6 +18,8 @@ from conftest import (
 from portarb import (
     And,
     BddManager,
+    BehaviorModel,
+    BehaviorNode,
     Component,
     Connection,
     Lit,
@@ -288,8 +289,14 @@ def _renamed(expr, renaming):
 
 
 def _renamed_node(node, renaming):
-    return replace(node, condition=_renamed(node.condition, renaming),
-                   children=tuple(_renamed_node(c, renaming) for c in node.children))
+    return BehaviorNode(
+        node.name,
+        node.kind,
+        configuration=node.configuration,
+        children=tuple(_renamed_node(c, renaming) for c in node.children),
+        condition=_renamed(node.condition, renaming),
+        inhibitions=node.inhibitions,
+    )
 
 
 @st.composite
@@ -301,7 +308,7 @@ def models_naming_sources(draw):
     (port, candidate) pairs merge several leaves."""
     model = draw(behavior_models(max_leaves=300, max_metas=60))
     renaming = draw(st.dictionaries(st.sampled_from(EXPR_PORTS), st.sampled_from(MODEL_SOURCES)))
-    return replace(model, roots=tuple(_renamed_node(r, renaming) for r in model.roots))
+    return BehaviorModel(tuple(_renamed_node(r, renaming) for r in model.roots), model.defines)
 
 
 _SCREEN_PORTS = MODEL_SOURCES + EXPR_PORTS[:3]

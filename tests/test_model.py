@@ -1,5 +1,8 @@
 """Behavior and application XML parsing, serialization, validation."""
 
+import copy
+import inspect
+import pickle
 import tracemalloc
 
 import pytest
@@ -8,14 +11,25 @@ import hypothesis.strategies as st
 
 from conftest import behavior_models
 from portarb import (
+    ACCEPT,
+    NO_RULE,
+    SELECTED,
+    And,
     BehaviorModel,
     BehaviorNode,
     Connection,
+    Decision,
+    Diagnostic,
+    Lit,
     NetworkDescription,
+    Not,
+    Or,
     ParseError,
+    PeriodicSource,
     apply_auto_observe,
     check_port,
     fixture,
+    normalize,
     parse_behavior_model,
     parse_network,
     render_condition,
@@ -24,10 +38,13 @@ from portarb import (
 from portarb.model import (
     BEHAVIOR,
     ERROR,
+    FALSE,
     MAX_EXPANSION_CHARS,
     META_BEHAVIOR,
     TRUE,
     WARNING,
+    TrueExpr,
+    Value,
     is_input,
     is_output,
 )
@@ -562,3 +579,91 @@ def test_inhibition_checks_match_a_reference_over_any_targets(case):
         assert len({parent_of[name] for name in cycle}) == 1
         flagged.add(parent_of[d.location])
     assert flagged == cyclic
+
+
+# ---------------------------------------------------------------------------
+# Value, the immutable base of the model's records
+
+
+def _value_classes(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_value_fields_are_the_constructor_parameters_in_order():
+    for cls in _value_classes():
+        parameters = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert tuple(parameters) == cls._fields or cls.__init__ is object.__init__, cls
+
+
+def test_value_fields_cannot_be_assigned_or_deleted():
+    conn = Connection("/a:o", "/b:i")
+    with pytest.raises(AttributeError):
+        conn.source = "/c:o"
+    with pytest.raises(AttributeError):
+        del conn.destination
+    with pytest.raises(AttributeError):
+        conn.label = "new"
+    model = BehaviorModel()
+    with pytest.raises(AttributeError):
+        model.roots = ()
+    assert conn == Connection("/a:o", "/b:i") and model.roots == ()
+
+
+def test_value_equality_needs_the_same_class():
+    a, b = Lit("/a:o"), Lit("/b:o")
+    assert And((a, b)) != Or((a, b))
+    assert And((a, b)) == And((Lit("/a:o"), Lit("/b:o")))
+    assert TrueExpr() == TRUE and TRUE != FALSE
+    assert Lit("/a:o") != "/a:o" and Not(a) != a
+
+
+def test_equal_values_hash_equal_and_normalize_dedupes_them():
+    a, b = Lit("/a:o"), Lit("/b:o")
+    assert hash(Lit("/a:o")) == hash(a) and hash(Not(Lit("/a:o"))) == hash(Not(a))
+    assert hash(And((a, Not(b)))) == hash(And((Lit("/a:o"), Not(Lit("/b:o")))))
+    assert normalize(And((a, Not(b), Lit("/a:o"), Not(Lit("/b:o"))))) == And((a, Not(b)))
+    assert normalize(Or((And((a, b)), And((Lit("/a:o"), Lit("/b:o")))))) == And((a, b))
+    assert len({Connection("/a:o", "/b:i"), Connection("/a:o", "/b:i")}) == 1
+
+
+def test_value_reprs_keep_the_dataclass_text():
+    assert repr(Connection("/a:o", "/b:i")) == "Connection(source='/a:o', destination='/b:i')"
+    assert repr(Lit("/a:o")) == "Lit(port='/a:o')"
+    assert repr(Not(Lit("/a:o"))) == "Not(child=Lit(port='/a:o'))"
+    assert repr(TrueExpr()) == "TrueExpr()"
+    assert repr(Diagnostic(ERROR, "V2", "missing")) == (
+        "Diagnostic(severity='error', code='V2', message='missing', location='')"
+    )
+    assert repr(BehaviorModel()) == "BehaviorModel(roots=(), defines={})"
+
+
+def test_value_keyword_construction_with_defaults():
+    node = BehaviorNode(name="n", kind=BEHAVIOR)
+    assert (node.configuration, node.children, node.condition, node.inhibitions) == ((), (), TRUE, ())
+    source = PeriodicSource(name="S", port="/a:o", period_ms=10)
+    assert (source.phase_ms, source.active) == (0, ())
+    diagnostic = Diagnostic(severity=WARNING, code="V3", message="m")
+    assert diagnostic.location == "" and diagnostic == Diagnostic(WARNING, "V3", "m", "")
+
+
+def test_value_default_dicts_are_not_shared():
+    assert BehaviorModel().defines == {}
+    assert BehaviorModel().defines is not BehaviorModel().defines
+    assert NetworkDescription().windows == {}
+    assert NetworkDescription().windows is not NetworkDescription().windows
+
+
+def test_decision_checks_its_reason():
+    with pytest.raises(ValueError, match="SELECTED"):
+        Decision(ACCEPT, NO_RULE, {})
+    assert Decision(ACCEPT, SELECTED, {}).reason == SELECTED
+
+
+def test_values_copy_and_pickle():
+    node = BehaviorNode("n", BEHAVIOR, (Connection("/a:o", "/b:i"),), condition=Not(Lit("/c:o")))
+    network = parse_network(FIG2_NETWORK)
+    for value in (node, network, parse_behavior_model(FIG3_MODEL)):
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value

@@ -225,6 +225,22 @@ def test_schedule_matches_the_wake_chain(sources, horizon, truncate):
     ]
 
 
+def test_schedule_with_the_phase_in_a_later_interval_and_a_cut_interval():
+    # P's phase lies in its second interval, so its first interval is empty;
+    # the horizon ends its third interval between two periods
+    phased = PeriodicSource("P", SCHEDULE_OUTPUTS[0], period_ms=30, phase_ms=170,
+                            active=((0, 100), (150, 260), (300, 400)))
+    longer = PeriodicSource("Q", SCHEDULE_OUTPUTS[1], period_ms=50, phase_ms=20, active=((0, 400),))
+    assert list(phased.instants(330)) == [170, 200, 230, 320]
+    scenario = Scenario(BehaviorModel(), SCHEDULE_NETWORK, 330, (phased, longer))
+    emissions = [(r.t, r.src) for r in run(scenario, SCHEDULE_RULES, SCHEDULE_NETWORK) if r.dst == "/gate:i"]
+    assert emissions == _wake_chain_emissions((phased, longer), 330)
+    # both emit at 170 and at 320: P goes first at its phase, the longer
+    # period first after it
+    p, q = SCHEDULE_OUTPUTS[:2]
+    assert [e for e in emissions if e[0] in (170, 320)] == [(170, p), (170, q), (320, q), (320, p)]
+
+
 def test_search_and_track_phase_facts():
     trace = run_fixture("search-and-track")
     records = trace.records
