@@ -7,9 +7,11 @@ and regardless of its outcome, so a discarded stream still holds its
 connection active.
 
 A port gives each distinct incoming source an integer slot (sources sorted
-by name) and keeps one int bitmask of the active slots. An arrival sets its
-slot's bit and queues `(time, slot)`; the bits of queued arrivals that have
-left the window are cleared on the next arrival. The port's BDD variable
+by name) and keeps one int bitmask of the active slots. It also keeps each
+active slot's last arrival time, oldest first: an arrival moves its slot to
+the end, so the slots that have left the window are at the front, and the
+next arrival clears their bits and drops them. A port's state is therefore
+O(fan-in), whatever the window and the horizon. The port's BDD variable
 order begins with its sources, so a rule is decided by one walk over the
 mask. Together an arrival and its decision cost O(1) amortised plus the
 length of one BDD path, whatever the fan-in.
@@ -24,7 +26,7 @@ arbiters is linear in the connections and rule literals.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
@@ -138,7 +140,8 @@ class PortArbiter:
         self.activation = ActivationTable(window_ms)
         self._mask = 0
         self._mask_time: int | None = None
-        self._arrivals: deque[tuple[int, int]] = deque()
+        # slot -> last arrival of each slot whose bit is set, oldest first
+        self._pending: OrderedDict[int, int] = OrderedDict()
         # levels below len(sources) are the slots; any later variable names
         # a port with no connection here, which never arrives and reads false
         self.manager = BddManager(self.sources)
@@ -165,18 +168,22 @@ class PortArbiter:
     def _arrive(self, slot: int, t: int) -> int:
         """record_arrival for a slot; returns the activation mask at `t`.
         simnet.run calls it directly with slots resolved once by `_slot`."""
-        table = self.activation
-        cutoff = table.record(slot, t)
-        arrivals = self._arrivals
+        cutoff = self.activation.record(slot, t)
+        pending = self._pending
         mask = self._mask
-        while arrivals and arrivals[0][0] <= cutoff:
-            last, expired = arrivals.popleft()
-            if table.last_arrival[expired] == last:
-                mask &= ~(1 << expired)
+        # arrivals at a port never go back in time (record checks), so the
+        # front slots are the ones that leave the window first
+        while pending:
+            oldest = next(iter(pending))
+            if pending[oldest] > cutoff:
+                break
+            del pending[oldest]
+            mask &= ~(1 << oldest)
+        pending[slot] = t
+        pending.move_to_end(slot)
         mask |= 1 << slot
         self._mask = mask
         self._mask_time = t
-        arrivals.append((t, slot))
         return mask
 
     def _mask_at(self, t: int) -> int:

@@ -117,16 +117,20 @@ def cmd_simulate(args) -> int:
     _print_diagnostics(diagnostics)
     if ruleset is None:
         return EXIT_VALIDATION
+    # the exit status is the diagnostics' alone, so they go before the run
+    status = _status(diagnostics, args.strict)
+    del diagnostics
     # one pass over the records, none of them kept
     tally: dict[tuple[str, str], int] = {}
     records = _counted(iter_run(scenario, ruleset, network, args.until), tally)
+    del scenario, ruleset, network  # iter_run drops them once its arbiters are built
     if args.trace:
         write_trace(records, args.trace)
         print(f"wrote {sum(tally.values())} records to {args.trace}", file=sys.stderr)
     else:
         deque(records, maxlen=0)
     _print_summary(tally)
-    return _status(diagnostics, args.strict)
+    return status
 
 
 class _TraceIndex:

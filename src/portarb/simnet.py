@@ -109,7 +109,8 @@ class TraceRecord(NamedTuple):
 class _TraceFormatter:
     """Renders records as `json.dumps(payload, separators=(",", ":"))` of
     the fields in fixed order with the assignment's keys sorted, byte for
-    byte. Each string field is encoded once. A snapshot's assignment text is
+    byte. Each string field is encoded once, and each source's two slot
+    texts are made once for all ports. A snapshot's assignment text is
     kept per port, with the port's slot texts: a record with the mask of the
     port's previous record reuses its text, any other rewrites only the
     slots whose bits changed and joins them once. The state grows with the
@@ -118,6 +119,7 @@ class _TraceFormatter:
 
     def __init__(self) -> None:
         self._strings: dict[str, str] = {}
+        self._pairs: dict[str, tuple[str, str]] = {}
         # id(sources) -> [sources, all-slots mask, "name":false/"name":true
         # texts, current slot texts, last mask, its text]; holding the tuple
         # keeps its id from being reused while the formatter lives
@@ -131,6 +133,15 @@ class _TraceFormatter:
             return out
         return json.dumps(value, separators=(",", ":"))
 
+    def _slot_texts(self, source: str) -> tuple[str, str]:
+        """`"source":false` and `"source":true`, made once per source and
+        shared by every port it reaches."""
+        pair = self._pairs.get(source)
+        if pair is None:
+            name = self._text(source)
+            pair = self._pairs[source] = (f"{name}:false", f"{name}:true")
+        return pair
+
     def _assignment(self, assignment: Mapping[str, bool]) -> str:
         if type(assignment) is not Snapshot:
             return json.dumps({k: assignment[k] for k in sorted(assignment)}, separators=(",", ":"))
@@ -139,7 +150,7 @@ class _TraceFormatter:
             # a snapshot lists its sources sorted, so slot order is key order;
             # the port starts with every slot false
             sources = assignment.sources
-            names = tuple((f"{self._text(s)}:false", f"{self._text(s)}:true") for s in sources)
+            names = tuple(self._slot_texts(s) for s in sources)
             slots = [false for false, _ in names]
             port = self._ports[id(sources)] = [
                 sources, (1 << len(sources)) - 1, names, slots, 0, "{" + ",".join(slots) + "}"
@@ -333,17 +344,17 @@ def iter_run(
             window_ms=network.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
-    # per source port, by destination: the connection's arbiter steps, its
-    # slot there and the record's fixed fields
+    # per source port, by destination: the connection's arbiter, its slot
+    # there and the record's fixed fields
     grouped: dict[str, list] = {}
     for conn in network.connections:
         arb = arbiters[conn.destination]
         grouped.setdefault(conn.source, []).append((
-            arb._arrive, arb._verdict, arb._slot(conn), arb.sources, arb._slots,
+            arb, arb._slot(conn), arb.sources, arb._slots,
             conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
         ))
     fanout = {
-        src: tuple(sorted(entries, key=lambda e: e[6]))
+        src: tuple(sorted(entries, key=lambda e: e[5]))
         for src, entries in grouped.items()
     }
 
@@ -363,11 +374,13 @@ def iter_run(
         chain.from_iterable(_schedule_keys(comp, index, later_rank[index], ranks, horizon))
         for index, comp in enumerate(components)
     ))
+    # the compile's state: the run needs only the arbiters and the schedule
+    del scenario, ruleset, network
     for key in schedule:
         t, rank = divmod(key, ranks)
-        for arrive, verdict, slot, sources, slots, src, dst, rule in fanout.get(rank_ports[rank], ()):
-            mask = arrive(slot, t)
-            outcome, reason = verdict(slot, mask)
+        for arb, slot, sources, slots, src, dst, rule in fanout.get(rank_ports[rank], ()):
+            mask = arb._arrive(slot, t)
+            outcome, reason = arb._verdict(slot, mask)
             yield TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask))
 
 

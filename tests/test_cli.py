@@ -113,6 +113,18 @@ def test_simulate_search_and_track(tmp_path, capsys):
                 if r.dst == "/Arm/pos:i" and 14000 <= r.t < 16000 and r.outcome == "accept"]
 
 
+def test_simulate_strict_exits_1_after_the_whole_run(tmp_path, capsys):
+    # auto-observe's additions are V3 warnings, so --strict fails the run,
+    # yet the trace and the summary are those of a plain run
+    trace_path = tmp_path / "trace.jsonl"
+    status = run_cli("simulate", SAT.scenario, "--trace", trace_path, "--strict")
+    captured = capsys.readouterr()
+    assert status == EXIT_VALIDATION
+    assert "warning: [V3]" in captured.err
+    assert trace_path.read_bytes() == SAT.expected_trace.read_bytes()
+    assert "total: 315 accepted, 325 discarded, 640 records" in captured.out
+
+
 def test_simulate_no_rules(capsys):
     fx = fixture("no-rules")
     status = run_cli("simulate", fx.scenario)
@@ -234,6 +246,26 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
             tracemalloc.stop()
     assert "total: 3150 accepted, 3250 discarded, 6400 records" in capsys.readouterr().out
     # holding the 6,400 records of the long run took about 1.5 MB more
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_simulate_memory_does_not_grow_with_the_window(tmp_path, capsys):
+    # a window longer than the horizon on every connection: no arrival ever
+    # leaves it, so a port that kept one entry per arrival would hold them all
+    out = tmp_path / "trace.jsonl"
+    short, long = (_stretched_scenario(tmp_path, times) for times in (1, 10))
+    network = tmp_path / "network.xml"
+    network.write_text(network.read_text().replace("/>", ' window="1000000000"/>'))
+    assert run_cli("simulate", short, "--trace", out) == EXIT_OK  # warm-up
+    peaks = []
+    for path in (short, long):
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", path, "--trace", out) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert "6400 records" in capsys.readouterr().out
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

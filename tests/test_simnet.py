@@ -181,7 +181,10 @@ def periodic_sources(draw):
     [0, 220]. Periods come from a small pool and phases from a few residues,
     so same-instant emissions with equal periods and congruent but unequal
     phases are common; sources mostly have ports of their own, since the
-    order of two emissions from one port does not show in the trace."""
+    order of two emissions from one port does not show in the trace. Often
+    a source's phase is one of the first two emission instants of an earlier
+    source with a longer period, in intervals they share: there the phase
+    rank, not the period, orders the two."""
     periods = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
     residues = draw(st.lists(st.integers(0, 59), min_size=1, max_size=2))
     sources = []
@@ -191,13 +194,20 @@ def periodic_sources(draw):
         phase = residue + period * draw(st.integers(0, (80 - residue) // period))
         bounds = sorted(draw(st.lists(st.integers(0, 220), unique=True, max_size=6)))
         bounds = bounds[:len(bounds) // 2 * 2]
+        active = tuple(zip(bounds[::2], bounds[1::2]))
+        longer = [s for s in sources if s.period_ms > period]
+        if longer and draw(st.booleans()):
+            other = draw(st.sampled_from(longer))
+            shared = list(other.instants(200))[:2]  # early, so inside most horizons
+            if shared:
+                phase, active = draw(st.sampled_from(shared)), other.active
         port = index if draw(st.booleans()) else draw(st.integers(0, index))
         sources.append(PeriodicSource(
             f"S{index}",
             SCHEDULE_OUTPUTS[port],
             period_ms=period,
             phase_ms=phase,
-            active=tuple(zip(bounds[::2], bounds[1::2])),
+            active=active,
         ))
     return sources
 
