@@ -7,14 +7,16 @@ and regardless of its outcome, so a discarded stream still holds its
 connection active.
 
 A port gives each distinct incoming source an integer slot (sources sorted
-by name) and keeps one int bitmask of the active slots. It also keeps each
-active slot's last arrival time, oldest first: an arrival moves its slot to
-the end, so the slots that have left the window are at the front, and the
-next arrival clears their bits and drops them. A port's state is therefore
-O(fan-in), whatever the window and the horizon. The port's BDD variable
-order begins with its sources, so a rule is decided by one walk over the
-mask. Together an arrival and its decision cost O(1) amortised plus the
-length of one BDD path, whatever the fan-in.
+by name) and keeps one int bitmask of the active slots. Its only arrival
+state is its `ActivationTable`'s map of slot -> last arrival, oldest first,
+which holds exactly the slots whose bits are set: an arrival moves its slot
+to the end and drops the front slots that have left the window, clearing
+their bits. So a port's state is O(fan-in), whatever the window and the
+horizon. The port's BDD variable order begins with its sources, so a rule is
+decided by one walk over the mask, and an arrival plus its decision cost
+O(1) amortised plus one BDD path, whatever the fan-in. The simulator steps a
+port with `slot(connection)`, then per arrival `arrive(slot, t)`, which
+gives the mask, and `verdict(slot, mask)`.
 
 Building a port's arbiter costs one BDD level per source and, per rule of
 the port, the rule's BDD and its rendered text. A rule that is a cube of
@@ -50,14 +52,15 @@ _CONSTRAINT_FALSE = (DISCARD, CONSTRAINT_FALSE)
 
 
 class ActivationTable:
-    """Last-arrival timestamps per key (a connection, or a port's slot) plus
-    the activation window."""
+    """The activation window and `last_arrival`, each key's (a connection's
+    or a port's slot's) last arrival, oldest first: arrivals never go back in
+    time, so the keys that leave the window first are at the front."""
 
     def __init__(self, window_ms: int = DEFAULT_WINDOW_MS):
         if window_ms <= 0:
             raise ValueError(f"window must be positive, got {window_ms}")
         self.window_ms = window_ms
-        self.last_arrival: dict[Hashable, int] = {}
+        self.last_arrival: OrderedDict[Hashable, int] = OrderedDict()
         self._latest: int | None = None
 
     def record(self, key: Hashable, t: int) -> int:
@@ -66,7 +69,9 @@ class ActivationTable:
         if self._latest is not None and t < self._latest:
             raise ValueError(f"time regression: arrival at {t} after {self._latest}")
         self._latest = t
-        self.last_arrival[key] = t
+        last_arrival = self.last_arrival
+        last_arrival[key] = t
+        last_arrival.move_to_end(key)
         return t - self.window_ms
 
     def active(self, key: Hashable, t: int) -> bool:
@@ -136,86 +141,80 @@ class PortArbiter:
             if conn.destination != port:
                 raise ValueError(f"connection {conn} does not end at {port}")
         self.sources = tuple(sorted({conn.source for conn in self.incoming}))
-        self._slots = {source: slot for slot, source in enumerate(self.sources)}
+        self.slots = {source: slot for slot, source in enumerate(self.sources)}
+        # the slots whose bits are set are the keys of activation.last_arrival
         self.activation = ActivationTable(window_ms)
         self._mask = 0
-        self._mask_time: int | None = None
-        # slot -> last arrival of each slot whose bit is set, oldest first
-        self._pending: OrderedDict[int, int] = OrderedDict()
         # levels below len(sources) are the slots; any later variable names
         # a port with no connection here, which never arrives and reads false
         self.manager = BddManager(self.sources)
         self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
         for rule in ruleset.for_port(port):
-            slot = self._slots.get(rule.candidate)
+            slot = self.slots.get(rule.candidate)
             if slot is None:
                 raise ValueError(
                     f"rule candidate {rule.candidate} has no incoming connection at {port}"
                 )
             self._rules[slot] = (self.manager.build(rule.constraint), compiler.rule_text(rule))
 
-    def _slot(self, connection: Connection) -> int:
-        slot = self._slots.get(connection.source)
+    def slot(self, connection: Connection) -> int:
+        """The slot of `connection`'s source, for `arrive` and `verdict`."""
+        slot = self.slots.get(connection.source)
         if slot is None or connection.destination != self.port:
             raise ValueError(f"unknown connection {connection} at {self.port}")
         return slot
 
-    def record_arrival(self, connection: Connection, t: int) -> None:
-        """Mark an arrival; called before decide() for the same message and
-        performed whether or not the message is later accepted."""
-        self._arrive(self._slot(connection), t)
-
-    def _arrive(self, slot: int, t: int) -> int:
-        """record_arrival for a slot; returns the activation mask at `t`.
-        simnet.run calls it directly with slots resolved once by `_slot`."""
-        cutoff = self.activation.record(slot, t)
-        pending = self._pending
+    def arrive(self, slot: int, t: int) -> int:
+        """Record an arrival from `slot` at `t`, before its verdict and
+        whatever that is; returns the activation mask at `t`."""
+        table = self.activation
+        cutoff = table.record(slot, t)
+        last_arrival = table.last_arrival
         mask = self._mask
-        # arrivals at a port never go back in time (record checks), so the
-        # front slots are the ones that leave the window first
-        while pending:
-            oldest = next(iter(pending))
-            if pending[oldest] > cutoff:
+        # the arriving slot, now last, counts at `t` and ends the loop
+        while True:
+            oldest = next(iter(last_arrival))
+            if last_arrival[oldest] > cutoff:
                 break
-            del pending[oldest]
+            del last_arrival[oldest]
             mask &= ~(1 << oldest)
-        pending[slot] = t
-        pending.move_to_end(slot)
         mask |= 1 << slot
         self._mask = mask
-        self._mask_time = t
         return mask
 
-    def _mask_at(self, t: int) -> int:
-        if t == self._mask_time:
-            return self._mask
-        table = self.activation
-        mask = 0
-        for slot in table.last_arrival:
-            if table.active(slot, t):
-                mask |= 1 << slot
-        return mask
-
-    def activation_snapshot(self, t: int) -> Snapshot:
-        """One boolean per distinct incoming source port; a port sharing
-        several connections counts active if any of them is."""
-        return Snapshot(self.sources, self._slots, self._mask_at(t))
-
-    def rule_text_for(self, source: str) -> str | None:
-        slot = self._slots.get(source)
-        entry = self._rules[slot] if slot is not None else None
-        return entry[1] if entry is not None else None
-
-    def decide(self, connection: Connection, t: int) -> Decision:
-        """Accept or discard the message that just arrived on `connection`."""
-        mask = self._mask_at(t)
-        outcome, reason = self._verdict(self._slot(connection), mask)
-        return Decision(outcome, reason, Snapshot(self.sources, self._slots, mask))
-
-    def _verdict(self, slot: int, mask: int) -> tuple[str, str]:
-        """(outcome, reason) for a message from `slot` under the activation
-        `mask`; simnet.run calls it directly, as with `_arrive`."""
+    def verdict(self, slot: int, mask: int) -> tuple[str, str]:
+        """(outcome, reason) for a message from `slot` under `mask`."""
         entry = self._rules[slot]
         if entry is None:
             return _NO_RULE
         return _SELECTED if self.manager.evaluate_mask(entry[0], mask) else _CONSTRAINT_FALSE
+
+    def rule_text_for(self, source: str) -> str | None:
+        slot = self.slots.get(source)
+        entry = self._rules[slot] if slot is not None else None
+        return entry[1] if entry is not None else None
+
+    # the same steps by connection and time, for the benchmark and the tests
+
+    def record_arrival(self, connection: Connection, t: int) -> None:
+        self.arrive(self.slot(connection), t)
+
+    def activation_snapshot(self, t: int) -> Snapshot:
+        """One boolean per distinct incoming source port at `t`, which may not
+        precede the latest arrival: the kept mask less the front slots expired
+        by `t`. A port sharing several connections counts active if any is."""
+        table = self.activation
+        if table._latest is not None and t < table._latest:
+            raise ValueError(f"time regression: probe at {t} after {table._latest}")
+        cutoff = t - table.window_ms
+        mask = self._mask
+        for slot, last in table.last_arrival.items():
+            if last > cutoff:
+                break
+            mask &= ~(1 << slot)
+        return Snapshot(self.sources, self.slots, mask)
+
+    def decide(self, connection: Connection, t: int) -> Decision:
+        """Accept or discard the message that just arrived on `connection`."""
+        snapshot = self.activation_snapshot(t)
+        return Decision(*self.verdict(self.slot(connection), snapshot.mask), snapshot)

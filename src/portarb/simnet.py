@@ -70,10 +70,6 @@ class PeriodicSource(Value):
             first = phase if phase >= start else start + (phase - start) % period
             yield range(first, min(end, horizon), period)
 
-    def instants(self, horizon: int) -> Iterator[int]:
-        """The emission instants before `horizon`, in increasing order."""
-        return chain.from_iterable(self.instant_ranges(horizon))
-
 
 class Scenario(Value):
     """A loaded scenario file: `components` are its sources, in file order."""
@@ -197,6 +193,15 @@ def _schema_error(path, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")
 
 
+def _load_json(where, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _schema_error(where, f"not valid JSON: {exc}") from None
+    except RecursionError:  # nested deeper than Python's recursion limit
+        raise _schema_error(where, "JSON nested too deeply") from None
+
+
 def _require_int(path, obj, key: str, minimum: int | None = None) -> int:
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -236,10 +241,7 @@ def load_scenario(path) -> Scenario:
     resolve relative to the scenario file.
     """
     path = Path(path)
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise _schema_error(path, f"not valid JSON: {exc}") from None
+    data = _load_json(path, read_text(path))
     if not isinstance(data, dict):
         raise _schema_error(path, "top level must be a JSON object")
     for key in ("model", "network", "horizon_ms", "components"):
@@ -350,7 +352,7 @@ def iter_run(
     for conn in network.connections:
         arb = arbiters[conn.destination]
         grouped.setdefault(conn.source, []).append((
-            arb, arb._slot(conn), arb.sources, arb._slots,
+            arb, arb.slot(conn), arb.sources, arb.slots,
             conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
         ))
     fanout = {
@@ -379,8 +381,8 @@ def iter_run(
     for key in schedule:
         t, rank = divmod(key, ranks)
         for arb, slot, sources, slots, src, dst, rule in fanout.get(rank_ports[rank], ()):
-            mask = arb._arrive(slot, t)
-            outcome, reason = arb._verdict(slot, mask)
+            mask = arb.arrive(slot, t)
+            outcome, reason = arb.verdict(slot, mask)
             yield TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask))
 
 
@@ -472,10 +474,7 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
                 continue
         if not line.strip():
             continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        payload = _load_json(f"{path}:{lineno}", line)
         if not isinstance(payload, dict) or set(payload) != set(_TRACE_FIELDS):
             raise ParseError(f"{path}:{lineno}: expected fields {', '.join(_TRACE_FIELDS)}")
         _require_int(f"{path}:{lineno}", payload, "t")

@@ -8,6 +8,8 @@ from conftest import compile_fixture, run_fixture
 from portarb import (
     ACCEPT,
     CONSTRAINT_FALSE,
+    DEFAULT_WINDOW_MS,
+    FIXTURE_NAMES,
     And,
     Connection,
     DISCARD,
@@ -21,8 +23,16 @@ from portarb import (
     RuleSet,
     SelectionRule,
     ActivationTable,
+    compile_model,
     evaluate_condition,
+    fixture,
+    load_scenario,
+    parse_behavior_model,
+    parse_network,
+    read_trace,
+    run,
 )
+from portarb.arbiter import Snapshot
 from portarb.model import FALSE, TRUE
 
 ARM = "/Arm/pos:i"
@@ -104,6 +114,53 @@ def test_arbiter_from_ruleset_replays_fixture_traces():
         missing = tuple(c for c in network.incoming(port) if c.source != groups[port][0].candidate)
         with pytest.raises(ValueError, match="no incoming connection"):
             PortArbiter(port, missing, ruleset)
+
+
+@pytest.mark.parametrize("long_window", (False, True))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_stepping_api_replays_fixture_runs(name, long_window):
+    # slot, arrive and verdict, the steps the simulator takes, give every
+    # record of the golden trace (or, with a window longer than the run on
+    # every connection, of the simulated one); afterwards each port's
+    # arrival map holds exactly the slots whose bits are set
+    fx = fixture(name)
+    text = fx.network.read_text()
+    if long_window:
+        text = text.replace("/>", ' window="1000000000"/>')
+    model = parse_behavior_model(fx.model.read_text())
+    _, ruleset, network = compile_model(model, parse_network(text), True)
+    if long_window:
+        trace = run(load_scenario(fx.scenario), ruleset, network).records
+    else:
+        trace = read_trace(fx.expected_trace)
+    arbiters = {
+        port: PortArbiter(port, network.incoming(port), ruleset,
+                          network.windows.get(port, DEFAULT_WINDOW_MS))
+        for port in {conn.destination for conn in network.connections}
+    }
+    masks = dict.fromkeys(arbiters, 0)
+    for record in trace:
+        arb = arbiters[record.dst]
+        slot = arb.slot(Connection(record.src, record.dst))
+        mask = masks[record.dst] = arb.arrive(slot, record.t)
+        assert arb.verdict(slot, mask) == (record.outcome, record.reason), (name, record)
+        assert Snapshot(arb.sources, arb.slots, mask) == record.assignment, (name, record)
+    for port, arb in arbiters.items():
+        assert len(arb.activation.last_arrival) == bin(masks[port]).count("1"), port
+        if long_window:
+            # no arrival leaves a window longer than the run
+            arrived = {record.src for record in trace if record.dst == port}
+            assert masks[port] == sum(1 << arb.slots[source] for source in arrived), port
+
+
+def test_probe_before_latest_arrival_rejected():
+    arb = arm_arbiter()
+    arb.record_arrival(OBJ, 100)
+    with pytest.raises(ValueError, match="regression"):
+        arb.activation_snapshot(99)
+    with pytest.raises(ValueError, match="regression"):
+        arb.decide(OBJ, 99)
+    assert arb.decide(OBJ, 100).assignment["/Object/pos:o"] is True
 
 
 def test_collision_message_is_no_rule_discard():
@@ -267,9 +324,8 @@ def test_arbiter_matches_brute_force(case):
     rule_of = {rule.candidate: rule for rule in rules}
 
     def scan(prefix, probe):
-        # an arrival counts until it is `window` ms old; one later than the
-        # probe counts too, because a port keeps only each source's latest
-        return {s: any(probe - t < window for src, t in prefix if src == s) for s in sources}
+        # an arrival counts until it is `window` ms old
+        return {s: any(0 <= probe - t < window for src, t in prefix if src == s) for s in sources}
 
     for i, (source, t) in enumerate(arrivals):
         arb.record_arrival(conns[source], t)
@@ -286,5 +342,10 @@ def test_arbiter_matches_brute_force(case):
         assert decision.assignment == expected
         assert sorted(decision.assignment.items()) == sorted(expected.items())
     first, last = arrivals[0][1], arrivals[-1][1]
-    for probe in (first - 1, last - 1, last, last + window - 1, last + window, last + window + 1):
+    for probe in (first - 1, last - 1):
+        # a probe may not precede the port's latest arrival
+        with pytest.raises(ValueError, match="regression"):
+            arb.activation_snapshot(probe)
+    for probe in (last, last + window - 1, last + window, last + window + 1):
         assert arb.activation_snapshot(probe) == scan(arrivals, probe)
+    assert len(arb.activation.last_arrival) == bin(arb.activation_snapshot(last).mask).count("1")

@@ -389,6 +389,31 @@ def test_nesting_past_the_cap_is_a_parse_error(tmp_path, capsys, shape):
     assert run_cli("compile", path, SAT.network) == EXIT_OK
 
 
+# JSON nested deeper than Python's recursion limit
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_scenario_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    # json.loads raised RecursionError, an internal error (exit 4)
+    for name in ("model.xml", "network.xml"):
+        (tmp_path / name).write_text((SAT.model.parent / name).read_text())
+    path = tmp_path / "scenario.json"
+    path.write_text('{"x":' + _DEEP_JSON + "," + SAT.scenario.read_text().lstrip()[1:])
+    assert run_cli("simulate", path) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_trace_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    # as for a scenario: exit 4 from a RecursionError in json.loads
+    lines = SAT.expected_trace.read_text().splitlines(keepends=True)
+    head = lines[2][:lines[2].index('"assignment":') + len('"assignment":')]
+    lines[2] = head + _DEEP_JSON + "}\n"
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines))
+    assert run_cli("explain", path) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}:3: JSON nested too deeply\n"
+
+
 def _sibling_chain(n, closed):
     """`n` sibling behaviors, each inhibiting the next; the last inhibits
     the first when `closed`."""
@@ -486,6 +511,39 @@ def test_no_module_of_the_package_imports_dataclasses():
             if any(name.partition(".")[0] == "dataclasses" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def _defined_names(tree):
+    """The names a module binds: its functions, classes, arguments, and
+    the variables and attributes it assigns."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_of_the_package_reads_another_modules_private_attribute():
+    # a name with one leading underscore is private to the module that
+    # defines it; another module uses the public name instead
+    reads = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _defined_names(tree)
+        reads += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and node.attr not in own
+        ]
+    assert reads == []
 
 
 INPUT_KINDS = ("model", "network", "scenario", "trace")

@@ -132,13 +132,18 @@ def _emits_at(source, t):
     return any(start <= t < end for start, end in source.active)
 
 
+def _instants(source, horizon):
+    """The source's emission instants before `horizon`, in increasing order."""
+    return list(itertools.chain.from_iterable(source.instant_ranges(horizon)))
+
+
 def test_source_emission_schedule():
     source = PeriodicSource("S", "/a:o", period_ms=100, active=((200, 400),))
     assert [t for t in range(0, 600, 100) if _emits_at(source, t)] == [200, 300]
-    assert list(source.instants(600)) == [200, 300]
-    assert list(source.instants(300)) == [200]
+    assert _instants(source, 600) == [200, 300]
+    assert _instants(source, 300) == [200]
     late = PeriodicSource("L", "/a:o", period_ms=30, phase_ms=70, active=((0, 100), (150, 200)))
-    assert list(late.instants(1000)) == [70, 160, 190]
+    assert _instants(late, 1000) == [70, 160, 190]
 
 
 def _wake_chain_emissions(sources, horizon):
@@ -198,7 +203,7 @@ def periodic_sources(draw):
         longer = [s for s in sources if s.period_ms > period]
         if longer and draw(st.booleans()):
             other = draw(st.sampled_from(longer))
-            shared = list(other.instants(200))[:2]  # early, so inside most horizons
+            shared = _instants(other, 200)[:2]  # early, so inside most horizons
             if shared:
                 phase, active = draw(st.sampled_from(shared)), other.active
         port = index if draw(st.booleans()) else draw(st.integers(0, index))
@@ -241,7 +246,7 @@ def test_schedule_with_the_phase_in_a_later_interval_and_a_cut_interval():
     phased = PeriodicSource("P", SCHEDULE_OUTPUTS[0], period_ms=30, phase_ms=170,
                             active=((0, 100), (150, 260), (300, 400)))
     longer = PeriodicSource("Q", SCHEDULE_OUTPUTS[1], period_ms=50, phase_ms=20, active=((0, 400),))
-    assert list(phased.instants(330)) == [170, 200, 230, 320]
+    assert _instants(phased, 330) == [170, 200, 230, 320]
     scenario = Scenario(BehaviorModel(), SCHEDULE_NETWORK, 330, (phased, longer))
     emissions = [(r.t, r.src) for r in run(scenario, SCHEDULE_RULES, SCHEDULE_NETWORK) if r.dst == "/gate:i"]
     assert emissions == _wake_chain_emissions((phased, longer), 330)
