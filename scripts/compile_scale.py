@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time each compile stage on the deep-hierarchy model as it grows.
+
+Generates perfbench's deep-hierarchy workload (branching 4, as many ports
+as leaves) at each requested leaf count, then times the compile stages in
+process on it: parse, validate with auto-observe, auto-observe, rule
+extraction and the conflict check. Prints, per size, the milliseconds of
+each stage (best of `--repeat`), the microseconds per added observer
+connection of validate and auto-observe, how many diagnostics validate
+and the conflict check return, and the process's peak RSS so far (sizes
+run smallest first, so it is that of the largest size run yet).
+
+Run from the repository root with the package of the tree under test:
+
+    PYTHONPATH=src python3 scripts/compile_scale.py
+    PYTHONPATH=src python3 scripts/compile_scale.py --leaves 64 256 --repeat 5
+
+perfbench/workloads.py is only imported, never changed. At 1,024 leaves a
+compile adds about 390,000 observer connections, so one repetition takes
+seconds and a few hundred MB.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import portarb as pa
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("parse", "validate", "auto_observe", "extract", "conflicts")
+
+
+def generate(workloads, leaves: int, seed: int, out_dir: Path) -> tuple[str, str]:
+    """The model and network text of a deep-hierarchy model with `leaves` leaves."""
+    depth = round(math.log(leaves, 4))
+    if 4 ** depth != leaves:
+        raise SystemExit(f"--leaves must be a power of 4, got {leaves}")
+    workloads.SIZES["deep-hierarchy"]["scale"] = {
+        "branching": 4, "depth": depth, "ports": leaves, "horizon_ms": 1000}
+    workloads.generate("deep-hierarchy", seed, out_dir, ROOT, scale="scale")
+    return ((out_dir / "model.xml").read_text(encoding="utf-8"),
+            (out_dir / "network.xml").read_text(encoding="utf-8"))
+
+
+def measure(model_text: str, network_text: str) -> tuple[dict[str, float], dict[str, int]]:
+    """Seconds per stage of one compile, and its counts."""
+    times: dict[str, float] = {}
+    t0 = time.perf_counter()
+    model = pa.parse_behavior_model(model_text)
+    network = pa.parse_network(network_text)
+    t1 = time.perf_counter()
+    diagnostics = pa.validate(model, network, auto_observe=True)
+    t2 = time.perf_counter()
+    augmented = pa.apply_auto_observe(model, network)
+    t3 = time.perf_counter()
+    ruleset = pa.extract_rules(model, augmented)
+    t4 = time.perf_counter()
+    conflicts = pa.check_conflicts(ruleset)
+    t5 = time.perf_counter()
+    for name, start, end in zip(STAGES, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
+        times[name] = end - start
+    counts = {
+        "given": len(network.connections),
+        "added": len(augmented.connections) - len(network.connections),
+        "diagnostics": len(diagnostics) + len(conflicts),
+    }
+    return times, counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--leaves", type=int, nargs="+", default=[64, 256, 1024])
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="best of this many compiles per size (one at 1,024 leaves and up)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    header = ("leaves", "given", "added", *(f"{s} ms" for s in STAGES),
+              "validate us/conn", "auto_observe us/conn", "diagnostics", "peak RSS MB")
+    print(" | ".join(header))
+    with tempfile.TemporaryDirectory() as tmp:
+        for leaves in sorted(args.leaves):
+            model_text, network_text = generate(workloads, leaves, args.seed, Path(tmp) / str(leaves))
+            best: dict[str, float] = {}
+            for _ in range(1 if leaves >= 1024 else args.repeat):
+                times, counts = measure(model_text, network_text)
+                for name, seconds in times.items():
+                    best[name] = min(seconds, best.get(name, seconds))
+            added = max(counts["added"], 1)
+            row = (
+                f"{leaves:,}", f"{counts['given']:,}", f"{counts['added']:,}",
+                *(f"{best[s] * 1e3:.1f}" for s in STAGES),
+                f"{best['validate'] * 1e6 / added:.2f}",
+                f"{best['auto_observe'] * 1e6 / added:.2f}",
+                f"{counts['diagnostics']:,}",
+                f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}",
+            )
+            print(" | ".join(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -35,6 +35,9 @@ from .model import (
 
 _set = object.__setattr__  # sets a Value's fields past its own __setattr__
 
+# C1 warnings shown per port, each with its witness; one more counts the rest
+MAX_C1_PER_PORT = 64
+
 
 class SelectionRule(Value):
     """`candidate active and constraint => Select(candidate)` at `port`.
@@ -195,7 +198,9 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     when a pair that needs it survives that test; the BDD alone decides
     whether there is a witness and which. Variables are registered in rule order
     before any BDD is built, so the order and every witness are the same
-    whichever pairs are skipped.
+    whichever pairs are skipped. Per port, the first MAX_C1_PER_PORT
+    pairs with a witness each get a warning; the rest are counted, their
+    witnesses unrendered, in one `... and N more` warning at the port.
     """
     manager = BddManager(
         port for rule in ruleset.rules
@@ -206,6 +211,7 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     for port, rules in sorted(ruleset.by_port().items()):
         required = [_required_literals(rule) for rule in rules]
         selects: list[int | None] = [None] * len(rules)
+        found = 0  # pairs with a witness
 
         def select(i: int) -> int:
             if selects[i] is None:
@@ -226,6 +232,9 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
                 witness = manager.first_satisfying(manager.combine(AND, select(i), select(j)))
                 if witness is None:
                     continue
+                found += 1
+                if found > MAX_C1_PER_PORT:
+                    continue
                 shown = ", ".join(f"{p}={str(v).lower()}" for p, v in witness)
                 diagnostics.append(Diagnostic(
                     WARNING, "C1",
@@ -233,6 +242,13 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
                     f"can both select: e.g. {{{shown}}}",
                     port,
                 ))
+        if found > MAX_C1_PER_PORT:
+            diagnostics.append(Diagnostic(
+                WARNING, "C1",
+                f"... and {found - MAX_C1_PER_PORT} more rule pairs at {port} "
+                f"can both select ({found} in all)",
+                port,
+            ))
     return diagnostics
 
 

@@ -580,10 +580,13 @@ def _expand(text: str, defines: Mapping[str, str], limit: int) -> str:
     return _DEFINE_REF_RE.sub(lambda m: defines.get(m.group(1), m.group(0)), text)
 
 
-def _substitute_defines(text: str) -> tuple[str, dict[str, str]]:
+def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str, str]]:
     """Pure text replacement of ${name} references, before any structural
-    interpretation of the behavior elements."""
-    defines = _extract_defines(_parse_xml_forest(text, "behavior model"))
+    interpretation of the behavior elements; returns the elements of the
+    substituted document and the defines. A document that substitution
+    leaves unchanged is parsed once."""
+    elements = _parse_xml_forest(text, "behavior model")
+    defines = _extract_defines(elements)
     total = sum(len(value) for value in defines.values())
     limit = total + MAX_EXPANSION_CHARS
     for _ in range(64):
@@ -605,7 +608,9 @@ def _substitute_defines(text: str) -> tuple[str, dict[str, str]]:
             if leftover.group(1) in defines:
                 raise ParseError("circular ${...} define references")
             raise ParseError(f"unresolved ${{{leftover.group(1)}}}")
-    return substituted, defines
+    if substituted != text:
+        elements = _parse_xml_forest(substituted, "behavior model")
+    return elements, defines
 
 
 def _parse_definition(el: ElementTree.Element, name: str):
@@ -666,8 +671,7 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
     elements are interpreted; behaviors referenced from a meta-behavior
     become its children, unreferenced definitions become roots.
     """
-    substituted, defines = _substitute_defines(xml_text)
-    elements = _parse_xml_forest(substituted, "behavior model")
+    elements, defines = _substitute_defines(xml_text)
 
     definitions: dict[str, tuple] = {}
     order: list[str] = []
@@ -875,29 +879,63 @@ def has_errors(diagnostics) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
+# V3 diagnostics shown per destination port; one more counts the rest
+MAX_V3_PER_PORT = 8
+
+
 def _unobserved_literals(
-    model: BehaviorModel, network: NetworkDescription
+    model: BehaviorModel, network: NetworkDescription, once: bool = False
 ) -> Iterator[tuple[BehaviorNode, str, str]]:
     """(leaf, literal, destination) for each declared-output rule literal
     that has no connection to a destination the leaf configures; once per
-    configured connection, leaves in document order."""
+    configured connection, leaves in document order. With `once`, only the
+    first leaf that needs a missing (literal, destination) pair yields it."""
     present = {(c.source, c.destination) for c in network.connections}
+    outputs = network.declared_outputs
     for leaf in model.leaf_behaviors():
-        needed = [p for p in model.plan(leaf.name).needed if p in network.declared_outputs]
+        needed = [p for p in model.plan(leaf.name).needed if p in outputs]
         for conn in leaf.configuration:
+            destination = conn.destination
             for port in needed:
-                if (port, conn.destination) not in present:
-                    yield leaf, port, conn.destination
+                pair = port, destination
+                if pair not in present:
+                    if once:
+                        present.add(pair)
+                    yield leaf, port, destination
 
 
 def apply_auto_observe(model: BehaviorModel, network: NetworkDescription) -> NetworkDescription:
     """The network with the connections added that make every rule literal
     visible at the port where the rule is evaluated."""
-    missing = dict.fromkeys(  # only pairs the network lacks
-        (port, destination) for _, port, destination in _unobserved_literals(model, network)
-    )
-    extra = tuple(Connection(port, destination) for port, destination in missing)
-    return NetworkDescription(network.components, network.connections + extra, dict(network.windows))
+    missing = _unobserved_literals(model, network, once=True)
+    return _with_observers(network, ((port, destination) for _, port, destination in missing))
+
+
+def _with_observers(network: NetworkDescription, pairs) -> NetworkDescription:
+    """`network` plus a connection per (source, destination) pair, checking
+    only that each destination is a declared input, with the error
+    `NetworkDescription(...)` raises. The rest holds by construction: each
+    source is a declared output, each destination comes from a checked
+    `Connection`, and no pair is in the network or repeated. Input read from
+    a file goes through the checked `Connection(...)` and
+    `NetworkDescription(...)` instead."""
+    inputs = network.declared_inputs
+    extra = []
+    for source, destination in pairs:
+        if destination not in inputs:
+            raise ParseError(f"connection references undeclared input port {destination!r}")
+        conn = object.__new__(Connection)
+        _set(conn, "source", source)
+        _set(conn, "destination", destination)
+        extra.append(conn)
+    augmented = object.__new__(NetworkDescription)
+    _set(augmented, "components", network.components)
+    _set(augmented, "connections", network.connections + tuple(extra))
+    _set(augmented, "windows", dict(network.windows))
+    # the cached_propertys' values, which depend on the components alone
+    _set(augmented, "declared_inputs", inputs)
+    _set(augmented, "declared_outputs", network.declared_outputs)
+    return augmented
 
 
 def _sibling_cycles(members: list[BehaviorNode], names: set[str]) -> list[list[str]]:
@@ -937,9 +975,11 @@ def validate(
 
     V1 inhibitions stay within sibling scope; V2 configured connections exist
     in the network; V3 every rule literal is observable at each destination
-    port it constrains (with auto_observe, missing observer connections are
-    reported as warnings instead of errors); V4 sibling inhibition relations
-    are acyclic; V5 inhibition targets resolve.
+    port it constrains (with auto_observe, each missing observer connection
+    is reported once, as a warning instead of an error; per destination
+    port, at most MAX_V3_PER_PORT of these are shown and one `... and N
+    more` counts the rest); V4 sibling inhibition relations are acyclic; V5
+    inhibition targets resolve.
     """
     diagnostics: list[Diagnostic] = []
     parents = model._parent_name
@@ -986,21 +1026,32 @@ def validate(
                     f"rule literal {port!r} is not a declared output port",
                     leaf.name,
                 ))
-    for leaf, port, destination in _unobserved_literals(model, network):
+    # V3 findings per destination port: the first MAX_V3_PER_PORT are shown,
+    # then one diagnostic at the port counts the rest. With auto_observe a
+    # finding is an observer connection to add, named by the first leaf in
+    # document order that needs it; without, one per (leaf, literal).
+    severity = WARNING if auto_observe else ERROR
+    found: dict[str, int] = {}
+    for leaf, port, destination in _unobserved_literals(model, network, once=auto_observe):
+        count = found[destination] = found.get(destination, 0) + 1
+        if count > MAX_V3_PER_PORT:
+            continue
         if auto_observe:
-            diagnostics.append(Diagnostic(
-                WARNING, "V3",
-                f"adding observer connection {port} -> {destination} "
-                f"so {leaf.name!r} can evaluate {port}",
-                leaf.name,
-            ))
+            message = (f"adding observer connection {port} -> {destination} "
+                       f"so {leaf.name!r} can evaluate {port}")
         else:
+            message = (f"literal {port} of {leaf.name!r} is not observable at "
+                       f"{destination}: connection {port} -> {destination} "
+                       "is missing (auto-observe can add it)")
+        diagnostics.append(Diagnostic(severity, "V3", message, leaf.name))
+    what = "observer connections to" if auto_observe else "unobservable literals at"
+    for destination, count in found.items():
+        if count > MAX_V3_PER_PORT:
             diagnostics.append(Diagnostic(
-                ERROR, "V3",
-                f"literal {port} of {leaf.name!r} is not observable at "
-                f"{destination}: connection {port} -> {destination} "
-                "is missing (auto-observe can add it)",
-                leaf.name,
+                severity, "V3",
+                f"... and {count - MAX_V3_PER_PORT} more {what} {destination} "
+                f"({count} in all)",
+                destination,
             ))
 
     diagnostics.sort(key=lambda d: (d.location, d.code, d.message))

@@ -1,6 +1,8 @@
-"""Shared helpers: the compile/run pipeline over fixtures and hypothesis
-strategies for condition expressions and behavior models."""
+"""Shared helpers: the compile/run pipeline over fixtures, a generated
+256-leaf model, and hypothesis strategies for condition expressions and
+behavior models."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -42,6 +44,64 @@ def run_fixture(name, horizon_ms=None):
     scenario = load_scenario(fx.scenario)
     _, network, ruleset, _ = compile_fixture(name)
     return run(scenario, ruleset, network=network, horizon_ms=horizon_ms)
+
+
+def deep_hierarchy_texts(branching=4, depth=4):
+    """(model XML, network XML) of a complete `branching`-ary tree of
+    meta-behaviors `depth` levels deep: 256 leaves by default.
+
+    There are as many input ports as leaves. Leaf k is the only source of
+    /Leaf<k>/pos:o and is configured at ports k and 5k + 17 (modulo the port
+    count). Sibling groups take star inhibition (the first member inhibits
+    the others) and chain inhibition (each inhibits the next) in turn. The
+    network holds only the configured connections, so every inhibitor
+    source a leaf's rules name needs an observer connection. Every fourth
+    port has a window override."""
+    leaves = branching ** depth
+    inputs = [f"/Port{i:03d}/pos:i" for i in range(leaves)]
+    kinds: dict[str, str] = {}  # definition order: children first
+    bodies: dict[str, list[str]] = {}
+    inhibitions: dict[str, list[str]] = {}
+    connections: dict[tuple[str, int], None] = {}  # (source, port slot)
+    leaf_numbers, group_numbers = itertools.count(), itertools.count()
+
+    def build(path):
+        name = "Node" + "".join(f"-{i}" for i in path)
+        if len(path) == depth:
+            k = next(leaf_numbers)
+            source = f"/Leaf{k:03d}/pos:o"
+            slots = (k % leaves, (5 * k + 17) % leaves)
+            connections.update(dict.fromkeys((source, slot) for slot in slots))
+            kinds[name] = "behavior"
+            bodies[name] = [f'<config at="{inputs[slot]}">{source}</config>' for slot in slots]
+            return name
+        children = [build(path + (i,)) for i in range(branching)]
+        if next(group_numbers) % 2 == 0:
+            inhibitions[children[0]] = children[1:]
+        else:
+            for first, second in zip(children, children[1:]):
+                inhibitions[first] = [second]
+        kinds[name] = "meta_behavior"
+        bodies[name] = [f"<behavior>{child}</behavior>" for child in children]
+        return name
+
+    build(())
+    model = ["<behaviors>"]
+    for name, kind in kinds.items():
+        inhibited = ", ".join(inhibitions.get(name, ()))
+        model.append(f'<{kind} name="{name}">{"".join(bodies[name])}'
+                     f"<inhibition>{inhibited}</inhibition></{kind}>")
+    model.append("</behaviors>")
+    network = ["<application>"]
+    network += [f'<module name="out{k}"><output>/Leaf{k:03d}/pos:o</output></module>'
+                for k in range(leaves)]
+    network += [f'<module name="in{i}"><input>{port}</input></module>'
+                for i, port in enumerate(inputs)]
+    for source, slot in connections:
+        window = ' window="250"' if slot % 4 == 0 else ""
+        network.append(f'<connection from="{source}" to="{inputs[slot]}"{window}/>')
+    network.append("</application>")
+    return "\n".join(model) + "\n", "\n".join(network) + "\n"
 
 
 def trace_text(records):

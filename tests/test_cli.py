@@ -16,12 +16,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
-from portarb import FIXTURE_NAMES, fixture, read_trace
+from portarb import (
+    FIXTURE_NAMES,
+    apply_auto_observe,
+    fixture,
+    parse_behavior_model,
+    parse_network,
+    read_trace,
+)
 import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from portarb.model import MAX_NESTING_DEPTH
+from portarb.model import MAX_NESTING_DEPTH, MAX_V3_PER_PORT
 
-from conftest import run_fixture, trace_text
+from conftest import deep_hierarchy_texts, run_fixture, trace_text
 
 SAT = fixture("search-and-track")
 
@@ -97,6 +104,29 @@ def test_validate_conflict_demo_warns(capsys):
     assert run_cli("validate", fx.model, fx.network) == EXIT_OK
     assert "can both select" in capsys.readouterr().err
     assert run_cli("validate", fx.model, fx.network, "--strict") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("auto_observe", [True, False])
+def test_validate_at_256_leaves_writes_at_most_cap_plus_one_v3_lines_per_port(
+        tmp_path, capsys, auto_observe):
+    model_text, network_text = deep_hierarchy_texts()
+    (tmp_path / "model.xml").write_text(model_text)
+    (tmp_path / "network.xml").write_text(network_text)
+    flags = ["--auto-observe"] if auto_observe else []
+    status = run_cli("validate", tmp_path / "model.xml", tmp_path / "network.xml", *flags)
+    assert status == (EXIT_OK if auto_observe else EXIT_VALIDATION)
+    severity = "warning" if auto_observe else "error"
+    lines = [line for line in capsys.readouterr().err.splitlines() if "[V3]" in line]
+    assert all(line.startswith(f"{severity}: [V3] ") for line in lines)
+    network = parse_network(network_text)
+    ports = len(network.declared_inputs)
+    assert 0 < len(lines) <= ports * (MAX_V3_PER_PORT + 1)
+    more = [int(re.search(r"\.\.\. and (\d+) more ", line).group(1))
+            for line in lines if "... and " in line]
+    assert 0 < len(more) <= ports
+    if auto_observe:
+        added = apply_auto_observe(parse_behavior_model(model_text), network)
+        assert len(lines) - len(more) + sum(more) == len(added.connections) - len(network.connections)
 
 
 def test_simulate_search_and_track(tmp_path, capsys):

@@ -36,7 +36,7 @@ from portarb import (
     rule_text,
 )
 from portarb.bdd import AND
-from portarb.compiler import RuleSet, SelectionRule
+from portarb.compiler import MAX_C1_PER_PORT, RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
 from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize
 
@@ -489,6 +489,26 @@ def test_conflict_demo_warns_with_witness():
     assert warning.severity == WARNING and warning.location == "/Motor/cmd:i"
     assert "/Ping/cmd:o=true" in warning.message
     assert "/Pong/cmd:o=true" in warning.message
+
+
+def test_conflict_warnings_are_capped_per_port():
+    # twelve unconstrained candidates at /X:i: all 66 pairs can both select;
+    # three at /Y:i stay under the cap
+    candidates = [f"/c{i:02d}:o" for i in range(12)]
+    ruleset = RuleSet(
+        tuple(SelectionRule("/X:i", c, TRUE) for c in candidates)
+        + tuple(SelectionRule("/Y:i", c, TRUE) for c in candidates[:3])
+    )
+    reference = _reference_conflict_messages(ruleset)
+    assert len(reference) == 66 + 3
+    warnings = check_conflicts(ruleset)
+    assert {(w.severity, w.code) for w in warnings} == {(WARNING, "C1")}
+    assert [w.message for w in warnings] == (
+        reference[:MAX_C1_PER_PORT]
+        + [f"... and {66 - MAX_C1_PER_PORT} more rule pairs at /X:i can both select (66 in all)"]
+        + reference[66:]
+    )
+    assert [w.location for w in warnings] == ["/X:i"] * (MAX_C1_PER_PORT + 1) + ["/Y:i"] * 3
 
 
 def test_mutually_negating_rules_do_not_conflict():

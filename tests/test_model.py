@@ -4,12 +4,14 @@ import copy
 import inspect
 import pickle
 import tracemalloc
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import behavior_models
+from conftest import behavior_models, deep_hierarchy_texts
+import portarb.model
 from portarb import (
     ACCEPT,
     NO_RULE,
@@ -40,6 +42,7 @@ from portarb.model import (
     ERROR,
     FALSE,
     MAX_EXPANSION_CHARS,
+    MAX_V3_PER_PORT,
     META_BEHAVIOR,
     TRUE,
     WARNING,
@@ -182,6 +185,20 @@ def test_define_chains_resolve():
     """
     model = parse_behavior_model(f"<behaviors>{text}</behaviors>")
     assert model.roots[0].configuration == (Connection("/Y:o", "/Gaze/pos:i"),)
+
+
+def test_model_xml_is_parsed_again_only_when_defines_change_it(monkeypatch):
+    parses = []
+    fromstring = ElementTree.fromstring
+    monkeypatch.setattr(ElementTree, "fromstring", lambda text: parses.append(text) or fromstring(text))
+    plain = '<behaviors><behavior name="B"><config at="/X:i">/Y:o</config></behavior></behaviors>'
+    assert parse_behavior_model(plain).roots[0].configuration == (Connection("/Y:o", "/X:i"),)
+    assert parses == [plain]
+    parses.clear()
+    substituted = ('<behaviors><define name="x">/X:i</define>'
+                   '<behavior name="B"><config at="${x}">/Y:o</config></behavior></behaviors>')
+    assert parse_behavior_model(substituted).roots[0].configuration == (Connection("/Y:o", "/X:i"),)
+    assert parses == [substituted, substituted.replace("${x}", "/X:i")]
 
 
 def test_circular_defines_rejected():
@@ -446,6 +463,83 @@ def test_undeclared_literal_port_is_v3_even_with_auto_observe():
     ).replace('   <connection from="/collision:o" to="/Arm/pos:i"/>\n', ""))
     diagnostics = validate(model, network, auto_observe=True)
     assert any(d.code == "V3" and d.severity == ERROR for d in diagnostics)
+
+
+def test_auto_observe_at_256_leaves_equals_the_checked_network(monkeypatch):
+    model_text, network_text = deep_hierarchy_texts()
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    checks = []
+    check_port = portarb.model.check_port
+    monkeypatch.setattr(portarb.model, "check_port", lambda name: checks.append(name) or check_port(name))
+    augmented = apply_auto_observe(model, network)
+    assert checks == []
+    added = augmented.connections[len(network.connections):]
+    assert augmented.connections[:len(network.connections)] == network.connections
+    checked = NetworkDescription(
+        network.components,
+        network.connections + tuple(Connection(c.source, c.destination) for c in added),
+        dict(network.windows),
+    )
+    assert len(checks) == 2 * len(added) > 20_000  # the public path checks both ports
+    assert augmented == checked
+    assert augmented.declared_inputs == checked.declared_inputs
+    assert augmented.declared_outputs == checked.declared_outputs
+    assert augmented.windows == checked.windows == network.windows
+    assert len(network.windows) == 64
+    for port in checked.declared_inputs | checked.declared_outputs:
+        assert augmented.incoming(port) == checked.incoming(port)
+    assert validate(model, augmented) == []
+
+
+def test_auto_observe_to_an_undeclared_input_raises_the_checked_error():
+    # the second leaf, which the first inhibits, is configured at a port
+    # missing from the network
+    model_text, network_text = deep_hierarchy_texts()
+    model = parse_behavior_model(model_text.replace("/Port001/pos:i", "/Nowhere/pos:i", 1))
+    network = parse_network(network_text)
+    observer = Connection("/Leaf000/pos:o", "/Nowhere/pos:i")
+    with pytest.raises(ParseError) as checked:
+        NetworkDescription(network.components, network.connections + (observer,))
+    with pytest.raises(ParseError) as raised:
+        apply_auto_observe(model, network)
+    assert str(raised.value) == str(checked.value)
+    assert str(raised.value) == "connection references undeclared input port '/Nowhere/pos:i'"
+
+
+@pytest.mark.parametrize("auto_observe", [True, False])
+def test_v3_findings_at_256_leaves_are_capped_per_port(auto_observe):
+    model_text, network_text = deep_hierarchy_texts()
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    outputs = network.declared_outputs
+    present = {(c.source, c.destination) for c in network.connections}
+    # per port, each missing (leaf, literal) in walk order; with auto-observe,
+    # one per missing connection, named by the first leaf that needs it
+    findings = {}
+    for leaf in model.leaf_behaviors():
+        for conn in leaf.configuration:
+            for port in model.plan(leaf.name).needed:
+                if port in outputs and (port, conn.destination) not in present:
+                    key = port if auto_observe else (leaf.name, port)
+                    findings.setdefault(conn.destination, {}).setdefault(key, (leaf.name, port))
+    diagnostics = validate(model, network, auto_observe=auto_observe)
+    assert {d.severity for d in diagnostics} == {WARNING if auto_observe else ERROR}
+    assert {d.code for d in diagnostics} == {"V3"}
+    assert len(diagnostics) <= len(network.declared_inputs) * (MAX_V3_PER_PORT + 1)
+    summaries = {d.location: d.message for d in diagnostics if d.message.startswith("... and ")}
+    for destination, found in findings.items():
+        found = list(found.values())
+        shown = [d for d in diagnostics if f" -> {destination} " in d.message]
+        literal = 3 if auto_observe else 1  # the word of the message that names it
+        assert [(d.location, d.message.split()[literal]) for d in shown] == (
+            sorted(found[:MAX_V3_PER_PORT]))
+        more = len(found) - MAX_V3_PER_PORT
+        assert (destination in summaries) == (more > 0)
+        if more > 0:
+            assert summaries[destination].startswith(f"... and {more} more ")
+            assert summaries[destination].endswith(f"{destination} ({len(found)} in all)")
+    if auto_observe:
+        added = apply_auto_observe(model, network).connections[len(network.connections):]
+        assert sum(map(len, findings.values())) == len(added)
 
 
 def test_inhibition_cycle_is_v4():
