@@ -7,8 +7,11 @@ process on it: parse, validate with auto-observe, auto-observe, rule
 extraction and the conflict check. Prints, per size, the milliseconds of
 each stage (best of `--repeat`), the microseconds per added observer
 connection of validate and auto-observe, how many diagnostics validate
-and the conflict check return, and the process's peak RSS so far (sizes
-run smallest first, so it is that of the largest size run yet).
+returns, how many C1 warnings the conflict check returns, the
+milliseconds the cyclic garbage collector paused during the compile
+(summed through `gc.callbacks`, best of `--repeat`), and the process's
+peak RSS so far (sizes run smallest first, so it is that of the largest
+size run yet).
 
 Run from the repository root with the package of the tree under test:
 
@@ -23,6 +26,7 @@ seconds and a few hundred MB.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import resource
 import sys
@@ -48,27 +52,49 @@ def generate(workloads, leaves: int, seed: int, out_dir: Path) -> tuple[str, str
             (out_dir / "network.xml").read_text(encoding="utf-8"))
 
 
+class CollectorPauses:
+    """A `gc.callbacks` entry that sums the collector's pauses in seconds."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+
 def measure(model_text: str, network_text: str) -> tuple[dict[str, float], dict[str, int]]:
-    """Seconds per stage of one compile, and its counts."""
+    """Seconds per stage of one compile and of the collector's pauses in
+    it, and its counts."""
     times: dict[str, float] = {}
-    t0 = time.perf_counter()
-    model = pa.parse_behavior_model(model_text)
-    network = pa.parse_network(network_text)
-    t1 = time.perf_counter()
-    diagnostics = pa.validate(model, network, auto_observe=True)
-    t2 = time.perf_counter()
-    augmented = pa.apply_auto_observe(model, network)
-    t3 = time.perf_counter()
-    ruleset = pa.extract_rules(model, augmented)
-    t4 = time.perf_counter()
-    conflicts = pa.check_conflicts(ruleset)
-    t5 = time.perf_counter()
+    pauses = CollectorPauses()
+    gc.callbacks.append(pauses)
+    try:
+        t0 = time.perf_counter()
+        model = pa.parse_behavior_model(model_text)
+        network = pa.parse_network(network_text)
+        t1 = time.perf_counter()
+        diagnostics = pa.validate(model, network, auto_observe=True)
+        t2 = time.perf_counter()
+        augmented = pa.apply_auto_observe(model, network)
+        t3 = time.perf_counter()
+        ruleset = pa.extract_rules(model, augmented)
+        t4 = time.perf_counter()
+        conflicts = pa.check_conflicts(ruleset)
+        t5 = time.perf_counter()
+    finally:
+        gc.callbacks.remove(pauses)
+    times["gc_pause"] = pauses.seconds
     for name, start, end in zip(STAGES, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
         times[name] = end - start
     counts = {
         "given": len(network.connections),
         "added": len(augmented.connections) - len(network.connections),
-        "diagnostics": len(diagnostics) + len(conflicts),
+        "diagnostics": len(diagnostics),
+        "c1": len(conflicts),
     }
     return times, counts
 
@@ -85,7 +111,8 @@ def main(argv=None) -> int:
     import workloads
 
     header = ("leaves", "given", "added", *(f"{s} ms" for s in STAGES),
-              "validate us/conn", "auto_observe us/conn", "diagnostics", "peak RSS MB")
+              "validate us/conn", "auto_observe us/conn", "diagnostics", "C1", "gc pause ms",
+              "peak RSS MB")
     print(" | ".join(header))
     with tempfile.TemporaryDirectory() as tmp:
         for leaves in sorted(args.leaves):
@@ -102,6 +129,8 @@ def main(argv=None) -> int:
                 f"{best['validate'] * 1e6 / added:.2f}",
                 f"{best['auto_observe'] * 1e6 / added:.2f}",
                 f"{counts['diagnostics']:,}",
+                f"{counts['c1']:,}",
+                f"{best['gc_pause'] * 1e3:.1f}",
                 f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}",
             )
             print(" | ".join(row), flush=True)

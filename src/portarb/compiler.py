@@ -23,6 +23,7 @@ from .model import (
     Not,
     Or,
     TRUE,
+    TrueExpr,
     WARNING,
     Value,
     apply_auto_observe,
@@ -170,72 +171,86 @@ def rule_text(rule: SelectionRule) -> str:
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
 
-def _required_literals(rule: SelectionRule) -> tuple[set[str], set[str]]:
-    """Ports the rule needs true (its candidate and top-level positive
-    literals) and ports it needs false (its top-level `not p`)."""
-    constraint = rule.constraint
-    parts = constraint.children if isinstance(constraint, And) else (constraint,)
-    true = {rule.candidate}
-    false = set()
-    for part in parts:
-        if isinstance(part, Lit):
-            true.add(part.port)
-        elif isinstance(part, Not) and isinstance(part.child, Lit):
-            false.add(part.child.port)
-    return true, false
-
-
 def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     """Warn about same-port rule pairs that can both select at once.
 
-    For each pair with distinct candidates, both candidates are assumed
-    active and the joint constraint's BDD is searched with
-    `first_satisfying`; a joint that has a witness yields a warning carrying
-    it (the lowest assignment in variable order). A pair where one rule needs
-    a port true (its candidate or a top-level literal) and the other needs
-    it false (a top-level `not p`) cannot both select and is skipped
-    without a BDD. A rule's `candidate and constraint` BDD is built only
-    when a pair that needs it survives that test; the BDD alone decides
-    whether there is a witness and which. Variables are registered in rule order
-    before any BDD is built, so the order and every witness are the same
-    whichever pairs are skipped. Per port, the first MAX_C1_PER_PORT
-    pairs with a witness each get a warning; the rest are counted, their
-    witnesses unrendered, in one `... and N more` warning at the port.
+    Both candidates of a pair are assumed active. A pair with one
+    candidate, or where one rule needs a port true (its candidate or a
+    top-level literal) and the other needs it false (a top-level `not p`),
+    is skipped. A pair of cubes (constraints that are `true`, a literal, a
+    negated literal or a conjunction of these) is decided from their
+    literals, with no BDD: a cube needing a port both true and false never
+    selects, and two others can both select, the witness being the union
+    of what they need in variable order, as a BDD search would return it.
+    A pair with a non-cube rule (one holding a disjunction or `false`) is
+    decided with BDDs, built when such a pair first needs them: the witness
+    is the joint's `first_satisfying` assignment, the lowest in variable
+    order. The variable order is fixed first, in one pass over the rules:
+    each rule's candidate, then its constraint's literals in pre-order; so
+    every witness is the same whichever pairs are skipped and whichever
+    path decides them. Per port, the first MAX_C1_PER_PORT pairs with a
+    witness each get a warning; the rest are counted, their witnesses
+    unrendered, in one `... and N more` warning at the port.
     """
-    manager = BddManager(
-        port for rule in ruleset.rules
-        for port in (rule.candidate, *condition_literals(rule.constraint))
-    )
+    order: list[str] = []  # every rule's ports, in rule order
+    # port -> [(rule, ports it needs true, ports it needs false, is a cube)]
+    by_port: dict[str, list[tuple[SelectionRule, set[str], set[str], bool]]] = {}
+    for rule in ruleset.rules:
+        constraint = rule.constraint
+        parts = (constraint.children if type(constraint) is And
+                 else () if type(constraint) is TrueExpr else (constraint,))
+        true, false = {rule.candidate}, set()
+        ports = [rule.candidate]
+        cube = True  # exact types: anything else is decided with BDDs
+        for part in parts:
+            if type(part) is Lit:
+                port = part.port
+                true.add(port)
+            elif type(part) is Not and type(part.child) is Lit:
+                port = part.child.port
+                false.add(port)
+            else:
+                cube = False
+                continue
+            ports.append(port)
+        order += ports if cube else (rule.candidate, *condition_literals(constraint))
+        if cube and not true.isdisjoint(false):
+            continue  # never selects, so no pair of it has a witness
+        by_port.setdefault(rule.port, []).append((rule, true, false, cube))
+    levels = {port: level for level, port in enumerate(dict.fromkeys(order))}
 
+    manager: BddManager | None = None  # built for the first non-cube pair
     diagnostics: list[Diagnostic] = []
-    for port, rules in sorted(ruleset.by_port().items()):
-        required = [_required_literals(rule) for rule in rules]
-        selects: list[int | None] = [None] * len(rules)
+    for port, entries in sorted(by_port.items()):
+        selects: list[int | None] = [None] * len(entries)
         found = 0  # pairs with a witness
-
-        def select(i: int) -> int:
-            if selects[i] is None:
-                rule = rules[i]
-                selects[i] = manager.combine(
-                    AND, manager.var(rule.candidate), manager.build(rule.constraint)
-                )
-            return selects[i]
-
-        for i, first in enumerate(rules):
-            true_i, false_i = required[i]
-            for j in range(i + 1, len(rules)):
-                second = rules[j]
-                true_j, false_j = required[j]
+        for i, (first, true_i, false_i, cube_i) in enumerate(entries):
+            for j in range(i + 1, len(entries)):
+                second, true_j, false_j, cube_j = entries[j]
                 if (first.candidate == second.candidate
                         or not true_i.isdisjoint(false_j) or not false_i.isdisjoint(true_j)):
                     continue
-                witness = manager.first_satisfying(manager.combine(AND, select(i), select(j)))
-                if witness is None:
-                    continue
+                witness = None
+                if not (cube_i and cube_j):
+                    if manager is None:
+                        manager = BddManager(levels)
+                    for k in (i, j):
+                        if selects[k] is None:
+                            rule = entries[k][0]
+                            selects[k] = manager.combine(
+                                AND, manager.var(rule.candidate), manager.build(rule.constraint)
+                            )
+                    witness = manager.first_satisfying(manager.combine(AND, selects[i], selects[j]))
+                    if witness is None:
+                        continue
                 found += 1
                 if found > MAX_C1_PER_PORT:
                     continue
-                shown = ", ".join(f"{p}={str(v).lower()}" for p, v in witness)
+                if witness is None:  # two cubes that no port splits
+                    both_true = true_i | true_j
+                    witness = [(p, p in both_true) for p in
+                               sorted(both_true.union(false_i, false_j), key=levels.__getitem__)]
+                shown = ", ".join([f"{p}={'true' if v else 'false'}" for p, v in witness])
                 diagnostics.append(Diagnostic(
                     WARNING, "C1",
                     f"rules for {first.candidate} and {second.candidate} at {port} "

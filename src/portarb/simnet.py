@@ -264,7 +264,9 @@ def load_scenario(path) -> Scenario:
     for entry in data["components"]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise _schema_error(path, f"bad component entry {entry!r}")
-        name = str(entry["name"])
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise _schema_error(path, f"component name {name!r} must be a string")
         if name in names:
             raise _schema_error(path, f"duplicate component name {name!r}")
         names.add(name)

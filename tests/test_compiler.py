@@ -14,7 +14,9 @@ from conftest import (
     MODEL_SOURCES,
     behavior_models,
     compile_fixture,
+    deep_hierarchy_texts,
 )
+import portarb.compiler
 from portarb import (
     And,
     BddManager,
@@ -322,13 +324,21 @@ def rule_sets(draw):
     """Rules at two ports over four candidates whose constraints conjoin
     literals, negations and disjunctions of both, naming the candidates
     too: many pairs are excluded by top-level literals, some only inside a
-    disjunction, and many share positive literals."""
+    disjunction, and many share positive literals. A constraint may also
+    be `true`, `false`, or a conjunction of signed literals as written,
+    not normalized: its literals may repeat, contradict each other or
+    negate the rule's own candidate."""
     conjunct = st.one_of(_signed, st.lists(_signed, min_size=2, max_size=3).map(
         lambda cs: Or(tuple(cs))))
+    constraint = st.one_of(
+        st.lists(conjunct, max_size=4).map(lambda cs: normalize(And(tuple(cs)))),
+        st.sampled_from((TRUE, FALSE)),
+        st.lists(_signed, min_size=1, max_size=6).map(lambda cs: And(tuple(cs))),
+    )
     rules = draw(st.lists(st.tuples(
         st.sampled_from(MODEL_DESTINATIONS[:2]),
         st.sampled_from(MODEL_SOURCES),
-        st.lists(conjunct, max_size=4).map(lambda cs: normalize(And(tuple(cs)))),
+        constraint,
     ), max_size=10))
     return RuleSet(tuple(SelectionRule(*rule) for rule in sorted(rules, key=lambda r: r[:2])))
 
@@ -345,12 +355,21 @@ _REPEATED_NEGATION = parse_behavior_model(
 )
 
 
+# two cubes that list their literals out of the variable order (/a:o /c:o
+# /d:o /b:o /e:o): the witness follows the variable order
+_CUBES_OUT_OF_ORDER = RuleSet((
+    SelectionRule("/X:i", "/a:o", And((Lit("/c:o"), Not(Lit("/d:o"))))),
+    SelectionRule("/X:i", "/b:o", And((Not(Lit("/d:o")), Lit("/e:o"), Lit("/c:o")))),
+))
+
+
 # generating models this large takes most of the time, so examples are few
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models_naming_sources(), rule_sets())
 @example(_REPEATED_NEGATION, RuleSet((
     SelectionRule("/X:i", "/a:o", Lit("/c:o")), SelectionRule("/X:i", "/b:o", Lit("/c:o")),
 )))
+@example(_REPEATED_NEGATION, _CUBES_OUT_OF_ORDER)
 def test_linear_extraction_and_screened_conflicts_match_references(model, rules):
     ruleset = extract_rules(model, NetworkDescription())
     reference = _reference_extract(model)
@@ -360,6 +379,14 @@ def test_linear_extraction_and_screened_conflicts_match_references(model, rules)
         assert [d.message for d in check_conflicts(checked)] == (
             _reference_conflict_messages(checked)
         )
+
+
+# rule sets alone are cheap to draw: the cube and BDD paths of the conflict
+# check get many more examples than the test above can give them
+@settings(max_examples=300, deadline=None)
+@given(rule_sets())
+def test_conflict_check_on_cubes_and_disjunctions_matches_the_reference(rules):
+    assert [d.message for d in check_conflicts(rules)] == _reference_conflict_messages(rules)
 
 
 def test_extract_rules_matches_golden_file():
@@ -509,6 +536,40 @@ def test_conflict_warnings_are_capped_per_port():
         + reference[66:]
     )
     assert [w.location for w in warnings] == ["/X:i"] * (MAX_C1_PER_PORT + 1) + ["/Y:i"] * 3
+
+
+def _capped(messages):
+    """Reference C1 messages with the per-port cap applied."""
+    per_port = {}
+    for message in messages:  # "rules for A and B at PORT can both select: ..."
+        per_port.setdefault(message.split(" ", 7)[6], []).append(message)
+    capped = []
+    for port, shown in per_port.items():
+        capped += shown[:MAX_C1_PER_PORT]
+        if len(shown) > MAX_C1_PER_PORT:
+            capped.append(f"... and {len(shown) - MAX_C1_PER_PORT} more rule pairs at {port} "
+                          f"can both select ({len(shown)} in all)")
+    return capped
+
+
+def test_conflict_check_on_256_leaves_of_cube_rules_builds_no_bdd(monkeypatch):
+    model_text, network_text = deep_hierarchy_texts()
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    ruleset = extract_rules(model, apply_auto_observe(model, network))
+    assert len(ruleset.rules) == 512
+    managers = []
+
+    class CountingManager(BddManager):
+        def __init__(self, *args, **kwargs):
+            managers.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(portarb.compiler, "BddManager", CountingManager)
+    messages = [d.message for d in check_conflicts(ruleset)]
+    assert managers == []
+    reference = _reference_conflict_messages(ruleset)
+    assert reference
+    assert messages == _capped(reference)
 
 
 def test_mutually_negating_rules_do_not_conflict():

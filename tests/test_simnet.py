@@ -32,6 +32,7 @@ from portarb import (
 from portarb.model import TRUE
 from portarb import simnet
 from portarb.arbiter import Snapshot
+from portarb.cli import EXIT_USAGE, main
 from portarb.simnet import PeriodicSource, TraceRecord
 
 
@@ -105,6 +106,20 @@ def test_component_entry_checks(tmp_path, entry, message):
     with pytest.raises(ParseError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, None, 7, ["P"], True])
+def test_component_name_must_be_a_string(tmp_path, capsys, name):
+    # was passed through str(): the scenario simulated with exit 0
+    path = _scenario_file(tmp_path, {"components": [
+        {"name": name, "sink": {"port": "/Motor/cmd:i"}},
+    ]})
+    message = f"{path}: component name {name!r} must be a string"
+    with pytest.raises(ParseError) as info:
+        load_scenario(path)
+    assert str(info.value) == message
+    assert main(["simulate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_component_needs_exactly_one_role(tmp_path):
