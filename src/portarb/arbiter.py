@@ -29,7 +29,7 @@ arbiters is linear in the connections and rule literals.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
 from .bdd import BddManager

@@ -3,7 +3,7 @@ apply, used to evaluate rule constraints and decide satisfiability."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .model import And, BoolExpr, FalseExpr, Lit, Not, Or, TrueExpr
 

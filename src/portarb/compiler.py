@@ -34,8 +34,6 @@ from .model import (
     validate,
 )
 
-_set = object.__setattr__  # sets a Value's fields past its own __setattr__
-
 # C1 warnings shown per port, each with its witness; one more counts the rest
 MAX_C1_PER_PORT = 64
 
@@ -47,22 +45,13 @@ class SelectionRule(Value):
     constraint."""
 
     _fields = __slots__ = ("port", "candidate", "constraint", "provenance")
-
-    def __init__(
-        self, port: str, candidate: str, constraint: BoolExpr, provenance: tuple[str, ...] = ()
-    ) -> None:
-        _set(self, "port", port)
-        _set(self, "candidate", candidate)
-        _set(self, "constraint", constraint)
-        _set(self, "provenance", provenance)
+    _defaults = ((),)
 
 
 class RuleSet(Value):
     # no __slots__: the cached_property below keeps its value in __dict__
     _fields = ("rules",)
-
-    def __init__(self, rules: tuple[SelectionRule, ...] = ()) -> None:
-        _set(self, "rules", rules)
+    _defaults = ((),)
 
     @cached_property
     def _by_port(self) -> dict[str, tuple[SelectionRule, ...]]:

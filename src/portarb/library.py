@@ -12,8 +12,6 @@ from pathlib import Path
 
 from .model import Value
 
-_set = object.__setattr__  # sets a Value's fields past its own __setattr__
-
 FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
 
 FIXTURE_NAMES = ("be-curious", "search-and-track", "no-rules", "conflict-demo")
@@ -21,22 +19,6 @@ FIXTURE_NAMES = ("be-curious", "search-and-track", "no-rules", "conflict-demo")
 
 class Fixture(Value):
     _fields = __slots__ = ("name", "model", "network", "scenario", "expected_ruleset", "expected_trace")
-
-    def __init__(
-        self,
-        name: str,
-        model: Path,
-        network: Path,
-        scenario: Path,
-        expected_ruleset: Path,
-        expected_trace: Path,
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "model", model)
-        _set(self, "network", network)
-        _set(self, "scenario", scenario)
-        _set(self, "expected_ruleset", expected_ruleset)
-        _set(self, "expected_trace", expected_trace)
 
 
 def fixture(name: str) -> Fixture:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterator, Mapping
 from functools import cached_property
-from typing import Iterator, Mapping
 from xml.etree import ElementTree
 
 
@@ -34,20 +34,42 @@ def _no_values(obj) -> tuple:
     return ()
 
 
+def _plain_init(cls):
+    """`def __init__(self, a, b, c): _set(self, "a", a) ...` over `cls._fields`,
+    with `cls._defaults` as the defaults of the last fields, made by one
+    `exec` so that it reads and fails like a hand-written one."""
+    fields = cls._fields
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": _set}
+    exec(f"def __init__({', '.join(('self', *fields))}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class Value:
     """An immutable record of the fields named in `_fields`.
 
     Instances are equal when they are of the same class and their fields
     are equal, hash over their fields and print as `Name(field=value, ...)`.
-    Each subclass lists `_fields`, sets them in its own `__init__` through
-    `object.__setattr__`, and declares `__slots__ = _fields` unless a
-    `cached_property` needs an instance `__dict__`. Assigning or deleting
-    an attribute raises AttributeError; copy and pickle rebuild an instance
+    Each subclass lists `_fields` and declares `__slots__ = _fields` unless
+    a `cached_property` needs an instance `__dict__`. A subclass that lists
+    `_fields` and writes no `__init__` gets one generated, as
+    `collections.namedtuple` generates `__new__`: the fields are its
+    parameters in order, and `_defaults` holds the defaults of the last
+    fields. A class whose `__init__` checks its input (`Connection`, `Lit`,
+    `Decision`, `NetworkDescription`) or makes a fresh default dict
+    (`BehaviorModel`, `NetworkDescription`) writes its own and sets the
+    fields through `object.__setattr__`. Assigning or deleting an
+    attribute raises AttributeError; copy and pickle rebuild an instance
     through its `__init__`, with the fields as positional arguments.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -55,6 +77,9 @@ class Value:
         # or the one value of a one-field class
         fields = cls._fields
         cls._values = staticmethod(operator.attrgetter(*fields) if fields else _no_values)
+        # a class that inherits its fields inherits its __init__ too
+        if "_fields" in vars(cls) and "__init__" not in vars(cls):
+            cls.__init__ = _plain_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -156,22 +181,13 @@ class Lit(BoolExpr):
 class Not(BoolExpr):
     _fields = __slots__ = ("child",)
 
-    def __init__(self, child: BoolExpr) -> None:
-        _set(self, "child", child)
-
 
 class And(BoolExpr):
     _fields = __slots__ = ("children",)
 
-    def __init__(self, children: tuple[BoolExpr, ...]) -> None:
-        _set(self, "children", children)
-
 
 class Or(BoolExpr):
     _fields = __slots__ = ("children",)
-
-    def __init__(self, children: tuple[BoolExpr, ...]) -> None:
-        _set(self, "children", children)
 
 
 TRUE = TrueExpr()
@@ -421,22 +437,7 @@ class BehaviorNode(Value):
     name sibling nodes this node suppresses."""
 
     _fields = __slots__ = ("name", "kind", "configuration", "children", "condition", "inhibitions")
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        configuration: tuple[Connection, ...] = (),
-        children: tuple[BehaviorNode, ...] = (),
-        condition: BoolExpr = TRUE,
-        inhibitions: tuple[str, ...] = (),
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "configuration", configuration)
-        _set(self, "children", children)
-        _set(self, "condition", condition)
-        _set(self, "inhibitions", inhibitions)
+    _defaults = ((), (), TRUE, ())
 
     @property
     def is_meta(self) -> bool:
@@ -454,13 +455,6 @@ class NodePlan(Value):
     literals of both, in first-appearance order."""
 
     _fields = __slots__ = ("condition", "inhibitor_sources", "needed")
-
-    def __init__(
-        self, condition: BoolExpr, inhibitor_sources: tuple[str, ...], needed: tuple[str, ...]
-    ) -> None:
-        _set(self, "condition", condition)
-        _set(self, "inhibitor_sources", inhibitor_sources)
-        _set(self, "needed", needed)
 
 
 class BehaviorModel(Value):
@@ -740,11 +734,7 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
 
 class Component(Value):
     _fields = __slots__ = ("name", "inputs", "outputs")
-
-    def __init__(self, name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = ()) -> None:
-        _set(self, "name", name)
-        _set(self, "inputs", inputs)
-        _set(self, "outputs", outputs)
+    _defaults = ((), ())
 
 
 class NetworkDescription(Value):
@@ -867,12 +857,7 @@ def parse_network(xml_text: str) -> NetworkDescription:
 
 class Diagnostic(Value):
     _fields = __slots__ = ("severity", "code", "message", "location")
-
-    def __init__(self, severity: str, code: str, message: str, location: str = "") -> None:
-        _set(self, "severity", severity)
-        _set(self, "code", code)
-        _set(self, "message", message)
-        _set(self, "location", location)
+    _defaults = ("",)
 
 
 def has_errors(diagnostics) -> bool:

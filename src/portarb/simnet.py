@@ -16,17 +16,17 @@ not by the horizon. Identical inputs always produce byte-identical traces.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import json
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .arbiter import DEFAULT_WINDOW_MS, PortArbiter, Snapshot
 from .compiler import RuleSet
 from .model import (
-    BehaviorModel,
     NetworkDescription,
     ParseError,
     Value,
@@ -38,28 +38,13 @@ from .model import (
     read_text,
 )
 
-_set = object.__setattr__  # sets a Value's fields past its own __setattr__
-
 
 class PeriodicSource(Value):
     """Emits on `port` at phase + k*period for every k whose instant falls
     inside one of the half-open active intervals."""
 
     _fields = __slots__ = ("name", "port", "period_ms", "phase_ms", "active")
-
-    def __init__(
-        self,
-        name: str,
-        port: str,
-        period_ms: int,
-        phase_ms: int = 0,
-        active: tuple[tuple[int, int], ...] = (),
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "port", port)
-        _set(self, "period_ms", period_ms)
-        _set(self, "phase_ms", phase_ms)
-        _set(self, "active", active)
+    _defaults = (0, ())
 
     def instant_ranges(self, horizon: int) -> Iterator[range]:
         """The emission instants before `horizon` as one range per active
@@ -75,31 +60,12 @@ class Scenario(Value):
     """A loaded scenario file: `components` are its sources, in file order."""
 
     _fields = __slots__ = ("model", "network", "horizon_ms", "components")
-
-    def __init__(
-        self,
-        model: BehaviorModel,
-        network: NetworkDescription,
-        horizon_ms: int,
-        components: tuple[PeriodicSource, ...] = (),
-    ) -> None:
-        _set(self, "model", model)
-        _set(self, "network", network)
-        _set(self, "horizon_ms", horizon_ms)
-        _set(self, "components", components)
+    _defaults = ((),)
 
 
-class TraceRecord(NamedTuple):
-    """One fan-out of one emission: who sent, where it went, what the
-    arbiter did and why, and the port's activation at that instant."""
-
-    t: int
-    src: str
-    dst: str
-    outcome: str
-    reason: str
-    rule: str
-    assignment: Mapping[str, bool]
+TraceRecord = collections.namedtuple("TraceRecord", "t src dst outcome reason rule assignment")
+TraceRecord.__doc__ = """One fan-out of one emission: who sent, where it went, what the
+arbiter did and why, and the port's activation at that instant."""
 
 
 class _TraceFormatter:
@@ -178,9 +144,7 @@ class _TraceFormatter:
 
 class Trace(Value):
     _fields = __slots__ = ("records",)
-
-    def __init__(self, records: tuple[TraceRecord, ...] = ()) -> None:
-        _set(self, "records", records)
+    _defaults = ((),)
 
     def __iter__(self):
         return iter(self.records)

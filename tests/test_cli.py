@@ -504,12 +504,13 @@ def test_cli_output_is_byte_stable(capsys):
 PACKAGE_DIR = Path(portarb.cli.__file__).resolve().parent
 
 
-def _loaded_by_cli_import(names):
-    """Those of `names` in sys.modules of a fresh interpreter after `import portarb.cli`."""
+def _loaded_by_cli_import(names, *flags):
+    """Those of `names` in sys.modules of a fresh interpreter, started with
+    `flags`, after `import portarb.cli`."""
     path = os.pathsep.join(filter(None, (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     child = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          f"import sys, portarb.cli; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
@@ -526,6 +527,12 @@ def test_import_leaves_dataclasses_out():
     # dataclasses pulls in inspect, ast and dis, and each @dataclass execs
     # the methods it generates: together most of the start-up of a run
     assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis"}) == "[]\n"
+
+
+def test_import_leaves_typing_out():
+    # typing was about a third of a clean interpreter's import of the CLI;
+    # -S skips the site hooks, which may import typing before portarb does
+    assert _loaded_by_cli_import({"typing"}, "-S") == "[]\n"
 
 
 def test_no_module_of_the_package_imports_dataclasses():

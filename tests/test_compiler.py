@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -363,8 +363,13 @@ _CUBES_OUT_OF_ORDER = RuleSet((
 ))
 
 
-# generating models this large takes most of the time, so examples are few
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# generating models this large takes most of the time, so examples are few;
+# shrinking a failure of models this large runs for many minutes, so a
+# failure is reported as found
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(models_naming_sources(), rule_sets())
 @example(_REPEATED_NEGATION, RuleSet((
     SelectionRule("/X:i", "/a:o", Lit("/c:o")), SelectionRule("/X:i", "/b:o", Lit("/c:o")),

@@ -742,6 +742,17 @@ def test_value_keyword_construction_with_defaults():
     assert diagnostic.location == "" and diagnostic == Diagnostic(WARNING, "V3", "m", "")
 
 
+def test_value_constructor_errors_name_the_class():
+    with pytest.raises(TypeError) as missing:
+        Diagnostic(ERROR)
+    assert str(missing.value) == (
+        "Diagnostic.__init__() missing 2 required positional arguments: 'code' and 'message'"
+    )
+    with pytest.raises(TypeError) as unknown:
+        BehaviorNode("n", BEHAVIOR, label="x")
+    assert str(unknown.value) == "BehaviorNode.__init__() got an unexpected keyword argument 'label'"
+
+
 def test_value_default_dicts_are_not_shared():
     assert BehaviorModel().defines == {}
     assert BehaviorModel().defines is not BehaviorModel().defines
