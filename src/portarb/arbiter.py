@@ -12,18 +12,21 @@ state is its `ActivationTable`'s map of slot -> last arrival, oldest first,
 which holds exactly the slots whose bits are set: an arrival moves its slot
 to the end and drops the front slots that have left the window, clearing
 their bits. So a port's state is O(fan-in), whatever the window and the
-horizon. The port's BDD variable order begins with its sources, so a rule is
-decided by one walk over the mask, and an arrival plus its decision cost
-O(1) amortised plus one BDD path, whatever the fan-in. The simulator steps a
-port with `slot(connection)`, then per arrival `arrive(slot, t)`, which
-gives the mask, and `verdict(slot, mask)`.
+horizon. A rule that is a cube (`compiler.cube_literals`: `true`, a literal,
+a negated literal or a conjunction of these) is kept as two masks over the
+slots, the ports it needs and the values it needs them at, and is decided by
+one compare of the activation mask; any other rule keeps its BDD, whose
+variable order begins with the port's sources, and is decided by one walk
+over the mask. So an arrival plus its decision cost O(1) amortised, plus one
+BDD path for a rule that is not a cube, whatever the fan-in. The simulator
+steps a port with `slot(connection)`, then per arrival `arrive(slot, t)`,
+which gives the mask, and `verdict(slot, mask)`.
 
-Building a port's arbiter costs one BDD level per source and, per rule of
-the port, the rule's BDD and its rendered text. A rule that is a cube of
-literals and negated literals is made as one chain, one node per literal,
-with no node per conjunct. An arbiter reads only its own port's rules: a
-`RuleSet` groups its rules by port once, so for cube rules building all
-arbiters is linear in the connections and rule literals.
+Building a port's arbiter costs, per rule of the port, one pass over a
+cube's literals, or the rule's BDD, and the rule's rendered text. A port
+whose rules are all cubes builds no BDD at all. An arbiter reads only its
+own port's rules: a `RuleSet` groups its rules by port once, so for cube
+rules building all arbiters is linear in the connections and rule literals.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ CONSTRAINT_FALSE = "CONSTRAINT_FALSE"
 _SELECTED = (ACCEPT, SELECTED)
 _NO_RULE = (DISCARD, NO_RULE)
 _CONSTRAINT_FALSE = (DISCARD, CONSTRAINT_FALSE)
+
+# the rule entry of a cube that needs a port both true and false: no mask
+# has `mask & 0 == 1`
+_NEVER = (0, 1, None)
 
 
 class ActivationTable:
@@ -124,9 +131,12 @@ class Decision(Value):
 
 
 class PortArbiter:
-    """Multiplexer gate on one input port: on each arrival, evaluates the
-    arriving connection's rule BDD over the port's activation mask and
-    accepts or discards. Connections without a rule are observation-only."""
+    """Multiplexer gate on one input port: on each arrival, decides the
+    arriving connection's rule over the port's activation mask and accepts
+    or discards. A cube rule is decided by one mask compare; only another
+    rule (a disjunction, `false` or a nested `not`) has a BDD, in `manager`,
+    which is None on a port whose rules are all cubes. Connections without a
+    rule are observation-only."""
 
     def __init__(
         self,
@@ -145,17 +155,37 @@ class PortArbiter:
         # the slots whose bits are set are the keys of activation.last_arrival
         self.activation = ActivationTable(window_ms)
         self._mask = 0
-        # levels below len(sources) are the slots; any later variable names
-        # a port with no connection here, which never arrives and reads false
-        self.manager = BddManager(self.sources)
-        self._rules: list[tuple[int, str] | None] = [None] * len(self.sources)
+        # a cube rule is (care, want, None): it selects when the mask's `care`
+        # bits equal `want`. Any other rule is (0, 0, node), its BDD in
+        # `manager`, made for the port's first such rule. Levels below
+        # len(sources) are the slots; any later level names a port with no
+        # connection here, which never arrives and reads false.
+        self.manager: BddManager | None = None
+        levels = dict(self.slots)
+        self._rules: list[tuple[int, int, int | None] | None] = [None] * len(self.sources)
+        self._texts: list[str | None] = [None] * len(self.sources)
         for rule in ruleset.for_port(port):
             slot = self.slots.get(rule.candidate)
             if slot is None:
                 raise ValueError(
                     f"rule candidate {rule.candidate} has no incoming connection at {port}"
                 )
-            self._rules[slot] = (self.manager.build(rule.constraint), compiler.rule_text(rule))
+            literals = compiler.cube_literals(rule.constraint)
+            if literals is None:
+                if self.manager is None:
+                    self.manager = BddManager(self.sources)
+                entry = (0, 0, self.manager.build(rule.constraint))
+            else:
+                want = unwanted = 0  # the ports needed true, and false
+                for name, value in literals:
+                    bit = 1 << levels.setdefault(name, len(levels))
+                    if value:
+                        want |= bit
+                    else:
+                        unwanted |= bit
+                entry = (want | unwanted, want, None) if not want & unwanted else _NEVER
+            self._rules[slot] = entry
+            self._texts[slot] = compiler.rule_text(rule)
 
     def slot(self, connection: Connection) -> int:
         """The slot of `connection`'s source, for `arrive` and `verdict`."""
@@ -187,12 +217,16 @@ class PortArbiter:
         entry = self._rules[slot]
         if entry is None:
             return _NO_RULE
-        return _SELECTED if self.manager.evaluate_mask(entry[0], mask) else _CONSTRAINT_FALSE
+        care, want, node = entry
+        if mask & care != want:
+            return _CONSTRAINT_FALSE
+        if node is None or self.manager.evaluate_mask(node, mask):
+            return _SELECTED
+        return _CONSTRAINT_FALSE
 
     def rule_text_for(self, source: str) -> str | None:
         slot = self.slots.get(source)
-        entry = self._rules[slot] if slot is not None else None
-        return entry[1] if entry is not None else None
+        return None if slot is None else self._texts[slot]
 
     # the same steps by connection and time, for the benchmark and the tests
 

@@ -160,24 +160,41 @@ def rule_text(rule: SelectionRule) -> str:
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
 
+def cube_literals(constraint: BoolExpr) -> list[tuple[str, bool]] | None:
+    """The `(port, value)` literals of a cube, in order, or None if the
+    constraint is not one. A cube is `true`, a literal, a negated literal or
+    an `And` of literals and negated literals, by exact type; it may repeat
+    a literal or need a port both true and false."""
+    parts = (constraint.children if type(constraint) is And
+             else () if type(constraint) is TrueExpr else (constraint,))
+    literals = []
+    for part in parts:
+        if type(part) is Lit:
+            literals.append((part.port, True))
+        elif type(part) is Not and type(part.child) is Lit:
+            literals.append((part.child.port, False))
+        else:
+            return None
+    return literals
+
+
 def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     """Warn about same-port rule pairs that can both select at once.
 
     Both candidates of a pair are assumed active. A pair with one
     candidate, or where one rule needs a port true (its candidate or a
-    top-level literal) and the other needs it false (a top-level `not p`),
-    is skipped. A pair of cubes (constraints that are `true`, a literal, a
-    negated literal or a conjunction of these) is decided from their
-    literals, with no BDD: a cube needing a port both true and false never
-    selects, and two others can both select, the witness being the union
-    of what they need in variable order, as a BDD search would return it.
-    A pair with a non-cube rule (one holding a disjunction or `false`) is
-    decided with BDDs, built when such a pair first needs them: the witness
-    is the joint's `first_satisfying` assignment, the lowest in variable
-    order. The variable order is fixed first, in one pass over the rules:
-    each rule's candidate, then its constraint's literals in pre-order; so
-    every witness is the same whichever pairs are skipped and whichever
-    path decides them. Per port, the first MAX_C1_PER_PORT pairs with a
+    literal of its cube) and the other needs it false (a `not p` of its
+    cube), is skipped. A pair of cubes (see `cube_literals`) is decided
+    from their literals, with no BDD: a cube needing a port both true and
+    false never selects, and two others can both select, the witness being
+    the union of what they need in variable order, as a BDD search would
+    return it. A pair with a non-cube rule (a disjunction, `false` or a
+    nested `not`) is decided with BDDs, built when such a pair first needs
+    them: the witness is the joint's `first_satisfying` assignment, the
+    lowest in variable order. The variable order is fixed first, in one
+    pass over the rules: each rule's candidate, then its constraint's
+    literals in pre-order; so every witness is the same whichever pairs are
+    skipped and whichever path decides them. Per port, the first MAX_C1_PER_PORT pairs with a
     witness each get a warning; the rest are counted, their witnesses
     unrendered, in one `... and N more` warning at the port.
     """
@@ -185,27 +202,18 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     # port -> [(rule, ports it needs true, ports it needs false, is a cube)]
     by_port: dict[str, list[tuple[SelectionRule, set[str], set[str], bool]]] = {}
     for rule in ruleset.rules:
-        constraint = rule.constraint
-        parts = (constraint.children if type(constraint) is And
-                 else () if type(constraint) is TrueExpr else (constraint,))
+        literals = cube_literals(rule.constraint)
         true, false = {rule.candidate}, set()
-        ports = [rule.candidate]
-        cube = True  # exact types: anything else is decided with BDDs
-        for part in parts:
-            if type(part) is Lit:
-                port = part.port
-                true.add(port)
-            elif type(part) is Not and type(part.child) is Lit:
-                port = part.child.port
-                false.add(port)
-            else:
-                cube = False
-                continue
-            ports.append(port)
-        order += ports if cube else (rule.candidate, *condition_literals(constraint))
-        if cube and not true.isdisjoint(false):
-            continue  # never selects, so no pair of it has a witness
-        by_port.setdefault(rule.port, []).append((rule, true, false, cube))
+        if literals is None:  # decided with BDDs
+            order += (rule.candidate, *condition_literals(rule.constraint))
+        else:
+            order.append(rule.candidate)
+            for port, value in literals:
+                order.append(port)
+                (true if value else false).add(port)
+            if not true.isdisjoint(false):
+                continue  # never selects, so no pair of it has a witness
+        by_port.setdefault(rule.port, []).append((rule, true, false, literals is not None))
     levels = {port: level for level, port in enumerate(dict.fromkeys(order))}
 
     manager: BddManager | None = None  # built for the first non-cube pair

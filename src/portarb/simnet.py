@@ -297,7 +297,9 @@ def iter_run(
     docstring). Each fans out to every connection leaving the source port in
     lexicographic destination order; per destination the arrival is recorded
     first and then decided, so a discarded message still refreshes its
-    connection's activation. `horizon_ms` can only shorten the run.
+    connection's activation. A record's assignment is a read-only
+    `Snapshot`, shared by consecutive records of one port while its mask
+    stays the same. `horizon_ms` can only shorten the run.
     """
     horizon = scenario.horizon_ms
     if horizon_ms is not None:
@@ -312,17 +314,20 @@ def iter_run(
             window_ms=network.windows.get(port, DEFAULT_WINDOW_MS),
         )
 
+    # per port, the mask and snapshot of its latest record: while the mask
+    # holds, its records share the snapshot
+    latest = {port: [-1, None] for port in arbiters}
     # per source port, by destination: the connection's arbiter, its slot
-    # there and the record's fixed fields
+    # there, the port's latest snapshot and the record's fixed fields
     grouped: dict[str, list] = {}
     for conn in network.connections:
         arb = arbiters[conn.destination]
         grouped.setdefault(conn.source, []).append((
-            arb, arb.slot(conn), arb.sources, arb.slots,
+            arb, arb.slot(conn), latest[conn.destination],
             conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
         ))
     fanout = {
-        src: tuple(sorted(entries, key=lambda e: e[5]))
+        src: tuple(sorted(entries, key=lambda e: e[4]))
         for src, entries in grouped.items()
     }
 
@@ -344,12 +349,18 @@ def iter_run(
     ))
     # the compile's state: the run needs only the arbiters and the schedule
     del scenario, ruleset, network
+    # a record is made as the tuple it is: TraceRecord's own __new__ is one
+    # more Python call per record
+    new = tuple.__new__
     for key in schedule:
         t, rank = divmod(key, ranks)
-        for arb, slot, sources, slots, src, dst, rule in fanout.get(rank_ports[rank], ()):
+        for arb, slot, last, src, dst, rule in fanout.get(rank_ports[rank], ()):
             mask = arb.arrive(slot, t)
             outcome, reason = arb.verdict(slot, mask)
-            yield TraceRecord(t, src, dst, outcome, reason, rule, Snapshot(sources, slots, mask))
+            if mask != last[0]:
+                last[0] = mask
+                last[1] = Snapshot(arb.sources, arb.slots, mask)
+            yield new(TraceRecord, (t, src, dst, outcome, reason, rule, last[1]))
 
 
 def run(

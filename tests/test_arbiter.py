@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compile_fixture, run_fixture
+from conftest import compile_fixture, deep_hierarchy_texts, run_fixture
+import portarb.arbiter
 from portarb import (
     ACCEPT,
+    BddManager,
     CONSTRAINT_FALSE,
     DEFAULT_WINDOW_MS,
     FIXTURE_NAMES,
@@ -23,8 +25,10 @@ from portarb import (
     RuleSet,
     SelectionRule,
     ActivationTable,
+    apply_auto_observe,
     compile_model,
     evaluate_condition,
+    extract_rules,
     fixture,
     load_scenario,
     parse_behavior_model,
@@ -349,3 +353,121 @@ def test_arbiter_matches_brute_force(case):
     for probe in (last, last + window - 1, last + window, last + window + 1):
         assert arb.activation_snapshot(probe) == scan(arrivals, probe)
     assert len(arb.activation.last_arrival) == bin(arb.activation_snapshot(last).mask).count("1")
+
+
+WIDE_POOL = tuple(f"/w{i:03d}:o" for i in range(100))
+WIDE_GHOSTS = ("/ghost0:o", "/ghost1:o")  # never connected to PORT
+
+
+@st.composite
+def wide_cubes(draw, candidate, arriving):
+    """A cube of up to 20 literals over the arriving sources and the pool
+    (some not connected at the port), perhaps with a repeated literal, a
+    contradiction and `not candidate`; as `true`, one literal or an `And`."""
+    # a source that arrives is often active, any other port rarely is, and
+    # a ghost never is
+    literal = st.one_of(
+        st.tuples(st.sampled_from(arriving), st.booleans()),
+        st.tuples(st.sampled_from(WIDE_POOL), st.sampled_from((False, False, True))),
+        st.tuples(st.sampled_from(WIDE_GHOSTS), st.booleans()),
+    )
+    literals = draw(st.lists(literal, max_size=17))
+    if literals and draw(st.booleans()):
+        literals.append(draw(st.sampled_from(literals)))
+    if literals and draw(st.booleans()):
+        port, value = draw(st.sampled_from(literals))
+        literals.append((port, not value))
+    if draw(st.booleans()):
+        literals.append((candidate, False))
+    parts = draw(st.permutations([Lit(p) if v else Not(Lit(p)) for p, v in literals]))
+    if not parts:
+        return TRUE
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
+@st.composite
+def wide_arbitration_cases(draw):
+    """One port with 65-100 sources, so masks span several int digits, a
+    window, sorted arrivals and, for the sources that arrive, rules that are
+    cubes, `true`, `false`, disjunctions of cubes or nested negations."""
+    sources = WIDE_POOL[: draw(st.integers(65, len(WIDE_POOL)))]
+    window = draw(st.integers(1, 1500))
+    # the first arrival is from the last slot, above the first two digits
+    arrivals, t = [(sources[-1], 0)], 0
+    for source, gap in draw(st.lists(
+        st.tuples(st.sampled_from(sources),
+                  st.one_of(st.integers(0, window // 8), st.just(window))),
+        min_size=4, max_size=80,
+    )):
+        t += gap
+        arrivals.append((source, t))
+    rules = []
+    arriving = tuple(dict.fromkeys(source for source, _ in arrivals))
+    for source in arriving:
+        cubes = wide_cubes(source, arriving)
+        constraint = draw(st.one_of(
+            cubes, st.sampled_from((None, TRUE, FALSE)),
+            st.lists(cubes, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
+            cubes.map(lambda c: Not(Not(c))),
+        ))
+        if constraint is not None:
+            rules.append(SelectionRule(PORT, source, constraint))
+    return sources, window, arrivals, rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_arbitration_cases())
+def test_arbiter_on_wide_masks_matches_brute_force(case):
+    """Over more than 64 sources, every verdict agrees with a direct
+    evaluation of the arriving source's rule over a scan of the raw
+    arrivals, and every mask with that scan."""
+    sources, window, arrivals, rules = case
+    arb = PortArbiter(PORT, (Connection(s, PORT) for s in sources), RuleSet(tuple(rules)),
+                      window_ms=window)
+    rule_of = {rule.candidate: rule for rule in rules}
+    times = {source: [] for source in sources}
+    for source, t in arrivals:
+        times[source].append(t)
+        expected = {s: any(0 <= t - a < window for a in times[s]) for s in sources}
+        slot = arb.slot(Connection(source, PORT))
+        mask = arb.arrive(slot, t)
+        rule = rule_of.get(source)
+        if rule is None:
+            want = (DISCARD, NO_RULE)
+        elif evaluate_condition(rule.constraint, expected):
+            want = (ACCEPT, SELECTED)
+        else:
+            want = (DISCARD, CONSTRAINT_FALSE)
+        assert arb.verdict(slot, mask) == want, (rule, source)
+        assert Snapshot(arb.sources, arb.slots, mask) == expected
+
+
+def test_cube_ports_build_no_bdd(monkeypatch):
+    model_text, network_text = deep_hierarchy_texts()
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    network = apply_auto_observe(model, network)
+    ruleset = extract_rules(model, network)
+    managers = []
+
+    class CountingManager(BddManager):
+        def __init__(self, *args, **kwargs):
+            managers.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(portarb.arbiter, "BddManager", CountingManager)
+    ports = sorted({conn.destination for conn in network.connections})
+    arbiters = [PortArbiter(port, network.incoming(port), ruleset) for port in ports]
+    assert len(arbiters) == 256 and len(ruleset.rules) == 512
+    assert managers == []
+    assert all(arb.manager is None for arb in arbiters)
+
+    # a port with one disjunctive rule builds one manager, and a second
+    # such rule shares it
+    port = ports[0]
+    first, second, *rest = ruleset.for_port(port)
+    disjunctive = SelectionRule(port, first.candidate, Or((Lit(second.candidate), Not(Lit(GHOST)))))
+    arb = PortArbiter(port, network.incoming(port), RuleSet((disjunctive, second, *rest)))
+    assert managers == [arb.manager]
+    both = SelectionRule(port, second.candidate, Or((Lit(first.candidate), Lit(GHOST))))
+    arb = PortArbiter(port, network.incoming(port), RuleSet((disjunctive, both, *rest)))
+    assert managers[1:] == [arb.manager]

@@ -12,7 +12,10 @@ from hypothesis import example, given, settings
 from conftest import compile_fixture, run_fixture, trace_text
 from portarb import (
     ACCEPT,
+    DEFAULT_WINDOW_MS,
+    FIXTURE_NAMES,
     NO_RULE,
+    And,
     BehaviorModel,
     Component,
     Connection,
@@ -701,3 +704,68 @@ def test_read_trace_matches_the_json_loads_reader(tmp_path_factory, lines, newli
     good = [line for i, line in enumerate(lines) if compare(f"{i}.jsonl", line + newline)]
     compare("all.jsonl", newline.join(lines) + (newline if trailing else ""))
     compare("good.jsonl", newline.join(good * 2) + (newline if trailing else ""))
+
+
+WIDE_PORT = "/wide/in:i"
+WIDE_OUTPUTS = tuple(f"/w{i:03d}/out:o" for i in range(128))
+
+
+def _wide_port_run():
+    """(scenario, ruleset, network): one port fed by 128 sources of five
+    periods, some of which stop early, with a cube rule for every other
+    source."""
+    network = NetworkDescription(
+        components=(Component("out", outputs=WIDE_OUTPUTS), Component("in", inputs=(WIDE_PORT,))),
+        connections=tuple(Connection(source, WIDE_PORT) for source in WIDE_OUTPUTS),
+        windows={WIDE_PORT: 250},
+    )
+    ruleset = RuleSet(tuple(
+        SelectionRule(WIDE_PORT, source, And((Not(Lit(WIDE_OUTPUTS[(i + 64) % 128])),
+                                              Lit(WIDE_OUTPUTS[i // 2]))))
+        for i, source in enumerate(WIDE_OUTPUTS) if i % 2
+    ))
+    scenario = Scenario(BehaviorModel(), network, 1500, tuple(
+        PeriodicSource(f"w{i}", source, period_ms=100 + 10 * (i % 5), phase_ms=i % 37,
+                       active=((0, 400 + 9 * i),))
+        for i, source in enumerate(WIDE_OUTPUTS)
+    ))
+    return scenario, ruleset, network
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("wide-port",))
+def test_records_share_a_snapshot_while_their_ports_mask_holds(name, monkeypatch):
+    # one Snapshot per change of a port's mask, the first record of each
+    # port included; every record's assignment is still the scan's
+    if name == "wide-port":
+        scenario, ruleset, network = _wide_port_run()
+    else:
+        scenario = load_scenario(fixture(name).scenario)
+        _, network, ruleset, _ = compile_fixture(name)
+    made = []
+    init = Snapshot.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Snapshot, "__init__", counting_init)
+    records = list(simnet.iter_run(scenario, ruleset, network))
+    monkeypatch.undo()
+
+    masks, last_arrival, changes = {}, {}, 0
+    for record in records:
+        assert type(record) is TraceRecord
+        sources = sorted({conn.source for conn in network.incoming(record.dst)})
+        window = network.windows.get(record.dst, DEFAULT_WINDOW_MS)
+        arrived = last_arrival.setdefault(record.dst, {})
+        arrived[record.src] = record.t
+        expected = {s: s in arrived and record.t - arrived[s] < window for s in sources}
+        mask = sum(1 << slot for slot, source in enumerate(sources) if expected[source])
+        fresh = Snapshot(tuple(sources), {s: slot for slot, s in enumerate(sources)}, mask)
+        assert record.assignment == fresh == expected, (name, record)
+        if masks.get(record.dst) != mask:
+            masks[record.dst] = mask
+            changes += 1
+    assert len(made) == changes < len(records)
+    if name != "wide-port":
+        assert trace_text(records) == fixture(name).expected_trace.read_text()
