@@ -1,6 +1,7 @@
 """Port-arbitrated coordination: hierarchical behavior models compiled to
-per-port selection rules, evaluated over BDDs against timed connection
-activation, and executed in a deterministic simulated component network."""
+per-port selection rules, evaluated against timed connection activation
+(a cube by one bitmask compare, any other rule over a BDD), and executed in
+a deterministic simulated component network."""
 
 from .arbiter import (
     ACCEPT,

@@ -12,7 +12,7 @@ state is its `ActivationTable`'s map of slot -> last arrival, oldest first,
 which holds exactly the slots whose bits are set: an arrival moves its slot
 to the end and drops the front slots that have left the window, clearing
 their bits. So a port's state is O(fan-in), whatever the window and the
-horizon. A rule that is a cube (`compiler.cube_literals`: `true`, a literal,
+horizon. A rule that is a cube (`model.cube_literals`: `true`, a literal,
 a negated literal or a conjunction of these) is kept as two masks over the
 slots, the ports it needs and the values it needs them at, and is decided by
 one compare of the activation mask; any other rule keeps its BDD, whose
@@ -36,7 +36,7 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
 from .bdd import BddManager
-from .model import Connection, Value
+from .model import Connection, Value, cube_literals
 
 _set = object.__setattr__  # sets a Value's fields past its own __setattr__
 
@@ -170,7 +170,7 @@ class PortArbiter:
                 raise ValueError(
                     f"rule candidate {rule.candidate} has no incoming connection at {port}"
                 )
-            literals = compiler.cube_literals(rule.constraint)
+            literals = cube_literals(rule.constraint)
             if literals is None:
                 if self.manager is None:
                     self.manager = BddManager(self.sources)

@@ -1,11 +1,14 @@
-"""Reduced ordered binary decision diagrams with hash-consing and a memoized
-apply, used to evaluate rule constraints and decide satisfiability."""
+"""Reduced ordered binary decision diagrams with hash-consing and one
+memoized apply, `ite`. A rule that is a cube (`model.cube_literals`) needs
+no BDD: the arbiter and the conflict check decide cubes from their
+literals, so BDDs are built only for rules with a disjunction, `false` or
+a nested `not`."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .model import And, BoolExpr, FalseExpr, Lit, Not, Or, TrueExpr
+from .model import And, BoolExpr, FalseExpr, Not, Or, cube_literals
 
 FALSE = 0
 TRUE = 1
@@ -23,10 +26,9 @@ class BddManager:
     equality coincides with functional equality.
 
     Variable order is `order` (if given) followed by first-appearance order
-    of the ports that `var` and `build` meet; there is no reordering. The
-    order grows with the model: the rules of a 1,024-leaf model order 1,024
-    variables and name about 240 of them each, so the recursions below
-    keep an explicit stack and a cube is built as one chain of nodes.
+    of the ports that `var` and `build` meet; there is no reordering. A
+    rule's BDD may be a chain of hundreds of levels, so `ite` keeps an
+    explicit stack and a cube is built as one chain of nodes.
     """
 
     def __init__(self, order: Iterable[str] = ()):
@@ -36,7 +38,7 @@ class BddManager:
             self._level(port)
         self._nodes: list[tuple[int, int, int] | None] = [None, None]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        self._cache: dict[tuple[int, int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self._nodes) - 2
@@ -59,142 +61,119 @@ class BddManager:
         key = (level, low, high)
         ref = self._unique.get(key)
         if ref is None:
+            ref = self._unique[key] = len(self._nodes)
             self._nodes.append(key)
-            ref = len(self._nodes) - 1
-            self._unique[key] = ref
         return ref
 
-    def _top_level(self, ref: int) -> int:
-        """Level of a ref's top variable; the constants sit below every level."""
-        return self._nodes[ref][0] if ref > TRUE else len(self.order)
-
-    # negate and combine are the memoized Shannon recursions, run on an
-    # explicit stack (as in the apply of Brace, Rudell and Bryant, DAC 1990)
-    # so their depth is bounded by memory, not by Python's recursion limit. A
-    # frame is either a pending operand (key None) or, once both cofactors
-    # are pending above it, the reduction that pops their two results.
+    def ite(self, f: int, g: int, h: int) -> int:
+        """If f then g else h: the one memoized Shannon expansion (the ITE of
+        Brace, Rudell and Bryant, DAC 1990), run on an explicit stack so its
+        depth is bounded by memory, not by Python's recursion limit. A frame
+        is either a pending triple or, once both its cofactors are pending
+        above it, `(triple, level, None)`: the reduction that pops their two
+        results. The AND and OR triples `ite(f, g, 0)` and `ite(f, 1, h)` are
+        commutative and are cached with their two operands in ref order."""
+        nodes, cache, mk = self._nodes, self._cache, self._mk
+        results: list[int] = []
+        push = results.append
+        work: list[tuple] = [(f, g, h)]
+        pop = work.pop
+        while work:
+            f, g, h = pop()
+            if h is None:  # the reduction of triple f, at level g
+                high = results.pop()
+                results[-1] = cache[f] = mk(g, results[-1], high)
+                continue
+            if f <= TRUE:
+                push(g if f else h)
+                continue
+            if g == h:
+                push(g)
+                continue
+            if h == FALSE:  # f and g
+                if g == TRUE or g == f:
+                    push(f)
+                    continue
+                if g < f:
+                    f, g = g, f
+            elif g == TRUE:  # f or h
+                if h == f:
+                    push(f)
+                    continue
+                if h < f:
+                    f, h = h, f
+            key = (f, g, h)
+            result = cache.get(key)
+            if result is not None:
+                push(result)
+                continue
+            # a sink is its own cofactor below every level, so only nodes are looked up
+            level, f_low, f_high = nodes[f]
+            g_low = g_high = g
+            if g > TRUE:
+                g_level, g_low, g_high = nodes[g]
+                if g_level < level:
+                    level = g_level
+                    f_low = f_high = f
+                elif g_level != level:
+                    g_low = g_high = g
+            h_low = h_high = h
+            if h > TRUE:
+                h_level, h_low, h_high = nodes[h]
+                if h_level < level:
+                    level = h_level
+                    f_low = f_high = f
+                    g_low = g_high = g
+                elif h_level != level:
+                    h_low = h_high = h
+            work += ((key, level, None), (f_high, g_high, h_high), (f_low, g_low, h_low))
+        return results[0]
 
     def negate(self, a: int) -> int:
-        nodes, cache, mk = self._nodes, self._cache, self._mk
-        results: list[int] = []
-        work: list[tuple[int, tuple | None]] = [(a, None)]
-        while work:
-            ref, key = work.pop()
-            if key is not None:
-                high = results.pop()
-                low = results.pop()
-                result = cache[key] = mk(nodes[ref][0], low, high)
-                results.append(result)
-                continue
-            if ref <= TRUE:
-                results.append(FALSE if ref == TRUE else TRUE)
-                continue
-            key = ("not", ref)
-            result = cache.get(key)
-            if result is not None:
-                results.append(result)
-                continue
-            _, low, high = nodes[ref]
-            work += ((ref, key), (high, None), (low, None))
-        return results[0]
+        return self.ite(a, FALSE, TRUE)
 
     def combine(self, op: str, a: int, b: int) -> int:
-        """Shannon-expansion apply for AND/OR; result is reduced and ordered."""
+        """AND or OR of two BDDs; `ite` orders the operands for its cache."""
         if op == AND:
-            absorbing, unit = FALSE, TRUE
-        elif op == OR:
-            absorbing, unit = TRUE, FALSE
-        else:
-            raise ValueError(f"unknown operation {op!r}")
-        nodes, cache, mk = self._nodes, self._cache, self._mk
-        results: list[int] = []
-        work: list[tuple[int, int, tuple | None]] = [(a, b, None)]
-        while work:
-            a, b, key = work.pop()
-            if key is not None:  # a is the level here
-                high = results.pop()
-                low = results.pop()
-                result = cache[key] = mk(a, low, high)
-                results.append(result)
-                continue
-            if a == absorbing or b == absorbing:
-                results.append(absorbing)
-                continue
-            if a == unit or a == b:
-                results.append(b)
-                continue
-            if b == unit:
-                results.append(a)
-                continue
-            key = (op, a, b) if a <= b else (op, b, a)
-            result = cache.get(key)
-            if result is not None:
-                results.append(result)
-                continue
-            level_a, a_low, a_high = nodes[a]
-            level_b, b_low, b_high = nodes[b]
-            if level_a < level_b:
-                level, b_low, b_high = level_a, b, b
-            elif level_b < level_a:
-                level, a_low, a_high = level_b, a, a
-            else:
-                level = level_a
-            work += ((level, 0, key), (a_high, b_high, None), (a_low, b_low, None))
-        return results[0]
+            return self.ite(a, b, FALSE)
+        if op == OR:
+            return self.ite(a, TRUE, b)
+        raise ValueError(f"unknown operation {op!r}")
 
     def build(self, expr: BoolExpr) -> int:
-        """Bottom-up construction of an expression's BDD."""
-        if isinstance(expr, TrueExpr):
-            return TRUE
+        """Bottom-up construction of an expression's BDD. A cube (see
+        `cube_literals`) is one chain of nodes made bottom up, deepest level
+        first, so nothing else is made on the way: a repeated literal counts
+        once, and `p and not p` gives FALSE. Its ports are registered in
+        literal order, as for any other expression's in pre-order."""
+        literals = cube_literals(expr)
+        if literals is not None:
+            values = {self._level(port): value for port, value in literals}
+            if len(values) != len(set(literals)):  # a port needed true and false
+                return FALSE
+            mk = self._mk
+            result = TRUE
+            for level in sorted(values, reverse=True):
+                result = mk(level, FALSE, result) if values[level] else mk(level, result, FALSE)
+            return result
         if isinstance(expr, FalseExpr):
             return FALSE
-        if isinstance(expr, Lit):
-            return self.var(expr.port)
         if isinstance(expr, Not):
-            if isinstance(expr.child, Lit):
-                return self._mk(self._level(expr.child.port), TRUE, FALSE)
             return self.negate(self.build(expr.child))
         if isinstance(expr, (And, Or)):
-            if isinstance(expr, And):
-                cube = self._cube(expr.children)
-                if cube is not None:
-                    return cube
             op = AND if isinstance(expr, And) else OR
             refs = [self.build(child) for child in expr.children]
             # deepest top variable first: an operand that sits wholly above
             # the result so far is joined in one apply step per node of its
             # own (the children, built first, fix the variable order)
-            refs.sort(key=self._top_level, reverse=True)
+            bottom = len(self.order)  # the level of the sinks
+            refs.sort(key=lambda ref: self._nodes[ref][0] if ref > TRUE else bottom,
+                      reverse=True)
             result = refs[0]
             for ref in refs[1:]:
                 result = self.combine(op, result, ref)
             return result
         raise TypeError(f"not a BoolExpr: {expr!r}")
-
-    def _cube(self, children: tuple[BoolExpr, ...]) -> int | None:
-        """The conjunction of `children` if each is a literal or a negated
-        literal, else None. The ports are registered in child order, as the
-        general path would; the result is one chain of nodes made bottom up,
-        deepest level first, so nothing else is made on the way. A repeated
-        literal counts once, and `p and not p` gives FALSE."""
-        values: dict[int, bool] = {}
-        contradiction = False
-        for child in children:
-            if isinstance(child, Lit):
-                level, value = self._level(child.port), True
-            elif isinstance(child, Not) and isinstance(child.child, Lit):
-                level, value = self._level(child.child.port), False
-            else:
-                return None
-            if values.setdefault(level, value) != value:
-                contradiction = True
-        if contradiction:
-            return FALSE
-        mk = self._mk
-        result = TRUE
-        for level in sorted(values, reverse=True):
-            result = mk(level, FALSE, result) if values[level] else mk(level, result, FALSE)
-        return result
 
     def evaluate(self, node: int, assignment: Mapping[str, bool]) -> bool:
         """Follow low/high edges to a sink; missing ports count as inactive."""

@@ -4,6 +4,8 @@ Two steps per leaf behavior: inherit ancestor conditions, then conjoin the
 negated source ports of everything that inhibits it (directly or through an
 enclosing meta-behavior). The result is one selection rule per configured
 connection, merged per (port, candidate) and rendered deterministically.
+The conflict check decides a pair of cube rules (`model.cube_literals`)
+from their literals; only a pair with another rule builds BDDs.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .model import (
     Not,
     Or,
     TRUE,
-    TrueExpr,
     WARNING,
     Value,
     apply_auto_observe,
     condition_literals,
+    cube_literals,
     has_errors,
     normalize,
     render_condition,
@@ -160,31 +162,13 @@ def rule_text(rule: SelectionRule) -> str:
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
 
-def cube_literals(constraint: BoolExpr) -> list[tuple[str, bool]] | None:
-    """The `(port, value)` literals of a cube, in order, or None if the
-    constraint is not one. A cube is `true`, a literal, a negated literal or
-    an `And` of literals and negated literals, by exact type; it may repeat
-    a literal or need a port both true and false."""
-    parts = (constraint.children if type(constraint) is And
-             else () if type(constraint) is TrueExpr else (constraint,))
-    literals = []
-    for part in parts:
-        if type(part) is Lit:
-            literals.append((part.port, True))
-        elif type(part) is Not and type(part.child) is Lit:
-            literals.append((part.child.port, False))
-        else:
-            return None
-    return literals
-
-
 def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     """Warn about same-port rule pairs that can both select at once.
 
     Both candidates of a pair are assumed active. A pair with one
     candidate, or where one rule needs a port true (its candidate or a
     literal of its cube) and the other needs it false (a `not p` of its
-    cube), is skipped. A pair of cubes (see `cube_literals`) is decided
+    cube), is skipped. A pair of cubes (see `model.cube_literals`) is decided
     from their literals, with no BDD: a cube needing a port both true and
     false never selects, and two others can both select, the witness being
     the union of what they need in variable order, as a BDD search would
@@ -194,9 +178,10 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     lowest in variable order. The variable order is fixed first, in one
     pass over the rules: each rule's candidate, then its constraint's
     literals in pre-order; so every witness is the same whichever pairs are
-    skipped and whichever path decides them. Per port, the first MAX_C1_PER_PORT pairs with a
-    witness each get a warning; the rest are counted, their witnesses
-    unrendered, in one `... and N more` warning at the port.
+    skipped and whichever path decides them. Per port, the first
+    MAX_C1_PER_PORT pairs with a witness each get a warning; the rest are
+    counted, their witnesses unrendered, in one `... and N more` warning at
+    the port.
     """
     order: list[str] = []  # every rule's ports, in rule order
     # port -> [(rule, ports it needs true, ports it needs false, is a cube)]

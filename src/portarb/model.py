@@ -8,6 +8,7 @@ validation of a model against a network.
 from __future__ import annotations
 
 import operator
+import pyexpat  # loaded by ElementTree already, unlike its xml.parsers.expat wrapper
 import re
 from collections.abc import Iterator, Mapping
 from functools import cached_property
@@ -410,6 +411,24 @@ def condition_literals(expr: BoolExpr) -> tuple[str, ...]:
     return tuple(out)
 
 
+def cube_literals(constraint: BoolExpr) -> list[tuple[str, bool]] | None:
+    """The `(port, value)` literals of a cube, in order, or None if the
+    constraint is not one. A cube is `true`, a literal, a negated literal or
+    an `And` of literals and negated literals, by exact type; it may repeat
+    a literal or need a port both true and false."""
+    parts = (constraint.children if type(constraint) is And
+             else () if type(constraint) is TrueExpr else (constraint,))
+    literals = []
+    for part in parts:
+        if type(part) is Lit:
+            literals.append((part.port, True))
+        elif type(part) is Not and type(part.child) is Lit:
+            literals.append((part.child.port, False))
+        else:
+            return None
+    return literals
+
+
 def evaluate_condition(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
     """Direct evaluation; ports missing from the assignment count as inactive."""
     if isinstance(expr, TrueExpr):
@@ -530,16 +549,40 @@ MAX_EXPANSION_CHARS = 1 << 20
 _XML_DECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>")
 
 
+# expat's codes for junk after the first element and for no element at all:
+# how a document of several or of no top-level elements fails to parse
+_FOREST_ERRORS = {
+    pyexpat.errors.codes[pyexpat.errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT],
+    pyexpat.errors.codes[pyexpat.errors.XML_ERROR_NO_ELEMENTS],
+}
+
+
 def _parse_xml_forest(text: str, what: str) -> list[ElementTree.Element]:
-    """Parse a document that may carry several top-level elements."""
+    """Parse a document that may carry several top-level elements.
+
+    A document that is not one element is parsed again, less any XML
+    declaration, as the children of a `<forest>` wrapper. If that fails
+    too, the error reported is the first parse's, unless that was junk
+    after the first element or no element at all; then it is the retry's,
+    at its line and column in `text`."""
     try:
         root = ElementTree.fromstring(text)
-    except ElementTree.ParseError:
-        stripped = _XML_DECL_RE.sub("", text, count=1)
+    except ElementTree.ParseError as first:
+        declaration = _XML_DECL_RE.match(text)
+        skipped = declaration.end() if declaration else 0
         try:
-            root = ElementTree.fromstring(f"<forest>{stripped}</forest>")
+            root = ElementTree.fromstring(f"<forest>{text[skipped:]}</forest>")
         except ElementTree.ParseError as exc:
-            raise ParseError(f"malformed {what} XML: {exc}") from None
+            if first.code not in _FOREST_ERRORS:
+                raise ParseError(f"malformed {what} XML: {first}") from None
+            line, column = exc.position
+            if line == 1:  # past the wrapper's start tag, after the skipped text
+                column += skipped - text.rfind("\n", 0, skipped) - 1 - len("<forest>")
+            line += text.count("\n", 0, skipped)
+            raise ParseError(
+                f"malformed {what} XML: {pyexpat.ErrorString(exc.code)}: "
+                f"line {line}, column {column}"
+            ) from None
         return list(root)
     if root.tag in ("define", BEHAVIOR, META_BEHAVIOR):
         return [root]

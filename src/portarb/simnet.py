@@ -236,15 +236,23 @@ def load_scenario(path) -> Scenario:
         names.add(name)
         if ("source" in entry) == ("sink" in entry):
             raise _schema_error(path, f"component {name!r} needs exactly one of source/sink")
-        if "source" in entry:
-            spec = entry["source"]
-            if not isinstance(spec, dict):
-                raise _schema_error(path, f"source of {name!r} must be an object")
-            port = check_port(str(spec.get("port", "")))
-            if not is_output(port):
-                raise _schema_error(path, f"source port {port!r} of {name!r} must be an output")
-            if port not in network.declared_outputs:
-                raise _schema_error(path, f"source port {port!r} is not declared in the network")
+        role = "source" if "source" in entry else "sink"
+        kind, is_kind, declared = (
+            ("output", is_output, network.declared_outputs) if role == "source"
+            else ("input", is_input, network.declared_inputs)
+        )
+        spec = entry[role]
+        if not isinstance(spec, dict):
+            raise _schema_error(path, f"{role} of {name!r} must be an object")
+        port = spec.get("port", "")
+        if not isinstance(port, str):
+            raise _schema_error(path, f"{role} port {port!r} of {name!r} must be a string")
+        check_port(port)
+        if not is_kind(port):
+            raise _schema_error(path, f"{role} port {port!r} of {name!r} must be an {kind}")
+        if port not in declared:
+            raise _schema_error(path, f"{role} port {port!r} is not declared in the network")
+        if role == "source":
             components.append(PeriodicSource(
                 name=name,
                 port=port,
@@ -252,15 +260,6 @@ def load_scenario(path) -> Scenario:
                 phase_ms=_require_int(path, spec, "phase_ms", minimum=0) if "phase_ms" in spec else 0,
                 active=_parse_intervals(path, spec.get("active", [])),
             ))
-        else:
-            spec = entry["sink"]
-            if not isinstance(spec, dict):
-                raise _schema_error(path, f"sink of {name!r} must be an object")
-            port = check_port(str(spec.get("port", "")))
-            if not is_input(port):
-                raise _schema_error(path, f"sink port {port!r} of {name!r} must be an input")
-            if port not in network.declared_inputs:
-                raise _schema_error(path, f"sink port {port!r} is not declared in the network")
 
     return Scenario(model, network, horizon_ms, tuple(components))
 

@@ -1,12 +1,13 @@
 """Shared helpers: the compile/run pipeline over fixtures, a generated
-256-leaf model, and hypothesis strategies for condition expressions and
-behavior models."""
+256-leaf model, malformed model documents, and hypothesis strategies for
+condition expressions and behavior models."""
 
 import itertools
 import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
 from portarb import (
     And,
@@ -104,6 +105,27 @@ def deep_hierarchy_texts(branching=4, depth=4):
     return "\n".join(model) + "\n", "\n".join(network) + "\n"
 
 
+# `</behaviour>` closes `<behavior>`: expat reports a mismatched tag just past its `</`
+MISMATCHED_ONE = '<behavior name="A"><config at="/B:i">/C:o</config></behaviour>'
+MISMATCHED_SECOND = '<define name="d">x</define><behavior name="B"></behaviour>'
+DECLARATION = '<?xml version="1.0"?>'
+AMPLIFIED = ('<!DOCTYPE r [<!ENTITY a "' + "x" * 1000 + '"><!ENTITY b "' + "&a;" * 1000
+             + '"><!ENTITY c "' + "&b;" * 10 + '">]><r>&c;</r>')
+
+# malformed behavior models and the start of the error each is reported with
+MALFORMED_MODELS = [
+    pytest.param(MISMATCHED_ONE, "mismatched tag: line 1, column 52", id="one-root"),
+    pytest.param(MISMATCHED_SECOND, "mismatched tag: line 1, column 48", id="second-root"),
+    pytest.param(DECLARATION + MISMATCHED_SECOND, "mismatched tag: line 1, column 69",
+                 id="declaration-second-root"),
+    pytest.param(f"{DECLARATION}\n{MISMATCHED_SECOND}", "mismatched tag: line 2, column 48",
+                 id="declaration-line-second-root"),
+    pytest.param(f'\n  <define name="d">x</define>\n  {MISMATCHED_SECOND}',
+                 "mismatched tag: line 3, column 50", id="indented-second-root"),
+    pytest.param(AMPLIFIED, "limit on input amplification factor", id="amplified-dtd"),
+]
+
+
 def trace_text(records):
     """The text write_trace writes for `records`."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,17 +140,17 @@ def trace_text(records):
 EXPR_PORTS = tuple(f"/{c}/out:o" for c in "abcdefgh")
 
 
-def port_literals():
-    return st.sampled_from(EXPR_PORTS).map(Lit)
+def port_literals(ports=EXPR_PORTS):
+    return st.sampled_from(ports).map(Lit)
 
 
-def expressions(max_leaves=10, max_depth=None):
-    """Conditions over EXPR_PORTS: constants, literals, `not`, 2-3-way
+def expressions(max_leaves=10, max_depth=None, ports=EXPR_PORTS):
+    """Conditions over `ports`: constants, literals, `not`, 2-3-way
     `and`/`or`. Without `max_depth`, at most `max_leaves` leaves but `not`
     chains of any length; with it, `max_leaves` is ignored and operators
     nest at most `max_depth` deep, so that drawing hundreds of conditions
     for one example never runs past hypothesis's depth limit."""
-    base = st.one_of(st.just(TRUE), st.just(FALSE), port_literals())
+    base = st.one_of(st.just(TRUE), st.just(FALSE), port_literals(ports))
 
     def extend(kids):
         return st.one_of(

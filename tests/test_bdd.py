@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import expressions
+from conftest import EXPR_PORTS, expressions
 from portarb import And, BddManager, Lit, Not, Or
 from portarb.bdd import AND, FALSE, OR, TRUE
 from portarb.model import FALSE as FALSE_EXPR, TRUE as TRUE_EXPR
@@ -266,6 +266,36 @@ def test_canonicity(e1, e2):
             ports.append(p)
     equal = all(tt_eval(e1, sigma) == tt_eval(e2, sigma) for sigma in assignments_over(ports))
     assert (n1 == n2) == equal
+
+
+ITE_PORTS = EXPR_PORTS[:5]
+_A, _B = (Lit(p) for p in ITE_PORTS[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[expressions(max_leaves=6, ports=ITE_PORTS)] * 3, st.permutations(ITE_PORTS))
+@example(TRUE_EXPR, _A, _B, ITE_PORTS)  # constant operands
+@example(FALSE_EXPR, _A, _B, ITE_PORTS)
+@example(_A, TRUE_EXPR, FALSE_EXPR, ITE_PORTS)
+@example(_A, FALSE_EXPR, TRUE_EXPR, ITE_PORTS)
+@example(_A, TRUE_EXPR, _B, ITE_PORTS)
+@example(_A, _B, FALSE_EXPR, ITE_PORTS)
+@example(FALSE_EXPR, TRUE_EXPR, FALSE_EXPR, ITE_PORTS)
+@example(_A, _B, _B, ITE_PORTS)  # g == h
+@example(_A, FALSE_EXPR, FALSE_EXPR, ITE_PORTS)
+@example(Or((_A, Not(_B))), And((_A, _B)), And((_A, _B)), ITE_PORTS)
+@example(_A, _A, _B, ITE_PORTS)  # f == g, f == h
+@example(_A, _B, _A, ITE_PORTS)
+# h's top variable above those of f and g, which share theirs
+@example(_A, And((_A, _B)), Lit(ITE_PORTS[4]), ITE_PORTS[4:] + ITE_PORTS[:4])
+def test_ite_is_if_then_else(f, g, h, order):
+    # the order is drawn, so any operand's top variable may be the highest
+    m = BddManager(order)
+    result = m.ite(m.build(f), m.build(g), m.build(h))
+    assert result == m.build(Or((And((f, g)), And((Not(f), h)))))
+    for sigma in assignments_over(ITE_PORTS):
+        chosen = g if tt_eval(f, sigma) else h
+        assert m.evaluate(result, sigma) == tt_eval(chosen, sigma)
 
 
 def test_combine_rejects_unknown_op():

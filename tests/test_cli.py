@@ -28,7 +28,7 @@ import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from portarb.model import MAX_NESTING_DEPTH, MAX_V3_PER_PORT
 
-from conftest import deep_hierarchy_texts, run_fixture, trace_text
+from conftest import MALFORMED_MODELS, deep_hierarchy_texts, run_fixture, trace_text
 
 SAT = fixture("search-and-track")
 
@@ -63,6 +63,15 @@ def test_compile_malformed_model(tmp_path, capsys):
     bad.write_text("<behavior name='B'>")
     assert run_cli("compile", bad, SAT.network) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_MODELS)
+@pytest.mark.parametrize("command", ["compile", "validate"])
+def test_malformed_model_xml_exits_with_usage_and_its_place(tmp_path, capsys, command, text, message):
+    bad = tmp_path / "model.xml"
+    bad.write_text(text)
+    assert run_cli(command, bad, SAT.network) == EXIT_USAGE
+    assert f"malformed behavior model XML: {message}" in capsys.readouterr().err
 
 
 def test_compile_json_to_file(tmp_path, capsys):

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import behavior_models, deep_hierarchy_texts
+from conftest import (
+    MALFORMED_MODELS,
+    MISMATCHED_ONE,
+    MISMATCHED_SECOND,
+    behavior_models,
+    deep_hierarchy_texts,
+)
 import portarb.model
 from portarb import (
     ACCEPT,
@@ -303,6 +309,34 @@ def test_multiple_condition_elements_rejected():
 def test_malformed_xml_rejected():
     with pytest.raises(ParseError, match="malformed"):
         parse_behavior_model("<behavior name='B'>")
+
+
+LEAF_B = '<behavior name="B"><config at="/X:i">/Y:o</config></behavior>'
+
+
+@pytest.mark.parametrize("text, roots", [
+    (LEAF_B, 1),
+    (f'<define name="d">x</define>{LEAF_B}', 1),  # several top-level elements
+    (f'<?xml version="1.0"?>\n<define name="d">x</define>\n{LEAF_B}', 1),
+    ("", 0),
+    ("<!-- nothing here -->", 0),
+    (f"some text {LEAF_B}", 1),
+])
+def test_model_documents_of_any_number_of_top_level_elements_parse(text, roots):
+    assert len(parse_behavior_model(text).roots) == roots
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_MODELS)
+def test_malformed_model_xml_errors_name_the_place_in_the_document(text, message):
+    for mismatched in (MISMATCHED_ONE, MISMATCHED_SECOND):
+        index = text.rfind(mismatched)
+        if index >= 0:  # the column expat gives for the text on its own line
+            line_start = text.rfind("\n", 0, index) + 1
+            assert message.endswith(
+                f"column {index - line_start + mismatched.index('</behaviour>') + 2}")
+    with pytest.raises(ParseError) as caught:
+        parse_behavior_model(text)
+    assert str(caught.value).startswith(f"malformed behavior model XML: {message}")
 
 
 def test_serialize_roundtrip_listing():

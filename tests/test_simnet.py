@@ -125,6 +125,21 @@ def test_component_name_must_be_a_string(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("role", ["source", "sink"])
+@pytest.mark.parametrize("port", [["x"], 123, None, True])
+def test_component_port_must_be_a_string(tmp_path, capsys, role, port):
+    # was passed through str(): ["x"] was reported as the port name "['x']"
+    path = _scenario_file(tmp_path, {"components": [
+        {"name": "Name", role: {"port": port, "period_ms": 100}},
+    ]})
+    message = f"{path}: {role} port {port!r} of 'Name' must be a string"
+    with pytest.raises(ParseError) as info:
+        load_scenario(path)
+    assert str(info.value) == message
+    assert main(["simulate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_component_needs_exactly_one_role(tmp_path):
     path = _scenario_file(tmp_path, {"components": [{"name": "P"}]})
     with pytest.raises(ParseError, match="source/sink"):
