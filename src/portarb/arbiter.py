@@ -19,14 +19,16 @@ one compare of the activation mask; any other rule keeps its BDD, whose
 variable order begins with the port's sources, and is decided by one walk
 over the mask. So an arrival plus its decision cost O(1) amortised, plus one
 BDD path for a rule that is not a cube, whatever the fan-in. The simulator
-steps a port with `slot(connection)`, then per arrival `arrive(slot, t)`,
-which gives the mask, and `verdict(slot, mask)`.
+steps a port per arrival with `arrive(slot, t)`, which gives the mask, and
+`verdict(slot, mask)`; the record's assignment is the arbiter's `snapshot`,
+the one `Snapshot` of its mask, made anew only when an arrival changes the
+mask. The arbiter renders no rule text: the simulator does, once per rule.
 
 Building a port's arbiter costs, per rule of the port, one pass over a
-cube's literals, or the rule's BDD, and the rule's rendered text. A port
-whose rules are all cubes builds no BDD at all. An arbiter reads only its
-own port's rules: a `RuleSet` groups its rules by port once, so for cube
-rules building all arbiters is linear in the connections and rule literals.
+cube's literals, or the rule's BDD. A port whose rules are all cubes builds
+no BDD at all. An arbiter reads only its own port's rules: a `RuleSet`
+groups its rules by port once, so for cube rules building all arbiters is
+linear in the connections and rule literals.
 """
 
 from __future__ import annotations
@@ -155,6 +157,7 @@ class PortArbiter:
         # the slots whose bits are set are the keys of activation.last_arrival
         self.activation = ActivationTable(window_ms)
         self._mask = 0
+        self.snapshot: Snapshot | None = None  # of `_mask`, from the first arrival on
         # a cube rule is (care, want, None): it selects when the mask's `care`
         # bits equal `want`. Any other rule is (0, 0, node), its BDD in
         # `manager`, made for the port's first such rule. Levels below
@@ -163,7 +166,6 @@ class PortArbiter:
         self.manager: BddManager | None = None
         levels = dict(self.slots)
         self._rules: list[tuple[int, int, int | None] | None] = [None] * len(self.sources)
-        self._texts: list[str | None] = [None] * len(self.sources)
         for rule in ruleset.for_port(port):
             slot = self.slots.get(rule.candidate)
             if slot is None:
@@ -185,7 +187,6 @@ class PortArbiter:
                         unwanted |= bit
                 entry = (want | unwanted, want, None) if not want & unwanted else _NEVER
             self._rules[slot] = entry
-            self._texts[slot] = compiler.rule_text(rule)
 
     def slot(self, connection: Connection) -> int:
         """The slot of `connection`'s source, for `arrive` and `verdict`."""
@@ -209,7 +210,9 @@ class PortArbiter:
             del last_arrival[oldest]
             mask &= ~(1 << oldest)
         mask |= 1 << slot
-        self._mask = mask
+        if mask != self._mask:
+            self._mask = mask
+            self.snapshot = Snapshot(self.sources, self.slots, mask)
         return mask
 
     def verdict(self, slot: int, mask: int) -> tuple[str, str]:
@@ -224,10 +227,6 @@ class PortArbiter:
             return _SELECTED
         return _CONSTRAINT_FALSE
 
-    def rule_text_for(self, source: str) -> str | None:
-        slot = self.slots.get(source)
-        return None if slot is None else self._texts[slot]
-
     # the same steps by connection and time, for the benchmark and the tests
 
     def record_arrival(self, connection: Connection, t: int) -> None:
@@ -236,7 +235,8 @@ class PortArbiter:
     def activation_snapshot(self, t: int) -> Snapshot:
         """One boolean per distinct incoming source port at `t`, which may not
         precede the latest arrival: the kept mask less the front slots expired
-        by `t`. A port sharing several connections counts active if any is."""
+        by `t`, which is `snapshot` itself when none has expired. A port
+        sharing several connections counts active if any is."""
         table = self.activation
         if table._latest is not None and t < table._latest:
             raise ValueError(f"time regression: probe at {t} after {table._latest}")
@@ -246,6 +246,8 @@ class PortArbiter:
             if last > cutoff:
                 break
             mask &= ~(1 << slot)
+        if mask == self._mask and self.snapshot is not None:
+            return self.snapshot
         return Snapshot(self.sources, self.slots, mask)
 
     def decide(self, connection: Connection, t: int) -> Decision:

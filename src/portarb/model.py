@@ -557,12 +557,17 @@ _FOREST_ERRORS = {
 }
 
 
-def _parse_xml_forest(text: str, what: str) -> list[ElementTree.Element]:
+class _XmlError(Exception):
+    """A document that does not parse: `args` are expat's reason and the
+    line and column, counted from 1 and 0 as expat's are, in the text."""
+
+
+def _parse_xml_forest(text: str) -> list[ElementTree.Element]:
     """Parse a document that may carry several top-level elements.
 
     A document that is not one element is parsed again, less any XML
     declaration, as the children of a `<forest>` wrapper. If that fails
-    too, the error reported is the first parse's, unless that was junk
+    too, the `_XmlError` raised is the first parse's, unless that was junk
     after the first element or no element at all; then it is the retry's,
     at its line and column in `text`."""
     try:
@@ -574,15 +579,15 @@ def _parse_xml_forest(text: str, what: str) -> list[ElementTree.Element]:
             root = ElementTree.fromstring(f"<forest>{text[skipped:]}</forest>")
         except ElementTree.ParseError as exc:
             if first.code not in _FOREST_ERRORS:
-                raise ParseError(f"malformed {what} XML: {first}") from None
+                line, column = first.position
+                # ElementTree's text is the reason, then this position
+                raise _XmlError(str(first).removesuffix(f": line {line}, column {column}"),
+                                line, column) from None
             line, column = exc.position
             if line == 1:  # past the wrapper's start tag, after the skipped text
                 column += skipped - text.rfind("\n", 0, skipped) - 1 - len("<forest>")
             line += text.count("\n", 0, skipped)
-            raise ParseError(
-                f"malformed {what} XML: {pyexpat.ErrorString(exc.code)}: "
-                f"line {line}, column {column}"
-            ) from None
+            raise _XmlError(pyexpat.ErrorString(exc.code), line, column) from None
         return list(root)
     if root.tag in ("define", BEHAVIOR, META_BEHAVIOR):
         return [root]
@@ -622,7 +627,12 @@ def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str,
     interpretation of the behavior elements; returns the elements of the
     substituted document and the defines. A document that substitution
     leaves unchanged is parsed once."""
-    elements = _parse_xml_forest(text, "behavior model")
+    try:
+        elements = _parse_xml_forest(text)
+    except _XmlError as exc:
+        reason, line, column = exc.args
+        raise ParseError(
+            f"malformed behavior model XML: {reason}: line {line}, column {column}") from None
     defines = _extract_defines(elements)
     total = sum(len(value) for value in defines.values())
     limit = total + MAX_EXPANSION_CHARS
@@ -646,8 +656,36 @@ def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str,
                 raise ParseError("circular ${...} define references")
             raise ParseError(f"unresolved ${{{leftover.group(1)}}}")
     if substituted != text:
-        elements = _parse_xml_forest(substituted, "behavior model")
+        try:
+            elements = _parse_xml_forest(substituted)
+        except _XmlError as exc:
+            raise _define_error(text, defines, exc) from None
     return elements, defines
+
+
+def _define_error(text: str, defines: Mapping[str, str], error: _XmlError) -> ParseError:
+    """The error of a document that parses as written but not with its
+    ${...} references substituted (`error`). It names a reference whose
+    substitution breaks the document: with the references before it
+    substituted the document parses, and with it too it does not. The
+    search halves the references, so it parses O(log references) times.
+    The reference's line and column are counted in `text` as expat's are."""
+    refs = list(_DEFINE_REF_RE.finditer(text))  # every one has a define here
+    good, bad = 0, len(refs)  # the text parses with `good` substituted, not with `bad`
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        try:
+            _parse_xml_forest(_DEFINE_REF_RE.sub(lambda m: defines[m.group(1)], text, count=middle))
+            good = middle
+        except _XmlError as exc:
+            bad, error = middle, exc
+    ref = refs[bad - 1]
+    line = text.count("\n", 0, ref.start()) + 1
+    column = ref.start() - text.rfind("\n", 0, ref.start()) - 1
+    return ParseError(
+        f"malformed behavior model XML: define {ref.group(1)!r}, substituted for "
+        f"{ref.group(0)} at line {line}, column {column}: {error.args[0]}"
+    )
 
 
 def _parse_definition(el: ElementTree.Element, name: str):

@@ -25,7 +25,7 @@ from itertools import chain
 from pathlib import Path
 
 from .arbiter import DEFAULT_WINDOW_MS, PortArbiter, Snapshot
-from .compiler import RuleSet
+from .compiler import RuleSet, rule_text
 from .model import (
     NetworkDescription,
     ParseError,
@@ -247,7 +247,10 @@ def load_scenario(path) -> Scenario:
         port = spec.get("port", "")
         if not isinstance(port, str):
             raise _schema_error(path, f"{role} port {port!r} of {name!r} must be a string")
-        check_port(port)
+        try:
+            check_port(port)
+        except ParseError as exc:
+            raise _schema_error(path, str(exc)) from None
         if not is_kind(port):
             raise _schema_error(path, f"{role} port {port!r} of {name!r} must be an {kind}")
         if port not in declared:
@@ -296,39 +299,25 @@ def iter_run(
     docstring). Each fans out to every connection leaving the source port in
     lexicographic destination order; per destination the arrival is recorded
     first and then decided, so a discarded message still refreshes its
-    connection's activation. A record's assignment is a read-only
-    `Snapshot`, shared by consecutive records of one port while its mask
-    stays the same. `horizon_ms` can only shorten the run.
+    connection's activation. A record's assignment is its port's arbiter's
+    `snapshot`, shared while the port's mask holds; the run renders each
+    rule's text once. `horizon_ms` can only shorten the run.
     """
     horizon = scenario.horizon_ms
     if horizon_ms is not None:
         horizon = min(horizon, horizon_ms)
 
-    arbiters: dict[str, PortArbiter] = {}
-    for port in sorted({c.destination for c in network.connections}):
-        arbiters[port] = PortArbiter(
-            port,
-            network.incoming(port),
-            ruleset,
-            window_ms=network.windows.get(port, DEFAULT_WINDOW_MS),
-        )
-
-    # per port, the mask and snapshot of its latest record: while the mask
-    # holds, its records share the snapshot
-    latest = {port: [-1, None] for port in arbiters}
-    # per source port, by destination: the connection's arbiter, its slot
-    # there, the port's latest snapshot and the record's fixed fields
-    grouped: dict[str, list] = {}
-    for conn in network.connections:
-        arb = arbiters[conn.destination]
-        grouped.setdefault(conn.source, []).append((
-            arb, arb.slot(conn), latest[conn.destination],
-            conn.source, conn.destination, arb.rule_text_for(conn.source) or "-",
-        ))
-    fanout = {
-        src: tuple(sorted(entries, key=lambda e: e[4]))
-        for src, entries in grouped.items()
-    }
+    # the text of each port's rule for each candidate, rendered once
+    texts = {(rule.port, rule.candidate): rule_text(rule) for rule in ruleset.rules}
+    # per source port, in destination order: the arbiter there, the source's
+    # slot in it and the record's fixed fields
+    fanout: dict[str, list] = {}
+    for port in sorted({conn.destination for conn in network.connections}):
+        arb = PortArbiter(port, network.incoming(port), ruleset,
+                          window_ms=network.windows.get(port, DEFAULT_WINDOW_MS))
+        for slot, source in enumerate(arb.sources):
+            fanout.setdefault(source, []).append(
+                (arb, slot, source, port, texts.get((port, source), "-")))
 
     # A key is t * 2n + the emission's rank at t among the n sources, in
     # the module docstring's order: below n, a source at its phase, by
@@ -346,20 +335,16 @@ def iter_run(
         chain.from_iterable(_schedule_keys(comp, index, later_rank[index], ranks, horizon))
         for index, comp in enumerate(components)
     ))
-    # the compile's state: the run needs only the arbiters and the schedule
-    del scenario, ruleset, network
+    # the compile's state: the run needs only the fan-out and the schedule
+    del scenario, ruleset, network, texts
     # a record is made as the tuple it is: TraceRecord's own __new__ is one
     # more Python call per record
     new = tuple.__new__
     for key in schedule:
         t, rank = divmod(key, ranks)
-        for arb, slot, last, src, dst, rule in fanout.get(rank_ports[rank], ()):
-            mask = arb.arrive(slot, t)
-            outcome, reason = arb.verdict(slot, mask)
-            if mask != last[0]:
-                last[0] = mask
-                last[1] = Snapshot(arb.sources, arb.slots, mask)
-            yield new(TraceRecord, (t, src, dst, outcome, reason, rule, last[1]))
+        for arb, slot, src, dst, rule in fanout.get(rank_ports[rank], ()):
+            outcome, reason = arb.verdict(slot, arb.arrive(slot, t))
+            yield new(TraceRecord, (t, src, dst, outcome, reason, rule, arb.snapshot))
 
 
 def run(

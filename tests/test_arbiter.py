@@ -34,6 +34,7 @@ from portarb import (
     parse_behavior_model,
     parse_network,
     read_trace,
+    rule_text,
     run,
 )
 from portarb.arbiter import Snapshot
@@ -103,13 +104,14 @@ def test_arbiter_from_ruleset_replays_fixture_traces():
         assert groups == ruleset.by_port() and groups is not ruleset.by_port()
         ports = sorted({conn.destination for conn in network.connections})
         arbiters = {port: PortArbiter(port, network.incoming(port), ruleset) for port in ports}
+        texts = {(rule.port, rule.candidate): rule_text(rule) for rule in ruleset.rules}
         trace = run_fixture(name)
         for record in trace.records:
             conn = Connection(record.src, record.dst)
             arb = arbiters[record.dst]
             arb.record_arrival(conn, record.t)
             decision = arb.decide(conn, record.t)
-            assert arb.rule_text_for(record.src) == (None if record.rule == "-" else record.rule)
+            assert record.rule == texts.get((record.dst, record.src), "-")
             assert (decision.outcome, decision.reason) == (record.outcome, record.reason), (
                 name, record)
             assert dict(decision.assignment) == dict(record.assignment)
@@ -155,6 +157,48 @@ def test_stepping_api_replays_fixture_runs(name, long_window):
             # no arrival leaves a window longer than the run
             arrived = {record.src for record in trace if record.dst == port}
             assert masks[port] == sum(1 << arb.slots[source] for source in arrived), port
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_replay_by_connection_reuses_the_arbiters_snapshot(name, monkeypatch):
+    # record_arrival, decide and activation_snapshot at the arrival's time,
+    # the benchmark's replay of a trace, make one Snapshot per change of a
+    # port's mask: decide hands out the arbiter's own snapshot
+    _, network, ruleset, _ = compile_fixture(name)
+    arbiters = {
+        port: PortArbiter(port, network.incoming(port), ruleset,
+                          network.windows.get(port, DEFAULT_WINDOW_MS))
+        for port in {conn.destination for conn in network.connections}
+    }
+    trace = read_trace(fixture(name).expected_trace)
+    made = []
+    init = Snapshot.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Snapshot, "__init__", counting_init)
+    masks, changes = {}, 0
+    for record in trace:
+        arb = arbiters[record.dst]
+        conn = Connection(record.src, record.dst)
+        arb.record_arrival(conn, record.t)
+        decision = arb.decide(conn, record.t)
+        assert decision.assignment is arb.snapshot is arb.activation_snapshot(record.t)
+        assert (decision.outcome, decision.reason) == (record.outcome, record.reason)
+        assert decision.assignment == record.assignment, (name, record)
+        mask = sum(1 << arb.slots[s] for s, active in record.assignment.items() if active)
+        if masks.get(record.dst) != mask:
+            masks[record.dst] = mask
+            changes += 1
+    monkeypatch.undo()
+    assert len(made) == changes < len(trace)
+    # a probe after slots expired gets a snapshot of its own
+    for arb in arbiters.values():
+        held = arb.snapshot
+        later = arb.activation_snapshot(10**9)
+        assert later is not held and not any(later.values()) and arb.snapshot is held
 
 
 def test_probe_before_latest_arrival_rejected():

@@ -403,6 +403,18 @@ def test_scenario_file_reference_must_not_be_empty(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"error: {path}: {key!r} must not be empty\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "compile"])
+def test_define_that_breaks_the_xml_is_a_usage_error_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "model.xml"
+    # the reference goes on line 9 of the fixture, after its indent of 3
+    text = SAT.model.read_text().replace("<condition></condition>", "<condition>${x}</condition>", 1)
+    path.write_text('<define name="x">&lt;bad</define>\n' + text)
+    assert run_cli(command, path, SAT.network) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed behavior model XML: define 'x', substituted for ${x} at line 9, "
+        "column 14: not well-formed (invalid token)\n")
+
+
 def _nested_model(parens=0, nots=0, metas=0):
     """One behavior whose condition sits inside `parens` parentheses and
     `nots` negations, under a chain of `metas` nested meta-behaviors."""

@@ -7,7 +7,7 @@ import tracemalloc
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import (
@@ -181,6 +181,69 @@ def test_missing_define_is_a_parse_error():
     broken = LISTING.replace('<define name="gaze"> /Gaze/pos:i </define>', "")
     with pytest.raises(ParseError, match=r"unresolved \$\{gaze\}"):
         parse_behavior_model(broken)
+
+
+def _model_with_defines(values, condition):
+    """A model whose defines a and b hold `values` and whose one leaf's
+    condition is `condition`, on a line of its own."""
+    from xml.sax.saxutils import escape
+
+    defines = "".join(
+        f'<define name="{name}">{escape(value)}</define>\n' for name, value in zip("ab", values))
+    return (f'<model>\n{defines}<behavior name="B"><config at="/X:i">/Y:o</config>\n'
+            f"<condition>{condition}</condition></behavior>\n</model>")
+
+
+def test_define_that_breaks_the_xml_is_named_at_its_reference():
+    # was reported at its line and column in the substituted text, as if
+    # the user's XML were malformed
+    text = _model_with_defines(["<bad"], "/Y:o and ${a}")
+    with pytest.raises(ParseError) as caught:
+        parse_behavior_model(text)
+    assert str(caught.value) == (
+        "malformed behavior model XML: define 'a', substituted for ${a} at line 4, "
+        "column 20: not well-formed (invalid token)")
+    # an unclosed element breaks the XML only at a later end tag, past the
+    # next reference
+    text = _model_with_defines(["<b>", "/Y:o"], "${a} and ${b}")
+    with pytest.raises(ParseError) as caught:
+        parse_behavior_model(text)
+    assert str(caught.value) == (
+        "malformed behavior model XML: define 'a', substituted for ${a} at line 5, "
+        "column 11: mismatched tag")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(alphabet="ab/:<>&;#x \n", max_size=8), min_size=2, max_size=2),
+       st.sampled_from(["${a} or ${b}", "${a}${b}", "not ${b} ${a}"]))
+def test_define_errors_give_the_reference_in_the_users_file(values, condition):
+    # defines holding <, & and newlines, referenced twice on one line: the
+    # error names the first reference whose substitution stops the document
+    # parsing, at its place in the text as written
+    import pyexpat
+
+    text = _model_with_defines(values, condition)
+    refs = sorted((condition.index(f"${{{name}}}"), name) for name in "ab")
+    done, culprit = text, None
+    for _, name in refs:
+        value = values["ab".index(name)].strip()
+        done = done.replace(f"${{{name}}}", value, 1)
+        try:
+            ElementTree.fromstring(done)
+        except ElementTree.ParseError:
+            culprit = name
+            break
+    assume(culprit is not None)
+    with pytest.raises(ParseError) as caught:
+        parse_behavior_model(text)
+    at = text.index(f"${{{culprit}}}")
+    line = text.count("\n", 0, at) + 1
+    column = at - text.rfind("\n", 0, at) - 1
+    head = (f"malformed behavior model XML: define {culprit!r}, substituted for "
+            f"${{{culprit}}} at line {line}, column {column}: ")
+    message = str(caught.value)
+    assert message.startswith(head)
+    assert message[len(head):] in pyexpat.errors.messages.values()
 
 
 def test_define_chains_resolve():

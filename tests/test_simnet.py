@@ -140,6 +140,21 @@ def test_component_port_must_be_a_string(tmp_path, capsys, role, port):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("role", ["source", "sink"])
+@pytest.mark.parametrize("port", ["bad", "", "/Ping/cmd", "/Ping cmd:o"])
+def test_malformed_component_port_names_the_scenario(tmp_path, capsys, role, port):
+    # check_port's error went through without the scenario's path
+    path = _scenario_file(tmp_path, {"components": [
+        {"name": "Name", role: {"port": port, "period_ms": 100}},
+    ]})
+    message = f"{path}: invalid port name {port!r}: expected /segment(/segment)*:i or :o"
+    with pytest.raises(ParseError) as info:
+        load_scenario(path)
+    assert str(info.value) == message
+    assert main(["simulate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_component_needs_exactly_one_role(tmp_path):
     path = _scenario_file(tmp_path, {"components": [{"name": "P"}]})
     with pytest.raises(ParseError, match="source/sink"):
