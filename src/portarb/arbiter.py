@@ -11,7 +11,10 @@ by name) and keeps one int bitmask of the active slots. Its only arrival
 state is its `ActivationTable`'s map of slot -> last arrival, oldest first,
 which holds exactly the slots whose bits are set: an arrival moves its slot
 to the end and drops the front slots that have left the window, clearing
-their bits. So a port's state is O(fan-in), whatever the window and the
+their bits. The port keeps the instant its front slot leaves the window, as
+of the last such walk; a later front arrived later, so no slot leaves
+before that instant, and an arrival before it walks nothing: one int
+compare. So a port's state is O(fan-in), whatever the window and the
 horizon. A rule that is a cube (`model.cube_literals`: `true`, a literal,
 a negated literal or a conjunction of these) is kept as two masks over the
 slots, the ports it needs and the values it needs them at, and is decided by
@@ -157,6 +160,10 @@ class PortArbiter:
         # the slots whose bits are set are the keys of activation.last_arrival
         self.activation = ActivationTable(window_ms)
         self._mask = 0
+        # no slot leaves the window before this instant: when last set, the
+        # front slot of activation.last_arrival left it then, and a later
+        # front arrived later. -inf until the first arrival.
+        self._expiry: int | float = float("-inf")
         self.snapshot: Snapshot | None = None  # of `_mask`, from the first arrival on
         # a cube rule is (care, want, None): it selects when the mask's `care`
         # bits equal `want`. Any other rule is (0, 0, node), its BDD in
@@ -197,18 +204,23 @@ class PortArbiter:
 
     def arrive(self, slot: int, t: int) -> int:
         """Record an arrival from `slot` at `t`, before its verdict and
-        whatever that is; returns the activation mask at `t`."""
+        whatever that is; returns the activation mask at `t`. The front
+        slots are walked only from the instant the front can have left."""
         table = self.activation
         cutoff = table.record(slot, t)
-        last_arrival = table.last_arrival
         mask = self._mask
-        # the arriving slot, now last, counts at `t` and ends the loop
-        while True:
-            oldest = next(iter(last_arrival))
-            if last_arrival[oldest] > cutoff:
-                break
-            del last_arrival[oldest]
-            mask &= ~(1 << oldest)
+        if t >= self._expiry:
+            # drop the front slots at or before the cutoff; the arriving
+            # slot, now last, counts at `t` and ends the loop
+            last_arrival = table.last_arrival
+            while True:
+                front = next(iter(last_arrival))
+                last = last_arrival[front]
+                if last > cutoff:
+                    break
+                del last_arrival[front]
+                mask &= ~(1 << front)
+            self._expiry = last + table.window_ms
         mask |= 1 << slot
         if mask != self._mask:
             self._mask = mask

@@ -152,13 +152,16 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
 
 
 def rule_text(rule: SelectionRule) -> str:
-    """ASCII rendering: `C and not P ... => Select(C) @ PORT`."""
-    head = rule.candidate
-    if rule.constraint != TRUE:
+    """ASCII rendering: `C and not P ... => Select(C) @ PORT`. A cube's
+    `p` and `not p` pieces are joined from its literals; any other
+    constraint is rendered by `render_condition`, in parentheses if an `Or`."""
+    literals = cube_literals(rule.constraint)
+    if literals is None:
         rendered = render_condition(rule.constraint)
-        if isinstance(rule.constraint, Or):
-            rendered = f"({rendered})"
-        head = f"{head} and {rendered}"
+        pieces = [f"({rendered})" if isinstance(rule.constraint, Or) else rendered]
+    else:
+        pieces = [p if v else f"not {p}" for p, v in literals]
+    head = " and ".join([rule.candidate] + pieces)
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
 

@@ -8,10 +8,12 @@ clock. Emissions are ordered by the key `(t, t - period if t != phase else
 (its first instant ever) goes first, in source order; then larger periods;
 among equal periods, larger phases; remaining ties in source order. That is
 the order in which one chain of per-period wake events per source reaches
-the instant. Each source yields its keys in increasing order as the run
-reaches them, and the run merges these streams, so it holds one pending key
-per source and no record it has handed on: memory is set by the network,
-not by the horizon. Identical inputs always produce byte-identical traces.
+the instant. Each source yields its keys, plain ints, in increasing order
+as the run reaches them; the run keeps one heap of the sources' next keys,
+handles the least and replaces it with that source's next key. So it holds
+one pending key per source and no record it has handed on: memory is set
+by the network, not by the horizon. Identical inputs always produce
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -296,12 +298,15 @@ def iter_run(
     and yield the trace's records in order as they are decided.
 
     Emissions are processed in the schedule's order (see the module
-    docstring). Each fans out to every connection leaving the source port in
-    lexicographic destination order; per destination the arrival is recorded
-    first and then decided, so a discarded message still refreshes its
-    connection's activation. A record's assignment is its port's arbiter's
-    `snapshot`, shared while the port's mask holds; the run renders each
-    rule's text once. `horizon_ms` can only shorten the run.
+    docstring), popped from one heap of int keys, one per source. Each fans
+    out to every connection leaving the source port in lexicographic
+    destination order; per destination the arrival is recorded first and
+    then decided, so a discarded message still refreshes its connection's
+    activation. An arrival before its port's front slot can have left the
+    window walks no expiry queue (see `PortArbiter.arrive`). A record's
+    assignment is its port's arbiter's `snapshot`, shared while the port's
+    mask holds; the run renders each rule's text once. `horizon_ms` can
+    only shorten the run.
     """
     horizon = scenario.horizon_ms
     if horizon_ms is not None:
@@ -322,29 +327,37 @@ def iter_run(
     # A key is t * 2n + the emission's rank at t among the n sources, in
     # the module docstring's order: below n, a source at its phase, by
     # index; from n, the others by (-period, -phase, index), as t - period
-    # orders like -period at one t. Keys are unique, so merging the
-    # sources' increasing streams gives that order; one int compares
-    # faster in the merge's heap than the tuple it stands for.
+    # orders like -period at one t. Keys are unique, so the heap's least key
+    # is the next emission; one int compares faster than the tuple it stands
+    # for. The heap holds each source's next key; a source's keys end with
+    # `end`, above every emission's key, which stops the run.
     components = scenario.components
     n = len(components)
     later = sorted(range(n), key=lambda i: (-components[i].period_ms, -components[i].phase_ms, i))
-    later_rank = {index: n + place for place, index in enumerate(later)}
-    rank_ports = [comp.port for comp in components] + [components[i].port for i in later]
     ranks = 2 * n
-    schedule = heapq.merge(*(
-        chain.from_iterable(_schedule_keys(comp, index, later_rank[index], ranks, horizon))
-        for index, comp in enumerate(components)
-    ))
+    end = horizon * ranks
+    # per rank: the emitting source's fan-out and what gives its next key
+    steps: list = [None] * ranks
+    heap = [end]  # so the heap is never empty
+    for place, index in enumerate(later):
+        comp = components[index]
+        keys = chain(*_schedule_keys(comp, index, n + place, ranks, horizon), (end,))
+        steps[index] = steps[n + place] = (fanout.get(comp.port, ()), keys.__next__)
+        heap.append(next(keys))
+    heapq.heapify(heap)
     # the compile's state: the run needs only the fan-out and the schedule
-    del scenario, ruleset, network, texts
+    del scenario, ruleset, network, texts, fanout
     # a record is made as the tuple it is: TraceRecord's own __new__ is one
     # more Python call per record
     new = tuple.__new__
-    for key in schedule:
+    replace = heapq.heapreplace
+    while (key := heap[0]) < end:
         t, rank = divmod(key, ranks)
-        for arb, slot, src, dst, rule in fanout.get(rank_ports[rank], ()):
+        targets, advance = steps[rank]
+        for arb, slot, src, dst, rule in targets:
             outcome, reason = arb.verdict(slot, arb.arrive(slot, t))
             yield new(TraceRecord, (t, src, dst, outcome, reason, rule, arb.snapshot))
+        replace(heap, advance())
 
 
 def run(
@@ -402,18 +415,21 @@ _TRACE_HEAD = (
 def read_trace(path) -> tuple[TraceRecord, ...]:
     """Parse a trace file written by write_trace, one record per line.
 
-    The start of a line in write_trace's layout is matched by one pattern,
-    and each distinct assignment text with no nested object or list is
-    parsed once per file (every record gets its own dict). Any other line
-    goes through json.loads and the field checks (`t` an integer, the other
-    fields but the assignment strings), so both paths accept the same lines,
-    give the same records and reject with the same messages.
+    Lines end at "\\n" alone (`read_text` reads "\\r\\n" as "\\n"), as in
+    JSON Lines: a raw U+2028, U+2029 or U+0085 inside a JSON string, which
+    `str.splitlines` would break at, stays in its line. The start of a line
+    in write_trace's layout is matched by one pattern, and each distinct
+    assignment text with no nested object or list is parsed once per file
+    (every record gets its own dict). Any other line goes through
+    json.loads and the field checks (`t` an integer, the other fields but
+    the assignment strings), so both paths accept the same lines, give the
+    same records and reject with the same messages.
     """
     path = Path(path)
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
     parsed: dict[str, dict] = {}
     records: list[TraceRecord] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         match = head(line)
         if match is not None and line.endswith("}"):
             t, src, dst, outcome, reason, rule = match.groups()

@@ -320,6 +320,35 @@ def test_activation_replay_matches_brute_force(times, window):
             assert table.active(conn, probe) == expected
 
 
+# (slot, t) arrivals at a port of four sources with window 100
+EXPIRY_CASES = {
+    # the front slot 0 leaves the window exactly at 100
+    "front-expires-one-window-later": [(0, 0), (1, 50), (2, 100)],
+    "one-ms-earlier-nothing-expires": [(0, 0), (1, 50), (2, 99)],
+    # slot 0 arrives again while it is the front: slot 1 is the front from
+    # then on, still in the window at 100 and out of it at 110
+    "front-arrives-again": [(0, 0), (1, 10), (0, 50), (3, 100), (2, 109), (2, 110),
+                            (1, 149), (3, 150)],
+    # three slots leave at one arrival, the arriving front among them
+    "several-expire-at-once": [(0, 0), (1, 0), (2, 0), (3, 30), (0, 100)],
+    "first-arrival-at-zero": [(2, 0), (1, 99), (0, 100)],
+    "first-arrival-at-a-negative-time": [(2, -250), (1, -151), (0, -150), (3, -51)],
+}
+
+
+@pytest.mark.parametrize("arrivals", EXPIRY_CASES.values(), ids=EXPIRY_CASES)
+def test_arrive_expires_exactly_the_slots_out_of_the_window(arrivals):
+    sources = tuple(f"/s{i}:o" for i in range(4))
+    arb = PortArbiter("/p:i", [Connection(source, "/p:i") for source in sources], window_ms=100)
+    reference = ActivationTable(window_ms=100)
+    for slot, t in arrivals:
+        reference.record(slot, t)
+        expected = sum(1 << s for s in range(4) if reference.active(s, t))
+        assert arb.arrive(slot, t) == expected, (slot, t)
+        assert arb.snapshot.mask == expected
+        assert set(arb.activation.last_arrival) == {s for s in range(4) if expected >> s & 1}
+
+
 PORT = "/P:i"
 SOURCE_POOL = tuple(f"/s{i}:o" for i in range(12))  # sorts s0, s1, s10, s11, s2, ...
 GHOST = "/ghost:o"  # never connected to PORT

@@ -15,6 +15,7 @@ from conftest import (
     behavior_models,
     compile_fixture,
     deep_hierarchy_texts,
+    expressions,
 )
 import portarb.compiler
 from portarb import (
@@ -40,7 +41,7 @@ from portarb import (
 from portarb.bdd import AND
 from portarb.compiler import MAX_C1_PER_PORT, RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
-from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize
+from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize, render_condition
 
 
 def _network(text):
@@ -621,6 +622,46 @@ def test_rule_text_rendering():
     assert rule_text(unconstrained) == "/X:o => Select(/X:o) @ /Y:i"
     disjunctive = SelectionRule("/Y:i", "/X:o", Or((Lit("/a:o"), Lit("/b:o"))))
     assert rule_text(disjunctive) == "/X:o and (/a:o or /b:o) => Select(/X:o) @ /Y:i"
+
+
+def _reference_rule_text(rule):
+    """The text rule_text must give: `render_condition` of every
+    constraint but `true`, an `Or` in parentheses."""
+    head = rule.candidate
+    if rule.constraint != TRUE:
+        rendered = render_condition(rule.constraint)
+        if isinstance(rule.constraint, Or):
+            rendered = f"({rendered})"
+        head = f"{head} and {rendered}"
+    return f"{head} => Select({rule.candidate}) @ {rule.port}"
+
+
+def _cube(literals):
+    """`true`, one literal or negation, or their `And`, from (port, value)
+    pairs that may repeat a port with either value."""
+    parts = tuple(Lit(port) if value else Not(Lit(port)) for port, value in literals)
+    return TRUE if not parts else parts[0] if len(parts) == 1 else And(parts)
+
+
+_CUBES = st.lists(st.tuples(st.sampled_from(EXPR_PORTS[:3]), st.booleans()), max_size=6).map(_cube)
+
+_A, _B = (Lit(port) for port in EXPR_PORTS[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_CUBES, expressions(max_leaves=8)), st.sampled_from(EXPR_PORTS))
+@example(TRUE, EXPR_PORTS[0])
+@example(_A, EXPR_PORTS[0])
+@example(Not(_A), EXPR_PORTS[0])
+@example(And((_A, _A, Not(_B))), EXPR_PORTS[0])
+@example(And((_A, Not(_B), Not(_A))), EXPR_PORTS[0])  # needs /a/out:o true and false
+@example(Or((_A, Not(_B))), EXPR_PORTS[0])
+@example(Not(Not(_A)), EXPR_PORTS[0])
+@example(And((_A, Not(And((_A, _B))))), EXPR_PORTS[0])
+@example(FALSE, EXPR_PORTS[0])
+def test_rule_text_matches_render_condition(constraint, candidate):
+    rule = SelectionRule("/Y:i", candidate, constraint)
+    assert rule_text(rule) == _reference_rule_text(rule)
 
 
 def test_emit_rules_empty_and_json():

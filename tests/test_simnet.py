@@ -386,6 +386,23 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("char", ("\u2028", "\u2029", "\x85"))
+def test_read_trace_ends_lines_at_newlines_only(tmp_path, char):
+    # JSON Lines ends a line at "\n" (or "\r\n") alone; a JSON string may
+    # hold these characters raw, though str.splitlines() breaks at them
+    record = TraceRecord(3, f"/a{char}:o", "/b:i", "accept", "SELECTED", f"r{char}",
+                         {f"/a{char}:o": True, "/c:o": False})
+    payload = record._asdict()
+    layout = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    spaced = json.dumps(payload, ensure_ascii=False)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(f"{layout}\n{spaced}\r\n".encode("utf-8"))
+    assert read_trace(path) == (record, record)
+    path.write_bytes(f"{layout}\n{spaced}\nnot json {char} at all\n".encode("utf-8"))
+    with pytest.raises(ParseError, match=r"trace\.jsonl:3: not valid JSON"):
+        read_trace(path)
+
+
 def test_trace_matches_expected_golden_files():
     for name in ("search-and-track", "no-rules", "be-curious", "conflict-demo"):
         trace = run_fixture(name)
@@ -610,7 +627,7 @@ def _reference_read_trace(path):
     (names, then types in field order); read_trace must agree with it on
     every file."""
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -630,8 +647,8 @@ def _reference_read_trace(path):
     return tuple(records)
 
 
-# quotes, backslashes, a control character, non-ASCII and U+2028, which
-# str.splitlines() takes for a line break when it is written raw
+# quotes, backslashes, a control character, non-ASCII and U+2028, which a
+# JSON string may hold raw and which must not end its line
 _trace_text = st.text(alphabet='/ab:o"\\\x1f\u00e9\u2028 ', max_size=6)
 _trace_scalars = st.one_of(st.booleans(), st.none(), st.integers(), st.floats(), _trace_text)
 _trace_t = st.one_of(
