@@ -15,17 +15,18 @@ their bits. The port keeps the instant its front slot leaves the window, as
 of the last such walk; a later front arrived later, so no slot leaves
 before that instant, and an arrival before it walks nothing: one int
 compare. So a port's state is O(fan-in), whatever the window and the
-horizon. A rule that is a cube (`model.cube_literals`: `true`, a literal,
-a negated literal or a conjunction of these) is kept as two masks over the
-slots, the ports it needs and the values it needs them at, and is decided by
-one compare of the activation mask; any other rule keeps its BDD, whose
-variable order begins with the port's sources, and is decided by one walk
-over the mask. So an arrival plus its decision cost O(1) amortised, plus one
-BDD path for a rule that is not a cube, whatever the fan-in. The simulator
-steps a port per arrival with `arrive(slot, t)`, which gives the mask, and
-`verdict(slot, mask)`; the record's assignment is the arbiter's `snapshot`,
-the one `Snapshot` of its mask, made anew only when an arrival changes the
-mask. The arbiter renders no rule text: the simulator does, once per rule.
+horizon. A rule that is a cube (`SelectionRule.cube`: `true`, a literal, a
+negated literal or a conjunction of these) is kept as two masks over the
+slots, the ports it needs and the values it needs them at, and is decided
+by one compare of the activation mask; any other rule keeps its BDD and is
+decided by `BddManager.evaluate` over the port's `snapshot`, or over a new
+`Snapshot` when `decide` asks about a later instant. So an arrival plus its
+decision cost O(1) amortised, plus one BDD path for a rule that is not a
+cube, whatever the fan-in. The simulator steps a port per arrival with
+`arrive(slot, t)`, which gives the mask, and `verdict(slot, mask)`; the
+record's assignment is the arbiter's `snapshot`, the one `Snapshot` of its
+mask, made anew only when an arrival changes the mask. The arbiter renders
+no rule text: the simulator does, once per rule.
 
 Building a port's arbiter costs, per rule of the port, one pass over a
 cube's literals, or the rule's BDD. A port whose rules are all cubes builds
@@ -41,9 +42,7 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from . import compiler
 from .bdd import BddManager
-from .model import Connection, Value, cube_literals
-
-_set = object.__setattr__  # sets a Value's fields past its own __setattr__
+from .model import Connection, Value, _set
 
 DEFAULT_WINDOW_MS = 1000
 
@@ -166,12 +165,12 @@ class PortArbiter:
         self._expiry: int | float = float("-inf")
         self.snapshot: Snapshot | None = None  # of `_mask`, from the first arrival on
         # a cube rule is (care, want, None): it selects when the mask's `care`
-        # bits equal `want`. Any other rule is (0, 0, node), its BDD in
-        # `manager`, made for the port's first such rule. Levels below
-        # len(sources) are the slots; any later level names a port with no
-        # connection here, which never arrives and reads false.
+        # bits equal `want`. A bit past the slots names a port with no
+        # connection here, which never arrives and reads false. Any other
+        # rule is (0, 0, node), its BDD in `manager`, made for the port's
+        # first such rule.
         self.manager: BddManager | None = None
-        levels = dict(self.slots)
+        bits = dict(self.slots)
         self._rules: list[tuple[int, int, int | None] | None] = [None] * len(self.sources)
         for rule in ruleset.for_port(port):
             slot = self.slots.get(rule.candidate)
@@ -179,15 +178,14 @@ class PortArbiter:
                 raise ValueError(
                     f"rule candidate {rule.candidate} has no incoming connection at {port}"
                 )
-            literals = cube_literals(rule.constraint)
-            if literals is None:
+            if rule.cube is None:
                 if self.manager is None:
-                    self.manager = BddManager(self.sources)
+                    self.manager = BddManager()
                 entry = (0, 0, self.manager.build(rule.constraint))
             else:
                 want = unwanted = 0  # the ports needed true, and false
-                for name, value in literals:
-                    bit = 1 << levels.setdefault(name, len(levels))
+                for name, value in rule.cube:
+                    bit = 1 << bits.setdefault(name, len(bits))
                     if value:
                         want |= bit
                     else:
@@ -235,9 +233,12 @@ class PortArbiter:
         care, want, node = entry
         if mask & care != want:
             return _CONSTRAINT_FALSE
-        if node is None or self.manager.evaluate_mask(node, mask):
+        if node is None:
             return _SELECTED
-        return _CONSTRAINT_FALSE
+        snapshot = self.snapshot
+        if snapshot is None or snapshot.mask != mask:
+            snapshot = Snapshot(self.sources, self.slots, mask)
+        return _SELECTED if self.manager.evaluate(node, snapshot) else _CONSTRAINT_FALSE
 
     # the same steps by connection and time, for the benchmark and the tests
 

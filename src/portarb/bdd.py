@@ -1,8 +1,8 @@
-"""Reduced ordered binary decision diagrams with hash-consing and one
-memoized apply, `ite`. A rule that is a cube (`model.cube_literals`) needs
-no BDD: the arbiter and the conflict check decide cubes from their
-literals, so BDDs are built only for rules with a disjunction, `false` or
-a nested `not`."""
+"""Reduced ordered binary decision diagrams with hash-consing, one memoized
+apply, `ite`, and one evaluator, `evaluate`, over a mapping of port names.
+A rule that is a cube (`SelectionRule.cube`) needs no BDD: the arbiter and
+the conflict check decide cubes from their literals, so BDDs are built only
+for rules with a disjunction, `false` or a nested `not`."""
 
 from __future__ import annotations
 
@@ -181,17 +181,6 @@ class BddManager:
         while ref > TRUE:
             level, low, high = self._nodes[ref]
             ref = high if assignment.get(self.order[level], False) else low
-        return ref == TRUE
-
-    def evaluate_mask(self, node: int, mask: int) -> bool:
-        """`evaluate` with the assignment packed into an int: bit i holds the
-        value of the variable at level i, and levels past the mask's highest
-        bit read false."""
-        ref = node
-        nodes = self._nodes
-        while ref > TRUE:
-            level, low, high = nodes[ref]
-            ref = high if mask >> level & 1 else low
         return ref == TRUE
 
     def first_satisfying(self, node: int) -> list[tuple[str, bool]] | None:

@@ -4,8 +4,9 @@ Two steps per leaf behavior: inherit ancestor conditions, then conjoin the
 negated source ports of everything that inhibits it (directly or through an
 enclosing meta-behavior). The result is one selection rule per configured
 connection, merged per (port, candidate) and rendered deterministically.
-The conflict check decides a pair of cube rules (`model.cube_literals`)
-from their literals; only a pair with another rule builds BDDs.
+A rule is classified once, as `SelectionRule.cube`; the conflict check
+decides a pair of cube rules from their literals, and only a pair with
+another rule builds BDDs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     TRUE,
     WARNING,
     Value,
+    _set,
     apply_auto_observe,
     condition_literals,
     cube_literals,
@@ -44,10 +46,18 @@ class SelectionRule(Value):
     """`candidate active and constraint => Select(candidate)` at `port`.
 
     The candidate's own positive literal is implicit and never stored in the
-    constraint."""
+    constraint. `cube`, not a field, is the constraint's `model.cube_literals`,
+    worked out once for the conflict check, the rule text and the arbiter."""
 
-    _fields = __slots__ = ("port", "candidate", "constraint", "provenance")
-    _defaults = ((),)
+    _fields = ("port", "candidate", "constraint", "provenance")
+    __slots__ = (*_fields, "cube")
+
+    def __init__(self, port: str, candidate: str, constraint: BoolExpr, provenance=()) -> None:
+        _set(self, "port", port)
+        _set(self, "candidate", candidate)
+        _set(self, "constraint", constraint)
+        _set(self, "provenance", provenance)
+        _set(self, "cube", cube_literals(constraint))
 
 
 class RuleSet(Value):
@@ -155,12 +165,11 @@ def rule_text(rule: SelectionRule) -> str:
     """ASCII rendering: `C and not P ... => Select(C) @ PORT`. A cube's
     `p` and `not p` pieces are joined from its literals; any other
     constraint is rendered by `render_condition`, in parentheses if an `Or`."""
-    literals = cube_literals(rule.constraint)
-    if literals is None:
+    if rule.cube is None:
         rendered = render_condition(rule.constraint)
         pieces = [f"({rendered})" if isinstance(rule.constraint, Or) else rendered]
     else:
-        pieces = [p if v else f"not {p}" for p, v in literals]
+        pieces = [p if v else f"not {p}" for p, v in rule.cube]
     head = " and ".join([rule.candidate] + pieces)
     return f"{head} => Select({rule.candidate}) @ {rule.port}"
 
@@ -171,7 +180,7 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     Both candidates of a pair are assumed active. A pair with one
     candidate, or where one rule needs a port true (its candidate or a
     literal of its cube) and the other needs it false (a `not p` of its
-    cube), is skipped. A pair of cubes (see `model.cube_literals`) is decided
+    cube), is skipped. A pair of cubes (see `SelectionRule.cube`) is decided
     from their literals, with no BDD: a cube needing a port both true and
     false never selects, and two others can both select, the witness being
     the union of what they need in variable order, as a BDD search would
@@ -187,21 +196,20 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     the port.
     """
     order: list[str] = []  # every rule's ports, in rule order
-    # port -> [(rule, ports it needs true, ports it needs false, is a cube)]
-    by_port: dict[str, list[tuple[SelectionRule, set[str], set[str], bool]]] = {}
+    # port -> [(rule, ports it needs true, ports it needs false)]
+    by_port: dict[str, list[tuple[SelectionRule, set[str], set[str]]]] = {}
     for rule in ruleset.rules:
-        literals = cube_literals(rule.constraint)
         true, false = {rule.candidate}, set()
-        if literals is None:  # decided with BDDs
+        if rule.cube is None:  # decided with BDDs
             order += (rule.candidate, *condition_literals(rule.constraint))
         else:
             order.append(rule.candidate)
-            for port, value in literals:
+            for port, value in rule.cube:
                 order.append(port)
                 (true if value else false).add(port)
             if not true.isdisjoint(false):
                 continue  # never selects, so no pair of it has a witness
-        by_port.setdefault(rule.port, []).append((rule, true, false, literals is not None))
+        by_port.setdefault(rule.port, []).append((rule, true, false))
     levels = {port: level for level, port in enumerate(dict.fromkeys(order))}
 
     manager: BddManager | None = None  # built for the first non-cube pair
@@ -209,14 +217,14 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
     for port, entries in sorted(by_port.items()):
         selects: list[int | None] = [None] * len(entries)
         found = 0  # pairs with a witness
-        for i, (first, true_i, false_i, cube_i) in enumerate(entries):
+        for i, (first, true_i, false_i) in enumerate(entries):
             for j in range(i + 1, len(entries)):
-                second, true_j, false_j, cube_j = entries[j]
+                second, true_j, false_j = entries[j]
                 if (first.candidate == second.candidate
                         or not true_i.isdisjoint(false_j) or not false_i.isdisjoint(true_j)):
                     continue
                 witness = None
-                if not (cube_i and cube_j):
+                if first.cube is None or second.cube is None:
                     if manager is None:
                         manager = BddManager(levels)
                     for k in (i, j):

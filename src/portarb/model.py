@@ -61,11 +61,12 @@ class Value:
     `collections.namedtuple` generates `__new__`: the fields are its
     parameters in order, and `_defaults` holds the defaults of the last
     fields. A class whose `__init__` checks its input (`Connection`, `Lit`,
-    `Decision`, `NetworkDescription`) or makes a fresh default dict
-    (`BehaviorModel`, `NetworkDescription`) writes its own and sets the
-    fields through `object.__setattr__`. Assigning or deleting an
-    attribute raises AttributeError; copy and pickle rebuild an instance
-    through its `__init__`, with the fields as positional arguments.
+    `Decision`, `NetworkDescription`), makes a fresh default dict
+    (`BehaviorModel`, `NetworkDescription`) or derives a slot that is not a
+    field (`SelectionRule.cube`) writes its own and sets its slots through
+    `object.__setattr__`. Assigning or deleting an attribute raises
+    AttributeError; copy and pickle rebuild an instance through its
+    `__init__`, with the fields as positional arguments.
     """
 
     __slots__ = ()
@@ -110,12 +111,12 @@ WARNING = "warning"
 BEHAVIOR = "behavior"
 META_BEHAVIOR = "meta_behavior"
 
-_PORT_RE = re.compile(r"^(?:/[^/\s:]+)+:[io]$")
+_PORT_RE = re.compile(r"(?:/[^/\s:]+)+:[io]")
 
 
 def check_port(name: str) -> str:
     """Validate `/segment(/segment)*:(i|o)` and return the name unchanged."""
-    if not isinstance(name, str) or not _PORT_RE.match(name):
+    if not isinstance(name, str) or not _PORT_RE.fullmatch(name):
         raise ParseError(
             f"invalid port name {name!r}: expected /segment(/segment)*:i or :o"
         )

@@ -544,3 +544,68 @@ def test_cube_ports_build_no_bdd(monkeypatch):
     both = SelectionRule(port, second.candidate, Or((Lit(first.candidate), Lit(GHOST))))
     arb = PortArbiter(port, network.incoming(port), RuleSet((disjunctive, both, *rest)))
     assert managers[1:] == [arb.manager]
+
+
+def test_non_cube_decide_after_the_latest_arrival_matches_brute_force():
+    # at the latest arrival's mask a rule that is not a cube reads the held
+    # snapshot; once a slot has expired, `decide` asks about another mask
+    a, b, c = "/a:o", "/b:o", "/c:o"
+    window = 100
+    rules = (
+        SelectionRule(PORT, a, Or((And((Lit(b), Lit(c))), Not(Lit(c))))),
+        SelectionRule(PORT, b, Or((Lit(a), Lit(GHOST)))),
+        SelectionRule(PORT, c, Or((Not(Lit(a)), Lit(GHOST)))),
+    )
+    conns = {source: Connection(source, PORT) for source in (a, b, c)}
+    arb = PortArbiter(PORT, conns.values(), RuleSet(rules), window_ms=window)
+    arrivals = [(b, 0), (c, 40), (a, 60)]
+    for source, t in arrivals:
+        arb.record_arrival(conns[source], t)
+    held = arb.snapshot
+    seen = set()
+    for t in range(60, 200):
+        expected = {s: any(0 <= t - u < window for src, u in arrivals if src == s) for s in conns}
+        for rule in rules:
+            decision = arb.decide(conns[rule.candidate], t)
+            if evaluate_condition(rule.constraint, expected):
+                want = (ACCEPT, SELECTED)
+            else:
+                want = (DISCARD, CONSTRAINT_FALSE)
+            assert (decision.outcome, decision.reason) == want, (rule.candidate, t)
+            assert decision.assignment == expected
+            seen.add((decision.assignment is held, decision.reason))
+    assert arb.snapshot is held
+    assert seen == {(is_held, reason) for is_held in (True, False)
+                    for reason in (SELECTED, CONSTRAINT_FALSE)}
+
+
+def test_non_cube_decision_after_its_arrival_makes_no_snapshot(monkeypatch):
+    a, b, c = "/a:o", "/b:o", "/c:o"
+    rules = (
+        SelectionRule(PORT, a, Or((Lit(b), Lit(GHOST)))),
+        SelectionRule(PORT, b, Not(And((Lit(a), Lit(c))))),
+    )
+    conns = {source: Connection(source, PORT) for source in (a, b, c)}
+    arb = PortArbiter(PORT, conns.values(), RuleSet(rules), window_ms=100)
+    made = []
+    init = Snapshot.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Snapshot, "__init__", counting_init)
+    outcomes = set()
+    for source, t in [(a, 0), (b, 10), (a, 20), (c, 30), (b, 40), (b, 150), (a, 160)]:
+        slot = arb.slot(conns[source])
+        before, previous = len(made), arb.snapshot
+        mask = arb.arrive(slot, t)
+        assert len(made) == before + (arb.snapshot is not previous)
+        made_by_arrive = len(made)
+        outcome = arb.verdict(slot, mask)
+        decision = arb.decide(conns[source], t)
+        assert len(made) == made_by_arrive
+        assert decision.assignment is arb.snapshot
+        assert (decision.outcome, decision.reason) == outcome
+        outcomes.add(outcome)
+    assert outcomes == {(ACCEPT, SELECTED), (DISCARD, NO_RULE), (DISCARD, CONSTRAINT_FALSE)}

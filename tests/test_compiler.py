@@ -3,6 +3,8 @@ and deterministic rendering."""
 
 import itertools
 import json
+import pickle
+import sys
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
@@ -31,9 +33,12 @@ from portarb import (
     Or,
     apply_auto_observe,
     check_conflicts,
+    compile_model,
     emit_rules,
     extract_rules,
     fixture,
+    iter_run,
+    load_scenario,
     parse_behavior_model,
     parse_network,
     rule_text,
@@ -611,6 +616,40 @@ def test_conflict_check_on_long_cubes(second_constraint, conflicts):
     assert [w.message for w in warnings] == [
         f"rules for /a:o and /b:o at /X:i can both select: e.g. {{{shown}}}"
     ]
+
+
+def test_each_rule_is_classified_once(monkeypatch):
+    # a rule is classified when it is made; the conflict check, the rule
+    # text and the arbiter read `rule.cube`
+    cube_literals = portarb.model.cube_literals
+    calls = []
+
+    def counting(constraint):
+        calls.append(constraint)
+        return cube_literals(constraint)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "portarb" or name.startswith("portarb."))
+                and getattr(module, "cube_literals", None) is cube_literals):
+            monkeypatch.setattr(module, "cube_literals", counting)
+    fx = fixture("search-and-track")
+    model = parse_behavior_model(fx.model.read_text())
+    network = parse_network(fx.network.read_text())
+    _, ruleset, network = compile_model(model, network, auto_observe=True)
+    next(iter_run(load_scenario(fx.scenario), ruleset, network))
+    assert len(ruleset.rules) == 5
+    assert sorted(map(repr, calls)) == sorted(repr(rule.constraint) for rule in ruleset.rules)
+
+
+def test_rule_cube_is_not_a_field():
+    rule = SelectionRule("/X:i", "/a:o", And((Lit("/b:o"), Not(Lit("/c:o")))), ("A",))
+    assert rule.cube == [("/b:o", True), ("/c:o", False)]
+    assert SelectionRule("/X:i", "/a:o", Or((Lit("/b:o"), Lit("/c:o")))).cube is None
+    assert "cube" not in repr(rule)
+    copy = pickle.loads(pickle.dumps(rule))
+    assert copy == rule and hash(copy) == hash(rule) and copy.cube == rule.cube
+    with pytest.raises(AttributeError):
+        rule.cube = None
 
 
 def test_rule_text_rendering():

@@ -131,6 +131,8 @@ def test_valid_port_names(port):
 @pytest.mark.parametrize("port", [
     "", "/", "Gaze/pos:i", "/Gaze/pos", "/Gaze/pos:x", "/:o", "//x:o",
     "/a b:o", "/a:o/b:o", ":i",
+    # `$` also matches before a final newline
+    "/a/b:o\n", "/Gaze/pos:i\n",
 ])
 def test_invalid_port_names(port):
     with pytest.raises(ParseError):
@@ -147,6 +149,12 @@ def test_connection_direction_enforced():
         Connection("/a:i", "/b:i")
     with pytest.raises(ParseError, match="input"):
         Connection("/a:o", "/b:o")
+
+
+@pytest.mark.parametrize("source, destination", [("/a:o\n", "/b:i"), ("/a:o", "/b:i\n")])
+def test_connection_rejects_a_trailing_newline(source, destination):
+    with pytest.raises(ParseError, match="invalid port name"):
+        Connection(source, destination)
 
 
 # -- behavior XML -----------------------------------------------------------

@@ -141,7 +141,8 @@ def test_component_port_must_be_a_string(tmp_path, capsys, role, port):
 
 
 @pytest.mark.parametrize("role", ["source", "sink"])
-@pytest.mark.parametrize("port", ["bad", "", "/Ping/cmd", "/Ping cmd:o"])
+@pytest.mark.parametrize("port", ["bad", "", "/Ping/cmd", "/Ping cmd:o", "/Ping/cmd:o\n",
+                                  "/Motor/cmd:i\n"])
 def test_malformed_component_port_names_the_scenario(tmp_path, capsys, role, port):
     # check_port's error went through without the scenario's path
     path = _scenario_file(tmp_path, {"components": [
