@@ -6,27 +6,22 @@ strictly below the port's window. Arrivals are recorded before arbitration
 and regardless of its outcome, so a discarded stream still holds its
 connection active.
 
-A port gives each distinct incoming source an integer slot (sources sorted
-by name) and keeps one int bitmask of the active slots. Its only arrival
-state is its `ActivationTable`'s map of slot -> last arrival, oldest first,
-which holds exactly the slots whose bits are set: an arrival moves its slot
-to the end and drops the front slots that have left the window, clearing
-their bits. The port keeps the instant its front slot leaves the window, as
-of the last such walk; a later front arrived later, so no slot leaves
-before that instant, and an arrival before it walks nothing: one int
-compare. So a port's state is O(fan-in), whatever the window and the
-horizon. A rule that is a cube (`SelectionRule.cube`: `true`, a literal, a
-negated literal or a conjunction of these) is kept as two masks over the
-slots, the ports it needs and the values it needs them at, and is decided
-by one compare of the activation mask; any other rule keeps its BDD and is
-decided by `BddManager.evaluate` over the port's `snapshot`, or over a new
-`Snapshot` when `decide` asks about a later instant. So an arrival plus its
-decision cost O(1) amortised, plus one BDD path for a rule that is not a
-cube, whatever the fan-in. The simulator steps a port per arrival with
-`arrive(slot, t)`, which gives the mask, and `verdict(slot, mask)`; the
-record's assignment is the arbiter's `snapshot`, the one `Snapshot` of its
-mask, made anew only when an arrival changes the mask. The arbiter renders
-no rule text: the simulator does, once per rule.
+A port's `ActivationTable` owns the window: the arrival order, the instant
+its front can next leave, the drop of the keys that have left and the check
+that time never goes back. An arrival before that instant walks nothing, so
+a port's state is O(fan-in), whatever the window and the horizon. The
+`PortArbiter` gives each distinct incoming source an integer slot (sources
+sorted by name) and keeps bits: one int mask whose set bits are the table's
+keys, clearing those the table drops. A rule that is a cube
+(`SelectionRule.cube`: `true`, a literal, a negated literal or a
+conjunction of these) is kept as two masks over the slots, the ports it
+needs and the values it needs them at, and is decided by one compare of the
+mask; any other rule keeps its BDD and is decided by `BddManager.evaluate`
+over a `Snapshot` of the mask. So an arrival plus its decision cost O(1)
+amortised, plus one BDD path for a rule that is not a cube, whatever the
+fan-in. The simulator steps a port per arrival with `arrive(slot, t)`,
+which gives the mask, and `verdict(slot, mask)`; the record's assignment is
+the arbiter's `snapshot`, made anew only when an arrival changes the mask.
 
 Building a port's arbiter costs, per rule of the port, one pass over a
 cube's literals, or the rule's BDD. A port whose rules are all cubes builds
@@ -65,31 +60,57 @@ _NEVER = (0, 1, None)
 class ActivationTable:
     """The activation window and `last_arrival`, each key's (a connection's
     or a port's slot's) last arrival, oldest first: arrivals never go back in
-    time, so the keys that leave the window first are at the front."""
+    time, so the keys that leave the window first are at the front. `record`
+    drops the front keys that have left the window. The probes, `expired`
+    and `active`, answer for an instant at or after the latest arrival and
+    raise ValueError for an earlier one, at which a dropped key may still
+    have counted."""
 
     def __init__(self, window_ms: int = DEFAULT_WINDOW_MS):
         if window_ms <= 0:
             raise ValueError(f"window must be positive, got {window_ms}")
         self.window_ms = window_ms
         self.last_arrival: OrderedDict[Hashable, int] = OrderedDict()
-        self._latest: int | None = None
+        # both -inf until the first arrival; no key leaves the window before
+        # `_expiry`: the front's, when set, and a later front arrived later
+        self._latest: int | float = float("-inf")
+        self._expiry: int | float = float("-inf")
 
-    def record(self, key: Hashable, t: int) -> int:
-        """Store an arrival at `t`; returns the cutoff at `t` of `active`:
-        the arrivals at or before it no longer count."""
-        if self._latest is not None and t < self._latest:
+    def record(self, key: Hashable, t: int) -> list[Hashable] | None:
+        """Store an arrival at `t`; returns the keys it drops, which no
+        longer count at `t`, or None before `_expiry`, when none can have
+        left. The arriving key is last and counts, so it is never dropped."""
+        if t < self._latest:
             raise ValueError(f"time regression: arrival at {t} after {self._latest}")
         self._latest = t
         last_arrival = self.last_arrival
         last_arrival[key] = t
         last_arrival.move_to_end(key)
-        return t - self.window_ms
+        if t < self._expiry:
+            return None
+        gone = self.expired(t)
+        for front in gone:
+            del last_arrival[front]
+        self._expiry = next(iter(last_arrival.values())) + self.window_ms
+        return gone
+
+    def expired(self, t: int) -> list[Hashable]:
+        """The window rule: the keys of `last_arrival` that no longer count
+        at `t`, oldest first, without dropping them. Strict, so an arrival at
+        0 with window 1000 no longer counts at 1000."""
+        if t < self._latest:
+            raise ValueError(f"time regression: probe at {t} after {self._latest}")
+        cutoff = t - self.window_ms
+        gone = []
+        for key, last in self.last_arrival.items():
+            if last > cutoff:
+                break
+            gone.append(key)
+        return gone
 
     def active(self, key: Hashable, t: int) -> bool:
-        """The window rule: the key's last arrival still counts at `t`.
-        Strict, so an arrival at 0 with window 1000 is inactive at 1000."""
-        last = self.last_arrival.get(key)
-        return last is not None and last > t - self.window_ms
+        """The key's last arrival still counts at `t`."""
+        return key not in self.expired(t) and key in self.last_arrival
 
 
 class Snapshot(Mapping[str, bool]):
@@ -159,10 +180,6 @@ class PortArbiter:
         # the slots whose bits are set are the keys of activation.last_arrival
         self.activation = ActivationTable(window_ms)
         self._mask = 0
-        # no slot leaves the window before this instant: when last set, the
-        # front slot of activation.last_arrival left it then, and a later
-        # front arrived later. -inf until the first arrival.
-        self._expiry: int | float = float("-inf")
         self.snapshot: Snapshot | None = None  # of `_mask`, from the first arrival on
         # a cube rule is (care, want, None): it selects when the mask's `care`
         # bits equal `want`. A bit past the slots names a port with no
@@ -202,23 +219,12 @@ class PortArbiter:
 
     def arrive(self, slot: int, t: int) -> int:
         """Record an arrival from `slot` at `t`, before its verdict and
-        whatever that is; returns the activation mask at `t`. The front
-        slots are walked only from the instant the front can have left."""
-        table = self.activation
-        cutoff = table.record(slot, t)
+        whatever that is; returns the activation mask at `t`."""
         mask = self._mask
-        if t >= self._expiry:
-            # drop the front slots at or before the cutoff; the arriving
-            # slot, now last, counts at `t` and ends the loop
-            last_arrival = table.last_arrival
-            while True:
-                front = next(iter(last_arrival))
-                last = last_arrival[front]
-                if last > cutoff:
-                    break
-                del last_arrival[front]
+        gone = self.activation.record(slot, t)
+        if gone:
+            for front in gone:
                 mask &= ~(1 << front)
-            self._expiry = last + table.window_ms
         mask |= 1 << slot
         if mask != self._mask:
             self._mask = mask
@@ -247,17 +253,11 @@ class PortArbiter:
 
     def activation_snapshot(self, t: int) -> Snapshot:
         """One boolean per distinct incoming source port at `t`, which may not
-        precede the latest arrival: the kept mask less the front slots expired
-        by `t`, which is `snapshot` itself when none has expired. A port
-        sharing several connections counts active if any is."""
-        table = self.activation
-        if table._latest is not None and t < table._latest:
-            raise ValueError(f"time regression: probe at {t} after {table._latest}")
-        cutoff = t - table.window_ms
+        precede the latest arrival: the kept mask less the slots expired by
+        `t`, which is `snapshot` itself when none has expired. A port sharing
+        several connections counts active if any is."""
         mask = self._mask
-        for slot, last in table.last_arrival.items():
-            if last > cutoff:
-                break
+        for slot in self.activation.expired(t):
             mask &= ~(1 << slot)
         if mask == self._mask and self.snapshot is not None:
             return self.snapshot

@@ -21,6 +21,7 @@ from .model import (
     Lit,
     Not,
     ParseError,
+    decimal_int,
     evaluate_condition,
     has_errors,
     parse_behavior_model,
@@ -266,7 +267,7 @@ def cmd_explain(args) -> int:
 def _until_ms(text: str) -> int:
     """--until's type: an integer >= 0, as a scenario's horizon_ms."""
     try:
-        value = int(text)
+        value = decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:

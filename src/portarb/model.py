@@ -112,6 +112,7 @@ BEHAVIOR = "behavior"
 META_BEHAVIOR = "meta_behavior"
 
 _PORT_RE = re.compile(r"(?:/[^/\s:]+)+:[io]")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def check_port(name: str) -> str:
@@ -121,6 +122,14 @@ def check_port(name: str) -> str:
             f"invalid port name {name!r}: expected /segment(/segment)*:i or :o"
         )
     return name
+
+
+def decimal_int(text: str) -> int:
+    """`text` as an integer: ASCII decimal digits, perhaps after a "-". Unlike
+    int(), no sign "+", "_", surrounding space or other script's digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def is_output(port: str) -> bool:
@@ -924,7 +933,7 @@ def parse_network(xml_text: str) -> NetworkDescription:
         raw_window = el.get("window")
         if raw_window is not None:
             try:
-                window = int(raw_window)
+                window = decimal_int(raw_window)
             except ValueError:
                 raise ParseError(f"window={raw_window!r} is not an integer") from None
             if windows.get(destination, window) != window:

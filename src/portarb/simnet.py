@@ -303,7 +303,7 @@ def iter_run(
     destination order; per destination the arrival is recorded first and
     then decided, so a discarded message still refreshes its connection's
     activation. An arrival before its port's front slot can have left the
-    window walks no expiry queue (see `PortArbiter.arrive`). A record's
+    window walks no expiry queue (see `ActivationTable.record`). A record's
     assignment is its port's arbiter's `snapshot`, shared while the port's
     mask holds; the run renders each rule's text once. `horizon_ms` can
     only shorten the run.
@@ -419,11 +419,11 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
     JSON Lines: a raw U+2028, U+2029 or U+0085 inside a JSON string, which
     `str.splitlines` would break at, stays in its line. The start of a line
     in write_trace's layout is matched by one pattern, and each distinct
-    assignment text with no nested object or list is parsed once per file
-    (every record gets its own dict). Any other line goes through
-    json.loads and the field checks (`t` an integer, the other fields but
-    the assignment strings), so both paths accept the same lines, give the
-    same records and reject with the same messages.
+    assignment text is parsed once per file (every record gets its own
+    dict). Any other line goes through json.loads and the field checks (`t`
+    an integer, the other fields but the assignment strings, the assignment
+    an object whose values are all true or false), so both paths accept the
+    same lines, give the same records and reject with the same messages.
     """
     path = Path(path)
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
@@ -435,17 +435,20 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
             t, src, dst, outcome, reason, rule = match.groups()
             text = line[match.end():-1]
             # the first record of a text keeps the parsed dict and later ones
-            # copy it, all before the caller sees any. The copies are shallow,
-            # so a text that may hold an object or a list ("[" or a second
-            # "{") is not cached: its line takes the path below.
+            # copy it, all before the caller sees any; a text that is not an
+            # object of true/false values takes the path below, which fails
             assignment = parsed.get(text)
             if assignment is not None:
                 assignment = dict(assignment)
-            elif text.startswith("{") and text.find("{", 1) < 0 and "[" not in text:
+            elif text.startswith("{"):
                 try:
-                    assignment = parsed[text] = json.loads(text)
-                except json.JSONDecodeError:
-                    pass  # the whole line fails below, with json's message for it
+                    assignment = json.loads(text)
+                except (json.JSONDecodeError, RecursionError):
+                    pass
+                if _is_flags(assignment):
+                    parsed[text] = assignment
+                else:
+                    assignment = None
             if assignment is not None:
                 records.append(TraceRecord(int(t), src, dst, outcome, reason, rule, assignment))
                 continue
@@ -460,5 +463,12 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
                 raise ParseError(f"{path}:{lineno}: {key!r} must be a string")
         if not isinstance(payload["assignment"], dict):
             raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
+        if not _is_flags(payload["assignment"]):
+            raise ParseError(f"{path}:{lineno}: 'assignment' values must be true or false")
         records.append(TraceRecord(**payload))
     return tuple(records)
+
+
+def _is_flags(assignment) -> bool:
+    """`assignment` is an object of true/false values, as a record's must be."""
+    return type(assignment) is dict and set(map(type, assignment.values())) <= {bool}

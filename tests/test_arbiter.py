@@ -75,6 +75,35 @@ def test_time_regression_rejected():
         table.record(REST, 99)
 
 
+def test_table_probe_before_the_latest_arrival_rejected():
+    # the latest arrival is at 2000: an answer about 1500 or -5 would need
+    # the arrivals the table drops
+    table = ActivationTable(window_ms=1000)
+    table.record("k", 0)
+    table.record("k", 2000)
+    for probe in (1500, 1999, -5):
+        for ask in (lambda: table.active("k", probe), lambda: table.active("j", probe),
+                    lambda: table.expired(probe)):
+            with pytest.raises(ValueError, match="time regression: probe"):
+                ask()
+    assert table.active("k", 2000) is True and table.active("k", 3000) is False
+
+
+def test_record_returns_the_keys_it_drops():
+    table = ActivationTable(window_ms=1000)
+    assert table.record(OBJ, 0) == []  # the first arrival walks the map
+    assert table.record(REST, 500) is None  # no key can leave before 1000
+    assert table.record(COLL, 1200) == [OBJ]
+    assert list(table.last_arrival.items()) == [(REST, 500), (COLL, 1200)]
+    # the probe drops nothing, and the table agrees with it
+    assert table.expired(1500) == [REST]
+    assert [table.active(key, 1500) for key in ARM_CONNS] == [False, False, True]
+    assert list(table.last_arrival) == [REST, COLL]
+    assert table.record(REST, 1600) == []  # the front arrived again
+    assert table.record(OBJ, 2200) == [COLL]
+    assert list(table.last_arrival.items()) == [(REST, 1600), (OBJ, 2200)]
+
+
 def test_window_must_be_positive():
     with pytest.raises(ValueError):
         ActivationTable(window_ms=0)
@@ -340,10 +369,11 @@ EXPIRY_CASES = {
 def test_arrive_expires_exactly_the_slots_out_of_the_window(arrivals):
     sources = tuple(f"/s{i}:o" for i in range(4))
     arb = PortArbiter("/p:i", [Connection(source, "/p:i") for source in sources], window_ms=100)
-    reference = ActivationTable(window_ms=100)
-    for slot, t in arrivals:
-        reference.record(slot, t)
-        expected = sum(1 << s for s in range(4) if reference.active(s, t))
+    for i, (slot, t) in enumerate(arrivals):
+        # a scan over the arrival prefix: each slot's last arrival counts
+        # until it is 100 ms old
+        last = {s: a for s, a in arrivals[: i + 1]}
+        expected = sum(1 << s for s, a in last.items() if t - a < 100)
         assert arb.arrive(slot, t) == expected, (slot, t)
         assert arb.snapshot.mask == expected
         assert set(arb.activation.last_arrival) == {s for s in range(4) if expected >> s & 1}

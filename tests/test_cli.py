@@ -193,6 +193,16 @@ def test_simulate_until_must_not_be_negative(capsys):
     assert capsys.readouterr().err.endswith("error: argument --until: must be >= 0, got -5\n")
 
 
+@pytest.mark.parametrize("until", ["1_000", " 7 ", "+5", "\u0663", "5.0", ""])
+def test_simulate_until_takes_ascii_decimal_digits_only(capsys, until):
+    # int() read all but the last two, so "+5" ran to 5 ms
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", SAT.scenario, "--until", until)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --until: invalid int value: {until!r}\n")
+
+
 def _summary(records):
     """simulate's stdout for `records`, counted without the CLI's code."""
     ports = sorted({r.dst for r in records})
@@ -374,6 +384,30 @@ def test_explain_rejects_a_string_time(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("explain", trace_path, "--port", "/Arm/pos:i", "--at", 14100) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {trace_path}:6: 't' must be an integer\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("model", "<define>x</define>", "<define> requires a name attribute"),
+    ("network", "<app/>", "expected <application> root element, got <app>"),
+    ("scenario", "[]", "{path}: top level must be a JSON object"),
+])
+def test_parse_error_exits_2_with_one_line(tmp_path, capsys, kind, text, message):
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    argv = {"model": ("validate", path, SAT.network), "network": ("validate", SAT.model, path),
+            "scenario": ("simulate", path)}[kind]
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_explain_rejects_an_assignment_value_that_is_not_a_boolean(tmp_path, capsys):
+    # was exit 0, printing `/c:o=yes` and reporting `/c:o active`
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text('{"t":1,"src":"/a:o","dst":"/b:i","outcome":"accept","reason":"SELECTED",'
+                          '"rule":"/c:o","assignment":{"/a:o":true,"/c:o":"yes"}}\n')
+    assert run_cli("explain", trace_path) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {trace_path}:1: 'assignment' values must be true or false\n")
 
 
 @pytest.mark.parametrize("value", [5, None, ["network.xml"]], ids=["int", "null", "list"])

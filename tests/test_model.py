@@ -25,6 +25,7 @@ from portarb import (
     And,
     BehaviorModel,
     BehaviorNode,
+    Component,
     Connection,
     Decision,
     Diagnostic,
@@ -377,6 +378,40 @@ def test_multiple_condition_elements_rejected():
         parse_behavior_model(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("<define>x</define>", "<define> requires a name attribute"),
+    ('<define name="d">x</define><define name="d">y</define>', "duplicate <define name='d'>"),
+    ('<behavior name="B"><config>/Y:o</config></behavior>',
+     "<config> in 'B' requires an at attribute"),
+    ('<behavior name="B"><config at="/X:i"> </config></behavior>',
+     "<config> in 'B' requires a source port"),
+    ('<behavior name="B"><config at="/X:i">/Y:o</config><config at="/X:i">/Y:o</config>'
+     "</behavior>", "duplicate configuration /Y:o -> /X:i in 'B'"),
+    ('<meta_behavior name="M"><behavior name="B"><config at="/X:i">/Y:o</config></behavior>'
+     "</meta_behavior>",
+     "inline definitions are not allowed inside 'M'; reference behaviors by name"),
+    ('<meta_behavior name="M"><behavior> </behavior></meta_behavior>',
+     "empty behavior reference in 'M'"),
+    ('<meta_behavior name="M"><behavior/></meta_behavior>', "empty behavior reference in 'M'"),
+    ('<meta_behavior name="M"></meta_behavior>',
+     "meta_behavior 'M' must reference at least one behavior"),
+    ('<behaviors><module name="A"/></behaviors>', "unexpected top-level element <module>"),
+    ('<behavior><config at="/X:i">/Y:o</config></behavior>',
+     "<behavior> requires a non-empty name attribute"),
+    ('<meta_behavior name=" "><behavior>B</behavior></meta_behavior>',
+     "<meta_behavior> requires a non-empty name attribute"),
+    ('<behavior name="A,B"><config at="/X:i">/Y:o</config></behavior>',
+     "behavior name 'A,B' must not contain commas"),
+    ('<meta_behavior name="M"><behavior>M</behavior></meta_behavior>', "'M' cannot contain itself"),
+    ('<behavior name="B"><config at="/X:i">/Y:o</config><condition>/a:o # /b:o</condition>'
+     "</behavior>", "condition of 'B': condition syntax error at position 5: unexpected '#'"),
+])
+def test_behavior_model_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_behavior_model(text)
+    assert str(info.value) == message
+
+
 def test_malformed_xml_rejected():
     with pytest.raises(ParseError, match="malformed"):
         parse_behavior_model("<behavior name='B'>")
@@ -487,15 +522,59 @@ def test_window_override():
     assert parse_network(text).windows == {"/b:i": 250}
 
 
-@pytest.mark.parametrize("window", ["0", "-5", "abc"])
+# int() read "1_000", " 7 ", "+5" and "\u0663" (a 3 ms window) as integers
+@pytest.mark.parametrize("window", ["0", "-5", "abc", "1_000", " 7 ", "+5", "\u0663", ""])
 def test_bad_window_rejected(window):
     text = (
         '<application><module name="A"><output>/a:o</output></module>'
         '<module name="B"><input>/b:i</input></module>'
         f'<connection from="/a:o" to="/b:i" window="{window}"/></application>'
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_network(text)
+    assert str(info.value) == (
+        "window override for '/b:i' must be a positive integer" if window in ("0", "-5")
+        else f"window={window!r} is not an integer")
+
+
+A_TO_B = '<module name="A"><output>/a:o</output></module><module name="B"><input>/b:i</input></module>'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("<app/>", "expected <application> root element, got <app>"),
+    ("<application><module><output>/a:o</output></module></application>",
+     "<module> requires a non-empty name attribute"),
+    ('<application><module name=" "/></application>', "<module> requires a non-empty name attribute"),
+    ('<application><module name="A"><input>/a:o</input></module></application>',
+     "port '/a:o' declared as input must end with :i"),
+    ('<application><module name="A"><output>/a:i</output></module></application>',
+     "port '/a:i' declared as output must end with :o"),
+    ('<application><module name="A"><port>/a:o</port></module></application>',
+     "unexpected <port> inside <module 'A'>"),
+    ("<application><wire/></application>", "unexpected <wire> inside <application>"),
+    (f'<application>{A_TO_B}<connection to="/b:i"/></application>',
+     "<connection> requires from and to attributes"),
+    (f'<application>{A_TO_B}<connection from="/a:o" to=" "/></application>',
+     "<connection> requires from and to attributes"),
+    (f'<application>{A_TO_B}<connection from="/ghost:o" to="/b:i"/></application>',
+     "connection references undeclared output port '/ghost:o'"),
+    (f'<application>{A_TO_B}<module name="C"><output>/c:o</output></module>'
+     '<connection from="/a:o" to="/b:i" window="100"/>'
+     '<connection from="/c:o" to="/b:i" window="200"/></application>',
+     "conflicting window overrides for '/b:i'"),
+])
+def test_network_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_network(text)
+    assert str(info.value) == message
+
+
+def test_window_override_for_an_undeclared_input_rejected():
+    # parse_network reports the connection first; a direct construction
+    # reaches the window check
+    with pytest.raises(ParseError) as info:
+        NetworkDescription((Component("A", ("/a:i",), ()),), (), {"/ghost:i": 5})
+    assert str(info.value) == "window override for undeclared input port '/ghost:i'"
 
 
 def test_duplicate_port_declaration_rejected():

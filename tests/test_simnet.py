@@ -103,9 +103,43 @@ def test_overlapping_intervals_rejected(tmp_path):
      "source port '/Motor/cmd:i' of 'C' must be an output"),
     ({"source": {"port": "/ghost:o", "period_ms": 100}},
      "source port '/ghost:o' is not declared in the network"),
+    *(({"source": {"port": "/Ping/cmd:o", "period_ms": 100, "active": active}}, message)
+      for active, message in [
+          (5, "'active' must be a list of [start, end) pairs"),
+          ([[0]], "bad interval [0]: expected [start, end]"),
+          ([[0, 5, 9]], "bad interval [0, 5, 9]: expected [start, end]"),
+          ([[0, "5"]], "bad interval [0, '5']: expected [start, end]"),
+          ([[True, 5]], "bad interval [True, 5]: expected [start, end]"),
+          ([7], "bad interval 7: expected [start, end]"),
+          ([[-1, 5]], "bad interval [-1, 5): need 0 <= start < end"),
+          ([[5, 5]], "bad interval [5, 5): need 0 <= start < end"),
+      ]),
 ])
 def test_component_entry_checks(tmp_path, entry, message):
     path = _scenario_file(tmp_path, {"components": [{"name": "C", **entry}]})
+    with pytest.raises(ParseError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+SINK = {"sink": {"port": "/Motor/cmd:i"}}
+
+
+@pytest.mark.parametrize("body, message", [
+    ([], "top level must be a JSON object"),
+    ("scenario", "top level must be a JSON object"),
+    ({"components": {}}, "'components' must be a list"),
+    ({"components": [5]}, "bad component entry 5"),
+    ({"components": [SINK]}, f"bad component entry {SINK!r}"),
+    ({"components": [{"name": "C", **SINK}, {"name": "C", **SINK}]},
+     "duplicate component name 'C'"),
+])
+def test_scenario_shape_checks(tmp_path, body, message):
+    if type(body) is dict:
+        path = _scenario_file(tmp_path, body)
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(body))
     with pytest.raises(ParseError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}: {message}"
@@ -387,6 +421,22 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("value", ('"yes"', "1", "0", "null", "[true]", '{"x":1}', '{"x":true}'))
+@pytest.mark.parametrize("spaced", (False, True), ids=("layout", "spaced"))
+def test_read_trace_rejects_assignment_values_that_are_not_booleans(tmp_path, value, spaced):
+    # was read as given, so `explain` printed `/c:o=yes` and `/c:o active`
+    good = '{"t":1,"src":"/a:o","dst":"/b:i","outcome":"accept","reason":"SELECTED","rule":"r",'
+    lines = [good + '"assignment":{"/a:o":true,"/c:o":false}}',
+             good + '"assignment":{"/a:o":true,"/c:o":' + value + "}}"]
+    if spaced:
+        lines = [json.dumps(json.loads(line)) for line in lines]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_trace(path)
+    assert str(exc.value) == f"{path}:2: 'assignment' values must be true or false"
+
+
 @pytest.mark.parametrize("char", ("\u2028", "\u2029", "\x85"))
 def test_read_trace_ends_lines_at_newlines_only(tmp_path, char):
     # JSON Lines ends a line at "\n" (or "\r\n") alone; a JSON string may
@@ -644,6 +694,8 @@ def _reference_read_trace(path):
                 raise ParseError(f"{path}:{lineno}: {key!r} must be a string")
         if not isinstance(payload["assignment"], dict):
             raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
+        if any(type(value) is not bool for value in payload["assignment"].values()):
+            raise ParseError(f"{path}:{lineno}: 'assignment' values must be true or false")
         records.append(TraceRecord(**payload))
     return tuple(records)
 
@@ -669,8 +721,7 @@ def trace_lines(draw):
     layout = draw(st.booleans())
     assignment = draw(st.dictionaries(
         st.one_of(st.sampled_from(("/a:o", "/b:o", "assignment")), _trace_text),
-        # write_trace writes booleans; a list is the nested value a record
-        # must not share with another record read from the same text
+        # write_trace writes booleans; a list is a value both readers reject
         st.booleans() | st.lists(st.booleans(), max_size=1) if layout
         else _trace_scalars | st.dictionaries(_trace_text, _trace_scalars),
         max_size=4,
