@@ -42,7 +42,6 @@ from .model import (
     TRUE,
     apply_auto_observe,
     check_port,
-    evaluate_condition,
     has_errors,
     normalize,
     parse_behavior_model,

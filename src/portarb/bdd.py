@@ -1,8 +1,10 @@
-"""Reduced ordered binary decision diagrams with hash-consing, one memoized
-apply, `ite`, and one evaluator, `evaluate`, over a mapping of port names.
-A rule that is a cube (`SelectionRule.cube`) needs no BDD: the arbiter and
-the conflict check decide cubes from their literals, so BDDs are built only
-for rules with a disjunction, `false` or a nested `not`."""
+"""Reduced ordered binary decision diagrams with hash-consing. Their one
+operation is `ite`, the memoized if-then-else: every conjunction,
+disjunction and negation is made with it. A condition is decided from its
+literals if it is a cube (`model.cube_literals`: the arbiter, the conflict
+check and `explain` read them) and otherwise by `evaluate` over its BDD, so
+BDDs are built only for conditions with a disjunction, `false` or a nested
+`not`."""
 
 from __future__ import annotations
 
@@ -12,9 +14,6 @@ from .model import And, BoolExpr, FalseExpr, Not, Or, cube_literals
 
 FALSE = 0
 TRUE = 1
-
-AND = "and"
-OR = "or"
 
 
 class BddManager:
@@ -129,17 +128,6 @@ class BddManager:
             work += ((key, level, None), (f_high, g_high, h_high), (f_low, g_low, h_low))
         return results[0]
 
-    def negate(self, a: int) -> int:
-        return self.ite(a, FALSE, TRUE)
-
-    def combine(self, op: str, a: int, b: int) -> int:
-        """AND or OR of two BDDs; `ite` orders the operands for its cache."""
-        if op == AND:
-            return self.ite(a, b, FALSE)
-        if op == OR:
-            return self.ite(a, TRUE, b)
-        raise ValueError(f"unknown operation {op!r}")
-
     def build(self, expr: BoolExpr) -> int:
         """Bottom-up construction of an expression's BDD. A cube (see
         `cube_literals`) is one chain of nodes made bottom up, deepest level
@@ -159,9 +147,9 @@ class BddManager:
         if isinstance(expr, FalseExpr):
             return FALSE
         if isinstance(expr, Not):
-            return self.negate(self.build(expr.child))
+            return self.ite(self.build(expr.child), FALSE, TRUE)
         if isinstance(expr, (And, Or)):
-            op = AND if isinstance(expr, And) else OR
+            conjunction = isinstance(expr, And)
             refs = [self.build(child) for child in expr.children]
             # deepest top variable first: an operand that sits wholly above
             # the result so far is joined in one apply step per node of its
@@ -171,7 +159,7 @@ class BddManager:
                       reverse=True)
             result = refs[0]
             for ref in refs[1:]:
-                result = self.combine(op, result, ref)
+                result = self.ite(result, ref, FALSE) if conjunction else self.ite(result, TRUE, ref)
             return result
         raise TypeError(f"not a BoolExpr: {expr!r}")
 

@@ -15,6 +15,7 @@ from collections import deque
 from pathlib import Path
 
 from .arbiter import ACCEPT, CONSTRAINT_FALSE, NO_RULE
+from .bdd import BddManager
 from .compiler import compile_model, emit_rules
 from .model import (
     And,
@@ -22,7 +23,6 @@ from .model import (
     Not,
     ParseError,
     decimal_int,
-    evaluate_condition,
     has_errors,
     parse_behavior_model,
     parse_condition,
@@ -225,19 +225,22 @@ def _explain_failure(index: _TraceIndex, record) -> str:
         return "constraint false"
     conjuncts = constraint.children if isinstance(constraint, And) else (constraint,)
     reasons = []
+    # a literal is read as the arbiter reads a cube's; anything else over its BDD
     for part in conjuncts:
-        if evaluate_condition(part, record.assignment):
-            continue
-        rendered = render_condition(part)
         if isinstance(part, Not) and isinstance(part.child, Lit):
             port = part.child.port
+            if not record.assignment.get(port, False):
+                continue
             starts = index.streak_starts(record, port)
             since = f" since {' or '.join(map(str, starts))}" if starts else ""
-            reasons.append(f"constraint `{rendered}` false; {port} active{since}")
+            reasons.append(f"constraint `{render_condition(part)}` false; {port} active{since}")
         elif isinstance(part, Lit):
-            reasons.append(f"constraint `{rendered}` false; {part.port} inactive")
+            if not record.assignment.get(part.port, False):
+                reasons.append(f"constraint `{render_condition(part)}` false; {part.port} inactive")
         else:
-            reasons.append(f"constraint `{rendered}` false")
+            manager = BddManager()
+            if not manager.evaluate(manager.build(part), record.assignment):
+                reasons.append(f"constraint `{render_condition(part)}` false")
     return "; ".join(reasons) if reasons else "constraint false"
 
 

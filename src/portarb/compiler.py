@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .bdd import AND, BddManager
+from . import bdd
+from .bdd import BddManager
 from .model import (
     And,
     BehaviorModel,
@@ -230,10 +231,9 @@ def check_conflicts(ruleset: RuleSet) -> list[Diagnostic]:
                     for k in (i, j):
                         if selects[k] is None:
                             rule = entries[k][0]
-                            selects[k] = manager.combine(
-                                AND, manager.var(rule.candidate), manager.build(rule.constraint)
-                            )
-                    witness = manager.first_satisfying(manager.combine(AND, selects[i], selects[j]))
+                            selects[k] = manager.ite(manager.var(rule.candidate),
+                                                     manager.build(rule.constraint), bdd.FALSE)
+                    witness = manager.first_satisfying(manager.ite(selects[i], selects[j], bdd.FALSE))
                     if witness is None:
                         continue
                 found += 1

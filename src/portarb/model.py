@@ -439,23 +439,6 @@ def cube_literals(constraint: BoolExpr) -> list[tuple[str, bool]] | None:
     return literals
 
 
-def evaluate_condition(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
-    """Direct evaluation; ports missing from the assignment count as inactive."""
-    if isinstance(expr, TrueExpr):
-        return True
-    if isinstance(expr, FalseExpr):
-        return False
-    if isinstance(expr, Lit):
-        return bool(assignment.get(expr.port, False))
-    if isinstance(expr, Not):
-        return not evaluate_condition(expr.child, assignment)
-    if isinstance(expr, And):
-        return all(evaluate_condition(c, assignment) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(evaluate_condition(c, assignment) for c in expr.children)
-    raise TypeError(f"not a BoolExpr: {expr!r}")
-
-
 # ---------------------------------------------------------------------------
 # Behavior tree
 
@@ -656,8 +639,6 @@ def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str,
                 changed = True
         if not changed:
             break
-    else:
-        raise ParseError("circular ${...} define references")
     substituted = _expand(text, defines, len(text) + MAX_EXPANSION_CHARS)
     for value in (*defines.values(), substituted):
         leftover = _DEFINE_REF_RE.search(value)
@@ -1014,13 +995,13 @@ def _with_observers(network: NetworkDescription, pairs) -> NetworkDescription:
     return augmented
 
 
-def _sibling_cycles(members: list[BehaviorNode], names: set[str]) -> list[list[str]]:
-    """Inhibition cycles within one sibling group; `names` are the members'."""
+def _sibling_cycle(members: list[BehaviorNode], names: set[str]) -> list[str] | None:
+    """The first inhibition cycle within one sibling group that a depth-first
+    search closes, or None; `names` are the members'."""
     adjacency = {n.name: [t for t in n.inhibitions if t in names] for n in members}
     # depth-first along inhibition edges on an explicit stack: `path` holds
     # the names being visited (color 1), `pending` the iterator over each
     # one's remaining targets; finished names get color 2
-    cycles: list[list[str]] = []
     color: dict[str, int] = {}
     for member in members:
         if member.name in color:
@@ -1037,11 +1018,11 @@ def _sibling_cycles(members: list[BehaviorNode], names: set[str]) -> list[list[s
                     pending.append(iter(adjacency[target]))
                     break
                 if state == 1:
-                    cycles.append(path[path.index(target):] + [target])
+                    return path[path.index(target):] + [target]
             else:
                 color[path.pop()] = 2
                 pending.pop()
-    return cycles
+    return None
 
 
 def validate(
@@ -1054,8 +1035,8 @@ def validate(
     port it constrains (with auto_observe, each missing observer connection
     is reported once, as a warning instead of an error; per destination
     port, at most MAX_V3_PER_PORT of these are shown and one `... and N
-    more` counts the rest); V4 sibling inhibition relations are acyclic; V5
-    inhibition targets resolve.
+    more` counts the rest); V4 sibling inhibition relations are acyclic (one
+    cycle is reported per sibling group); V5 inhibition targets resolve.
     """
     diagnostics: list[Diagnostic] = []
     parents = model._parent_name
@@ -1079,7 +1060,8 @@ def validate(
                         f"{node.name!r} may only inhibit siblings; {target!r} has a different parent",
                         node.name,
                     ))
-        for cycle in _sibling_cycles(members, siblings):
+        cycle = _sibling_cycle(members, siblings)
+        if cycle:
             diagnostics.append(Diagnostic(
                 ERROR, "V4",
                 "inhibition cycle among siblings: " + " -> ".join(cycle),

@@ -4,6 +4,7 @@ condition expressions and behavior models."""
 
 import itertools
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,6 +14,7 @@ from portarb import (
     And,
     BehaviorModel,
     BehaviorNode,
+    BoolExpr,
     Connection,
     Lit,
     Not,
@@ -26,7 +28,7 @@ from portarb import (
     run,
     write_trace,
 )
-from portarb.model import BEHAVIOR, FALSE, META_BEHAVIOR, TRUE
+from portarb.model import BEHAVIOR, FALSE, META_BEHAVIOR, TRUE, FalseExpr, TrueExpr
 
 
 def compile_fixture(name, auto_observe=True):
@@ -132,6 +134,23 @@ def trace_text(records):
         path = Path(tmp) / "trace.jsonl"
         write_trace(records, path)
         return path.read_text(encoding="utf-8")
+
+
+def evaluate_condition(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
+    """Direct evaluation; ports missing from the assignment count as inactive."""
+    if isinstance(expr, TrueExpr):
+        return True
+    if isinstance(expr, FalseExpr):
+        return False
+    if isinstance(expr, Lit):
+        return bool(assignment.get(expr.port, False))
+    if isinstance(expr, Not):
+        return not evaluate_condition(expr.child, assignment)
+    if isinstance(expr, And):
+        return all(evaluate_condition(c, assignment) for c in expr.children)
+    if isinstance(expr, Or):
+        return any(evaluate_condition(c, assignment) for c in expr.children)
+    raise TypeError(f"not a BoolExpr: {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compile_fixture, deep_hierarchy_texts, run_fixture
+from conftest import compile_fixture, deep_hierarchy_texts, evaluate_condition, run_fixture
 import portarb.arbiter
 from portarb import (
     ACCEPT,
@@ -27,7 +27,6 @@ from portarb import (
     ActivationTable,
     apply_auto_observe,
     compile_model,
-    evaluate_condition,
     extract_rules,
     fixture,
     load_scenario,

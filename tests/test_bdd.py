@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 
 from conftest import EXPR_PORTS, expressions
 from portarb import And, BddManager, Lit, Not, Or
-from portarb.bdd import AND, FALSE, OR, TRUE
+from portarb.bdd import FALSE, TRUE
 from portarb.model import FALSE as FALSE_EXPR, TRUE as TRUE_EXPR
 
 R = "/RestArm/pos:o"
@@ -68,12 +68,12 @@ def test_var_evaluates_to_its_assignment():
 def test_contradiction_and_absorption():
     m = BddManager()
     x = m.var("/x:o")
-    assert m.combine(AND, x, m.negate(x)) == FALSE
-    assert m.combine(OR, x, TRUE) == TRUE
+    assert m.ite(x, m.ite(x, FALSE, TRUE), FALSE) == FALSE
+    assert m.ite(x, TRUE, TRUE) == TRUE
 
 
 def fold_left(m, expr):
-    """Reference build: children first, then combined left to right."""
+    """Reference build: children first, then combined left to right by `ite`."""
     if expr == TRUE_EXPR:
         return TRUE
     if expr == FALSE_EXPR:
@@ -81,12 +81,11 @@ def fold_left(m, expr):
     if isinstance(expr, Lit):
         return m.var(expr.port)
     if isinstance(expr, Not):
-        return m.negate(fold_left(m, expr.child))
-    op = AND if isinstance(expr, And) else OR
+        return m.ite(fold_left(m, expr.child), FALSE, TRUE)
     refs = [fold_left(m, child) for child in expr.children]
     result = refs[0]
     for ref in refs[1:]:
-        result = m.combine(op, result, ref)
+        result = m.ite(result, ref, FALSE) if isinstance(expr, And) else m.ite(result, TRUE, ref)
     return result
 
 
@@ -172,13 +171,13 @@ def test_apply_and_negate_walk_deep_chains():
     m = BddManager()
     chain = m.build(And(tuple(Lit(f"/p{i}:o") for i in range(n))))
     below = m.var("/z:o")
-    both = m.combine(AND, chain, below)
+    both = m.ite(chain, below, FALSE)
     assert m.first_satisfying(both) == [(f"/p{i}:o", True) for i in range(n)] + [("/z:o", True)]
-    negated = m.negate(both)
+    negated = m.ite(both, FALSE, TRUE)
     assert m.first_satisfying(negated) == [("/p0:o", False)]
-    assert m.combine(OR, both, negated) == TRUE
-    assert m.combine(AND, negated, both) == FALSE
-    assert m.negate(negated) == both
+    assert m.ite(both, TRUE, negated) == TRUE
+    assert m.ite(negated, both, FALSE) == FALSE
+    assert m.ite(negated, FALSE, TRUE) == both
 
 
 def test_build_constants():
@@ -231,7 +230,7 @@ def test_no_redundant_nodes_ever_stored():
     m = BddManager()
     for _ in range(3):
         m.build(Or((And((Lit("/a:o"), Lit("/b:o"))), Not(Lit("/c:o")), Lit("/a:o"))))
-        m.negate(m.var("/d:o"))
+        m.ite(m.var("/d:o"), FALSE, TRUE)
     for node in m._nodes[2:]:
         _, low, high = node
         assert low != high
@@ -239,7 +238,7 @@ def test_no_redundant_nodes_ever_stored():
 
 def test_first_satisfying_prefers_false():
     m = BddManager()
-    node = m.combine(OR, m.var("/a:o"), m.var("/b:o"))
+    node = m.ite(m.var("/a:o"), TRUE, m.var("/b:o"))
     # lexicographically smallest satisfying assignment: a=false, b=true
     assert m.first_satisfying(node) == [("/a:o", False), ("/b:o", True)]
     assert m.first_satisfying(FALSE) is None
@@ -296,9 +295,3 @@ def test_ite_is_if_then_else(f, g, h, order):
     for sigma in assignments_over(ITE_PORTS):
         chosen = g if tt_eval(f, sigma) else h
         assert m.evaluate(result, sigma) == tt_eval(chosen, sigma)
-
-
-def test_combine_rejects_unknown_op():
-    m = BddManager()
-    with pytest.raises(ValueError):
-        m.combine("xor", m.var("/a:o"), m.var("/b:o"))

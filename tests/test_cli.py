@@ -360,6 +360,42 @@ def test_explain_reads_the_window_override_from_the_trace(tmp_path, capsys):
     assert "/Object/pos:o active since 14100\n" in out
 
 
+def test_explain_names_each_false_conjunct(tmp_path, capsys):
+    # a positive literal, a `not p` and a disjunction, each false at t=50;
+    # at t=95 only the disjunction is
+    rule = "/c:o and /a:o and not /b:o and (/d:o or /e:o) => Select(/c:o) @ /x:i"
+    lines = [
+        ('{"t":0,"src":"/b:o","dst":"/x:i","outcome":"discard","reason":"NO_RULE",'
+         '"rule":"-","assignment":{"/b:o":true}}'),
+        ('{"t":50,"src":"/c:o","dst":"/x:i","outcome":"discard","reason":"CONSTRAINT_FALSE",'
+         f'"rule":"{rule}","assignment":{{"/a:o":false,"/b:o":true,"/c:o":true,'
+         '"/d:o":false,"/e:o":false}}'),
+        ('{"t":90,"src":"/a:o","dst":"/x:i","outcome":"discard","reason":"NO_RULE",'
+         '"rule":"-","assignment":{"/a:o":true,"/b:o":false,"/c:o":true}}'),
+        ('{"t":95,"src":"/c:o","dst":"/x:i","outcome":"discard","reason":"CONSTRAINT_FALSE",'
+         f'"rule":"{rule}","assignment":{{"/a:o":true,"/b:o":false,"/c:o":true,'
+         '"/d:o":false,"/e:o":false}}'),
+    ]
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("".join(line + "\n" for line in lines))
+    assert run_cli("explain", trace_path, "--port", "/x:i") == EXIT_OK
+    assert capsys.readouterr().out == (
+        "t=0 /b:o -> /x:i discarded: no rule for /b:o at /x:i\n"
+        "  rule: -\n"
+        "  assignment: /b:o=true\n"
+        "t=50 /c:o -> /x:i discarded: constraint `/a:o` false; /a:o inactive; "
+        "constraint `not /b:o` false; /b:o active since 0; constraint `/d:o or /e:o` false\n"
+        f"  rule: {rule}\n"
+        "  assignment: /a:o=false /b:o=true /c:o=true /d:o=false /e:o=false\n"
+        "t=90 /a:o -> /x:i discarded: no rule for /a:o at /x:i\n"
+        "  rule: -\n"
+        "  assignment: /a:o=true /b:o=false /c:o=true\n"
+        "t=95 /c:o -> /x:i discarded: constraint `/d:o or /e:o` false\n"
+        f"  rule: {rule}\n"
+        "  assignment: /a:o=true /b:o=false /c:o=true /d:o=false /e:o=false\n"
+    )
+
+
 def test_explain_no_matches(tmp_path, capsys):
     trace_path = tmp_path / "empty.jsonl"
     trace_path.write_text("")
@@ -724,6 +760,19 @@ def _defines(draw, text):
     return text[:at] + defines + text[at:]
 
 
+def _dense_siblings(text, count):
+    """`text` with `count` top-level behaviors added, each inhibiting all the
+    others."""
+    names = [f"D{i}" for i in range(count)]
+    behaviors = "".join(
+        f'<behavior name="{name}"><config at="/D:i">/D:o</config>'
+        f'<inhibition>{", ".join(n for n in names if n != name)}</inhibition></behavior>'
+        for name in names)
+    first = re.search(r"<(?:meta_)?behavior name=", text)
+    at = first.start() if first else text.rfind("</")
+    return text[:at] + behaviors + text[at:]
+
+
 def _wrong_json_type(draw, data):
     """The scenario with one drawn field replaced by a value of the wrong type."""
     scenario = json.loads(data)
@@ -747,7 +796,7 @@ def mutated_inputs(draw):
     kind = draw(st.sampled_from(INPUT_KINDS))
     data = _BASE[name, kind]
     mutations = ["truncate", "not-utf8"] + {
-        "model": ["nesting", "inhibitors", "defines"],
+        "model": ["nesting", "inhibitors", "defines", "dense-siblings"],
         "network": ["window"],
         "scenario": ["json-type"],
         "trace": ["nesting"],
@@ -781,6 +830,8 @@ def mutated_inputs(draw):
         text = _replace_element(draw, text, "inhibition", ", ".join(targets))
     elif mutation == "defines":
         text = _defines(draw, text)
+    elif mutation == "dense-siblings":
+        text = _dense_siblings(text, draw(st.integers(2, 200)))
     else:  # window
         value = draw(_WINDOWS).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
         text = re.sub(r'<connection ((?:(?!/>).)*?)(?: window="[^"]*")?\s*/>',
@@ -788,13 +839,29 @@ def mutated_inputs(draw):
     return name, kind, text.encode("utf-8", "surrogatepass")
 
 
+# stderr of one run is at most this many times the bytes of the files it
+# reads, plus one line's worth; one V5 per missing inhibition target writes
+# about 5 bytes per byte of the target list
+ERR_PER_INPUT_BYTE = 8
+ONE_LINE = 1024
+
+
+def _input_bytes(argv, paths):
+    """Bytes of the files the CLI run `argv` reads."""
+    kinds = {"explain": ("trace",), "simulate": ("scenario", "model", "network")}
+    return sum(paths[k].stat().st_size for k in kinds.get(argv[0], ("model", "network")))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_inputs())
 @example(("search-and-track", "model", b"\xff\xfe" + _BASE["search-and-track", "model"]))
 @example(("be-curious", "trace", b"\xff\n"))
+@example(("conflict-demo", "model",
+          _dense_siblings(_BASE["conflict-demo", "model"].decode(), 200).encode()))
 def test_cli_survives_mutated_inputs(case):
     """Whatever the mutation, each command ends in a documented exit code
-    other than 4 and never reports an internal error."""
+    other than 4, never reports an internal error, and writes to stderr at
+    most a fixed multiple of what it reads."""
     name, kind, data = case
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_inputs(fixture(name), directory, kind, data)
@@ -804,3 +871,5 @@ def test_cli_survives_mutated_inputs(case):
                 status = run_cli(*argv)
             assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), (argv, err.getvalue())
             assert "error: internal" not in err.getvalue()
+            written, read = len(err.getvalue()), _input_bytes(argv, paths)
+            assert written <= ERR_PER_INPUT_BYTE * read + ONE_LINE, (argv, written, read)

@@ -43,7 +43,7 @@ from portarb import (
     parse_network,
     rule_text,
 )
-from portarb.bdd import AND
+from portarb import bdd
 from portarb.compiler import MAX_C1_PER_PORT, RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
 from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize, render_condition
@@ -274,10 +274,10 @@ def _reference_conflict_messages(ruleset):
             manager.var(port)
     messages = []
     for port, rules in sorted(ruleset.by_port().items()):
-        selects = [manager.combine(AND, manager.var(r.candidate), manager.build(r.constraint))
+        selects = [manager.ite(manager.var(r.candidate), manager.build(r.constraint), bdd.FALSE)
                    for r in rules]
         for (i, first), (j, second) in itertools.combinations(enumerate(rules), 2):
-            witness = manager.first_satisfying(manager.combine(AND, selects[i], selects[j]))
+            witness = manager.first_satisfying(manager.ite(selects[i], selects[j], bdd.FALSE))
             if first.candidate == second.candidate or witness is None:
                 continue
             shown = ", ".join(f"{p}={str(v).lower()}" for p, v in witness)

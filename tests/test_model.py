@@ -743,6 +743,24 @@ def test_inhibition_cycle_is_v4():
     assert len(v4) == 1 and "A -> B -> A" in v4[0].message
 
 
+def test_dense_sibling_groups_report_one_v4_each():
+    # every member inhibits all the others; one V4 per back edge made
+    # n(n-1)/2 reports per group, each a slice of the search path
+    n = 200
+
+    def dense(prefix):
+        names = [f"{prefix}{i}" for i in range(n)]
+        return tuple(BehaviorNode(name=name, kind=BEHAVIOR,
+                                  inhibitions=tuple(t for t in names if t != name))
+                     for name in names)
+
+    group = BehaviorNode(name="Group", kind=META_BEHAVIOR, children=dense("In"))
+    model = BehaviorModel(roots=(group, *dense("Top")))
+    v4 = [(d.location, d.message) for d in validate(model, NetworkDescription()) if d.code == "V4"]
+    assert v4 == [("In0", "inhibition cycle among siblings: In0 -> In1 -> In0"),
+                  ("Top0", "inhibition cycle among siblings: Top0 -> Top1 -> Top0")]
+
+
 def test_unresolved_inhibition_is_v5():
     text = '<behavior name="A"><config at="/X:i">/a:o</config><inhibition>Ghost</inhibition></behavior>'
     network = parse_network(
