@@ -24,7 +24,7 @@ from .compiler import (
     extract_rules,
     rule_text,
 )
-from .library import FIXTURE_NAMES, FIXTURES_DIR, Fixture, fixture
+from .library import FIXTURE_NAMES, fixture
 from .model import (
     And,
     BehaviorModel,
@@ -53,7 +53,6 @@ from .model import (
 from .simnet import (
     PeriodicSource,
     Scenario,
-    Trace,
     TraceRecord,
     iter_run,
     load_scenario,

@@ -140,7 +140,6 @@ class _TraceIndex:
     `not p` names, its arrival history."""
 
     def __init__(self, records):
-        self.records = records
         self.by_port: dict[str, list] = {}
         for record in records:
             self.by_port.setdefault(record.dst, []).append(record)
@@ -245,9 +244,11 @@ def _explain_failure(index: _TraceIndex, record) -> str:
 
 
 def cmd_explain(args) -> int:
-    index = _TraceIndex(read_trace(args.trace))
-    pool = index.records if args.port is None else index.by_port.get(args.port, ())
-    matches = [r for r in pool if args.at is None or r.t == args.at]
+    records = read_trace(args.trace)
+    if args.port is not None:
+        records = [r for r in records if r.dst == args.port]
+    index = _TraceIndex(records)
+    matches = [r for r in records if args.at is None or r.t == args.at]
     if not matches:
         print("no records")
         return EXIT_OK
@@ -267,12 +268,17 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _until_ms(text: str) -> int:
-    """--until's type: an integer >= 0, as a scenario's horizon_ms."""
+def _time_ms(text: str) -> int:
+    """--at's type: an integer in ASCII digits, as a trace's `t`."""
     try:
-        value = decimal_int(text)
+        return decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _until_ms(text: str) -> int:
+    """--until's type: an integer >= 0, as a scenario's horizon_ms."""
+    value = _time_ms(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_p = sub.add_parser("explain", help="show why trace records were decided")
     explain_p.add_argument("trace", help="trace file written by simulate")
-    explain_p.add_argument("--at", type=int, help="only records at this time (ms)")
+    explain_p.add_argument("--at", type=_time_ms, help="only records at this time (ms)")
     explain_p.add_argument("--port", help="only records delivered to this input port")
     explain_p.set_defaults(func=cmd_explain)
 

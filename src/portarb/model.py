@@ -62,8 +62,8 @@ class Value:
     parameters in order, and `_defaults` holds the defaults of the last
     fields. A class whose `__init__` checks its input (`Connection`, `Lit`,
     `Decision`, `NetworkDescription`), makes a fresh default dict
-    (`BehaviorModel`, `NetworkDescription`) or derives a slot that is not a
-    field (`SelectionRule.cube`) writes its own and sets its slots through
+    (`NetworkDescription`) or derives a slot that is not a field
+    (`SelectionRule.cube`) writes its own and sets its slots through
     `object.__setattr__`. Assigning or deleting an attribute raises
     AttributeError; copy and pickle rebuild an instance through its
     `__init__`, with the fields as positional arguments.
@@ -383,8 +383,6 @@ def render_condition(expr: BoolExpr) -> str:
     if isinstance(expr, Lit):
         return expr.port
     if isinstance(expr, Not):
-        if isinstance(expr.child, Lit):
-            return f"not {expr.child.port}"
         inner = render_condition(expr.child)
         if isinstance(expr.child, (And, Or)):
             inner = f"({inner})"
@@ -471,13 +469,8 @@ class NodePlan(Value):
 
 class BehaviorModel(Value):
     # no __slots__: the cached_propertys below keep their values in __dict__
-    _fields = ("roots", "defines")
-
-    def __init__(
-        self, roots: tuple[BehaviorNode, ...] = (), defines: Mapping[str, str] | None = None
-    ) -> None:
-        _set(self, "roots", roots)
-        _set(self, "defines", {} if defines is None else defines)
+    _fields = ("roots",)
+    _defaults = ((),)
 
     def walk(self) -> Iterator[BehaviorNode]:
         """All nodes, depth-first in document order."""
@@ -615,11 +608,11 @@ def _expand(text: str, defines: Mapping[str, str], limit: int) -> str:
     return _DEFINE_REF_RE.sub(lambda m: defines.get(m.group(1), m.group(0)), text)
 
 
-def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str, str]]:
+def _substitute_defines(text: str) -> list[ElementTree.Element]:
     """Pure text replacement of ${name} references, before any structural
     interpretation of the behavior elements; returns the elements of the
-    substituted document and the defines. A document that substitution
-    leaves unchanged is parsed once."""
+    substituted document. A document that substitution leaves unchanged is
+    parsed once."""
     try:
         elements = _parse_xml_forest(text)
     except _XmlError as exc:
@@ -651,7 +644,7 @@ def _substitute_defines(text: str) -> tuple[list[ElementTree.Element], dict[str,
             elements = _parse_xml_forest(substituted)
         except _XmlError as exc:
             raise _define_error(text, defines, exc) from None
-    return elements, defines
+    return elements
 
 
 def _define_error(text: str, defines: Mapping[str, str], error: _XmlError) -> ParseError:
@@ -737,10 +730,9 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
     elements are interpreted; behaviors referenced from a meta-behavior
     become its children, unreferenced definitions become roots.
     """
-    elements, defines = _substitute_defines(xml_text)
+    elements = _substitute_defines(xml_text)
 
-    definitions: dict[str, tuple] = {}
-    order: list[str] = []
+    definitions: dict[str, tuple] = {}  # in document order
     for el in elements:
         if el.tag == "define":
             continue
@@ -754,11 +746,10 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
         if name in definitions:
             raise ParseError(f"duplicate behavior name {name!r}")
         definitions[name] = (el.tag, *_parse_definition(el, name))
-        order.append(name)
 
     referenced: dict[str, str] = {}
-    for name in order:
-        for ref in definitions[name][2]:
+    for name, (_, _, child_refs, _, _) in definitions.items():
+        for ref in child_refs:
             if ref not in definitions:
                 raise ParseError(f"unknown behavior reference {ref!r} in {name!r}")
             if ref == name:
@@ -769,35 +760,30 @@ def parse_behavior_model(xml_text: str) -> BehaviorModel:
                 )
             referenced[ref] = name
 
-    # meta-behaviors enclosing each definition, counted without recursion; a
-    # definition in a containment cycle is never reached and is reported below
-    pending = [(name, 0) for name in order if name not in referenced]
-    while pending:
-        name, depth = pending.pop()
-        if depth > MAX_NESTING_DEPTH:
-            raise ParseError(f"{name!r} is nested in more than {MAX_NESTING_DEPTH} meta-behaviors")
-        pending.extend((ref, depth + 1) for ref in definitions[name][2])
-
     built: dict[str, BehaviorNode] = {}
 
-    def build(name: str) -> BehaviorNode:
+    def build(name: str, depth: int) -> BehaviorNode:
+        # `depth` meta-behaviors enclose `name`; the check bounds the recursion
+        if depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"{name!r} is nested in more than {MAX_NESTING_DEPTH} meta-behaviors")
         kind, configuration, child_refs, condition, inhibitions = definitions[name]
         node = BehaviorNode(
             name=name,
             kind=kind,
             configuration=tuple(configuration),
-            children=tuple(build(ref) for ref in child_refs),
+            children=tuple(build(ref, depth + 1) for ref in child_refs),
             condition=condition,
             inhibitions=tuple(inhibitions),
         )
         built[name] = node
         return node
 
-    roots = tuple(build(name) for name in order if name not in referenced)
+    roots = tuple(build(name, 0) for name in definitions if name not in referenced)
+    # a definition in a containment cycle is never reached from a root
     if len(built) != len(definitions):
         orphans = sorted(set(definitions) - set(built))
         raise ParseError(f"circular containment among {orphans}")
-    return BehaviorModel(roots=roots, defines=defines)
+    return BehaviorModel(roots=roots)
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,14 @@ arbiter did and why, and the port's activation at that instant."""
 class _TraceFormatter:
     """Renders records as `json.dumps(payload, separators=(",", ":"))` of
     the fields in fixed order with the assignment's keys sorted, byte for
-    byte. Each string field is encoded once, and each source's two slot
-    texts are made once for all ports. A snapshot's assignment text is
-    kept per port, with the port's slot texts: a record with the mask of the
-    port's previous record reuses its text, any other rewrites only the
-    slots whose bits changed and joins them once. The state grows with the
-    total fan-in and the distinct strings, not with the records or masks.
-    Any other assignment goes through json.dumps."""
+    byte, given an int `t` and str fields up to the assignment, as iter_run
+    and read_trace make them. Each string field is encoded once, and each
+    source's two slot texts are made once for all ports. A snapshot's
+    assignment text is kept per port, with the port's slot texts: a record
+    with the mask of the port's previous record reuses its text, any other
+    rewrites only the slots whose bits changed and joins them once. The
+    state grows with the total fan-in and the distinct strings, not with
+    the records or masks. Any other assignment goes through json.dumps."""
 
     def __init__(self) -> None:
         self._strings: dict[str, str] = {}
@@ -89,13 +90,11 @@ class _TraceFormatter:
         # keeps its id from being reused while the formatter lives
         self._ports: dict[int, list] = {}
 
-    def _text(self, value) -> str:
-        if type(value) is str:
-            out = self._strings.get(value)
-            if out is None:
-                out = self._strings[value] = json.dumps(value)
-            return out
-        return json.dumps(value, separators=(",", ":"))
+    def _text(self, value: str) -> str:
+        out = self._strings.get(value)
+        if out is None:
+            out = self._strings[value] = json.dumps(value)
+        return out
 
     def _slot_texts(self, source: str) -> tuple[str, str]:
         """`"source":false` and `"source":true`, made once per source and
@@ -137,7 +136,7 @@ class _TraceFormatter:
         text = self._text
         t, src, dst, outcome, reason, rule, assignment = record
         return (
-            f'{{"t":{t if type(t) is int else text(t)},"src":{text(src)},'
+            f'{{"t":{t},"src":{text(src)},'
             f'"dst":{text(dst)},"outcome":{text(outcome)},'
             f'"reason":{text(reason)},"rule":{text(rule)},'
             f'"assignment":{self._assignment(assignment)}}}'

@@ -117,6 +117,12 @@ def test_unknown_connection_rejected():
         arb.decide(stranger, 0)
 
 
+def test_connection_to_another_port_rejected():
+    message = "connection /Object/pos:o -> /Gaze/pos:i does not end at /Arm/pos:i"
+    with pytest.raises(ValueError, match=message):
+        PortArbiter(ARM, (REST, Connection("/Object/pos:o", "/Gaze/pos:i")))
+
+
 def test_rule_for_missing_incoming_connection_rejected():
     _, _, ruleset, _ = compile_fixture("search-and-track")
     with pytest.raises(ValueError, match="no incoming connection"):

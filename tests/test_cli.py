@@ -396,6 +396,35 @@ def test_explain_names_each_false_conjunct(tmp_path, capsys):
     )
 
 
+def test_explain_names_an_active_source_that_never_arrived(tmp_path, capsys):
+    # a hand-edited trace: /b:o is active at /x:i but no record shows it arriving
+    rule = "/c:o and not /b:o => Select(/c:o) @ /x:i"
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(
+        '{"t":50,"src":"/c:o","dst":"/x:i","outcome":"discard","reason":"CONSTRAINT_FALSE",'
+        f'"rule":"{rule}","assignment":{{"/b:o":true,"/c:o":true}}}}\n')
+    assert run_cli("explain", trace_path) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "t=50 /c:o -> /x:i discarded: constraint `not /b:o` false; /b:o active\n"
+        f"  rule: {rule}\n"
+        "  assignment: /b:o=true /c:o=true\n"
+    )
+
+
+@pytest.mark.parametrize("at", ["1_000", "+14100", " 14100", "\u0661\u0664\u0661\u0660\u0660", ""])
+def test_explain_at_takes_ascii_decimal_digits_only(capsys, at):
+    # int() read all but the last, so "+14100" explained the records at 14100
+    with pytest.raises(SystemExit) as exc:
+        run_cli("explain", SAT.expected_trace, "--at", at)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"error: argument --at: invalid int value: {at!r}\n")
+
+
+def test_explain_at_a_negative_time_matches_nothing(capsys):
+    assert run_cli("explain", SAT.expected_trace, "--at", -5) == EXIT_OK
+    assert capsys.readouterr().out == "no records\n"
+
+
 def test_explain_no_matches(tmp_path, capsys):
     trace_path = tmp_path / "empty.jsonl"
     trace_path.write_text("")

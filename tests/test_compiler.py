@@ -316,7 +316,7 @@ def models_naming_sources(draw):
     (port, candidate) pairs merge several leaves."""
     model = draw(behavior_models(max_leaves=300, max_metas=60))
     renaming = draw(st.dictionaries(st.sampled_from(EXPR_PORTS), st.sampled_from(MODEL_SOURCES)))
-    return BehaviorModel(tuple(_renamed_node(r, renaming) for r in model.roots), model.defines)
+    return BehaviorModel(tuple(_renamed_node(r, renaming) for r in model.roots))
 
 
 _SCREEN_PORTS = MODEL_SOURCES + EXPR_PORTS[:3]

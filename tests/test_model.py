@@ -81,8 +81,6 @@ def _esc(text: str) -> str:
 def serialize_behavior_model(model: BehaviorModel) -> str:
     """Render a model back to XML; parse_behavior_model inverts this."""
     chunks: list[str] = []
-    for name, value in model.defines.items():
-        chunks.append(f'<define name="{_esc(name)}">{_esc(value)}</define>')
     for node in model.walk():
         lines = [f'<{node.kind} name="{_esc(node.name)}">']
         if node.is_meta:
@@ -163,7 +161,6 @@ def test_connection_rejects_a_trailing_newline(source, destination):
 
 def test_listing_parses_to_expected_structure():
     model = parse_behavior_model(LISTING)
-    assert model.defines == {"gaze": "/Gaze/pos:i"}
     assert [n.name for n in model.roots] == ["Be Curious"]
     curious = model.roots[0]
     assert curious.is_meta
@@ -460,13 +457,12 @@ def test_serialize_escapes_like_saxutils():
 
     value, name = 'a & b < c > "d"', 'B & <x> "y"'
     model = parse_behavior_model(
-        '<behaviors><define name="odd">a &amp; b &lt; c &gt; "d"</define>'
-        '<behavior name=\'B &amp; &lt;x&gt; "y"\'><config at="/X:i">/Y:o</config></behavior>'
-        "</behaviors>"
+        '<behaviors><behavior name=\'B &amp; &lt;x&gt; "y"\'><config at="/X:i">/Y:o</config>'
+        '<inhibition>a &amp; b &lt; c &gt; "d"</inhibition></behavior></behaviors>'
     )
-    assert model.defines == {"odd": value} and model.roots[0].name == name
+    assert model.roots[0].inhibitions == (value,) and model.roots[0].name == name
     text = serialize_behavior_model(model)
-    assert f'<define name="odd">{escape(value, {chr(34): "&quot;"})}</define>' in text
+    assert f'<inhibition>{escape(value, {chr(34): "&quot;"})}</inhibition>' in text
     assert f'<behavior name="{escape(name, {chr(34): "&quot;"})}">' in text
     assert parse_behavior_model(text) == model
 
@@ -932,7 +928,7 @@ def test_value_reprs_keep_the_dataclass_text():
     assert repr(Diagnostic(ERROR, "V2", "missing")) == (
         "Diagnostic(severity='error', code='V2', message='missing', location='')"
     )
-    assert repr(BehaviorModel()) == "BehaviorModel(roots=(), defines={})"
+    assert repr(BehaviorModel()) == "BehaviorModel(roots=())"
 
 
 def test_value_keyword_construction_with_defaults():
@@ -956,8 +952,6 @@ def test_value_constructor_errors_name_the_class():
 
 
 def test_value_default_dicts_are_not_shared():
-    assert BehaviorModel().defines == {}
-    assert BehaviorModel().defines is not BehaviorModel().defines
     assert NetworkDescription().windows == {}
     assert NetworkDescription().windows is not NetworkDescription().windows
 

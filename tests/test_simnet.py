@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import compile_fixture, run_fixture, trace_text
+from conftest import compile_fixture, evaluate_condition, expressions, run_fixture, trace_text
 from portarb import (
     ACCEPT,
     DEFAULT_WINDOW_MS,
@@ -27,8 +27,10 @@ from portarb import (
     Scenario,
     SelectionRule,
     fixture,
+    iter_run,
     load_scenario,
     read_trace,
+    rule_text,
     run,
     write_trace,
 )
@@ -868,3 +870,138 @@ def test_records_share_a_snapshot_while_their_ports_mask_holds(name, monkeypatch
     assert len(made) == changes < len(records)
     if name != "wide-port":
         assert trace_text(records) == fixture(name).expected_trace.read_text()
+
+
+# -- the whole run against a brute-force reference ---------------------------
+
+RUN_OUTPUTS = tuple(f"/o{i}:o" for i in range(5))
+RUN_INPUTS = tuple(f"/i{i}:i" for i in range(4))
+# literals may also name a port that no connection reaches
+RUN_LITERALS = (*RUN_OUTPUTS, "/unwired:o")
+_RUN_COMPONENTS = (Component("out", outputs=RUN_OUTPUTS + ("/unwired:o",)),
+                   Component("in", inputs=RUN_INPUTS))
+_RUN_EXPRESSIONS = expressions(max_leaves=5, ports=RUN_LITERALS)  # built once
+
+
+@st.composite
+def _run_constraints(draw):
+    """A rule's constraint: any expression, usually not a cube, or a cube
+    of 1-4 literals that may need one port both true and false."""
+    if draw(st.booleans()):
+        return draw(_RUN_EXPRESSIONS)
+    literals = draw(st.lists(st.tuples(st.sampled_from(RUN_LITERALS), st.booleans()),
+                             min_size=1, max_size=4))
+    if draw(st.booleans()):  # a contradictory cube
+        port, value = literals[0]
+        literals.append((port, not value))
+    parts = tuple(Lit(port) if value else Not(Lit(port)) for port, value in literals)
+    return parts[0] if len(parts) == 1 else And(parts)
+
+
+@st.composite
+def whole_runs(draw):
+    """(scenario, rule set, network, horizon_ms): inputs fed by overlapping
+    sets of outputs, each with a window override or the default, a
+    hand-built rule set over some of the connections, and 1-6 periodic
+    sources (two may share an output) whose intervals the horizon may cut.
+    Most sources' periods and phases are multiples of one base, so that
+    emissions often meet at one instant, where the schedule's order shows."""
+    connections = []
+    for port in RUN_INPUTS:
+        for source in draw(st.sets(st.sampled_from(RUN_OUTPUTS), min_size=1)):
+            connections.append(Connection(source, port))
+    base = draw(st.integers(1, 60))
+    # a window that is a multiple of the base often equals a gap between arrivals
+    window = st.none() | st.integers(1, 300) | st.integers(1, 4).map(base.__mul__)
+    windows = {port: w for port in RUN_INPUTS if (w := draw(window)) is not None}
+    network = NetworkDescription(_RUN_COMPONENTS, tuple(connections), windows)
+    rules = tuple(
+        SelectionRule(conn.destination, conn.source, draw(_run_constraints()))
+        for conn in connections if draw(st.integers(0, 3))
+    )
+    horizon = draw(st.integers(100, 500))
+    sources = []
+    for index in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)):
+            period, phase = base * draw(st.integers(1, 4)), base * draw(st.integers(0, 4))
+        else:
+            period, phase = draw(st.integers(1, 120)), draw(st.integers(0, 150))
+        if draw(st.booleans()):
+            bounds = [0, horizon + 100]
+        else:
+            bounds = sorted(draw(st.sets(st.integers(0, horizon + 100), min_size=2, max_size=6)))
+            bounds = bounds[:len(bounds) // 2 * 2]
+        sources.append(PeriodicSource(
+            f"S{index}",
+            draw(st.sampled_from(RUN_OUTPUTS)),
+            period_ms=period,
+            phase_ms=phase,
+            active=tuple(zip(bounds[::2], bounds[1::2])),
+        ))
+    scenario = Scenario(BehaviorModel(), network, horizon, tuple(sources))
+    return scenario, RuleSet(rules), network, draw(st.none() | st.integers(0, horizon))
+
+
+def _reference_run(scenario, ruleset, network, horizon_ms):
+    """The trace's lines by brute force: every emission sorted by the module
+    docstring's key, every arrival at each port kept, each record decided by
+    evaluating its rule's constraint and written by json.dumps."""
+    end = scenario.horizon_ms if horizon_ms is None else min(scenario.horizon_ms, horizon_ms)
+    emissions = []
+    for index, source in enumerate(scenario.components):
+        period, phase = source.period_ms, source.phase_ms
+        for t in range(phase, end, period):
+            if _emits_at(source, t):
+                key = (t, t - period if t != phase else -1, -phase, index)
+                emissions.append((key, source.port))
+    rules = {(rule.port, rule.candidate): rule for rule in ruleset.rules}
+    arrivals: dict[tuple[str, str], list[int]] = {}
+    lines = []
+    for (t, *_), src in sorted(emissions):
+        for dst in sorted(conn.destination for conn in network.connections if conn.source == src):
+            arrivals.setdefault((dst, src), []).append(t)
+            window = network.windows.get(dst, DEFAULT_WINDOW_MS)
+            assignment = {
+                conn.source: any(t - a < window for a in arrivals.get((dst, conn.source), ()))
+                for conn in network.incoming(dst)
+            }
+            rule = rules.get((dst, src))
+            if rule is None:
+                outcome, reason, text = "discard", "NO_RULE", "-"
+            elif evaluate_condition(rule.constraint, assignment):
+                outcome, reason, text = "accept", "SELECTED", rule_text(rule)
+            else:
+                outcome, reason, text = "discard", "CONSTRAINT_FALSE", rule_text(rule)
+            lines.append(json.dumps({
+                "t": t, "src": src, "dst": dst, "outcome": outcome, "reason": reason,
+                "rule": text, "assignment": dict(sorted(assignment.items())),
+            }, separators=(",", ":")) + "\n")
+    return lines
+
+
+# two sources of one period meet after both phases: the larger phase goes
+# first, and each arrival finds the other still active or not
+_TIE_NETWORK = NetworkDescription(
+    _RUN_COMPONENTS,
+    (Connection("/o0:o", "/i0:i"), Connection("/o1:o", "/i0:i")),
+    {"/i0:i": 10},
+)
+_TIE_RUN = (
+    Scenario(BehaviorModel(), _TIE_NETWORK, 60, (
+        PeriodicSource("A", "/o0:o", period_ms=10, phase_ms=0, active=((0, 60),)),
+        PeriodicSource("B", "/o1:o", period_ms=10, phase_ms=20, active=((0, 45),)),
+    )),
+    RuleSet((SelectionRule("/i0:i", "/o0:o", Not(Lit("/o1:o"))),)),
+    _TIE_NETWORK,
+    55,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_runs())
+@example(_TIE_RUN)
+def test_run_and_trace_match_a_brute_force_reference(tmp_path_factory, inputs):
+    expected = _reference_run(*inputs)
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    write_trace(iter_run(*inputs), path)
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
