@@ -128,12 +128,6 @@ class Snapshot(Mapping[str, bool]):
     def __getitem__(self, name: str) -> bool:
         return bool(self.mask >> self.slots[name] & 1)
 
-    def get(self, name, default=None):
-        # Mapping.get would raise and catch KeyError for every literal that
-        # has no connection at this port
-        slot = self.slots.get(name)
-        return default if slot is None else bool(self.mask >> slot & 1)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.sources)
 

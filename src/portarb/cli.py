@@ -12,6 +12,7 @@ import argparse
 import sys
 from bisect import bisect_right
 from collections import deque
+from functools import cache
 from pathlib import Path
 
 from .arbiter import ACCEPT, CONSTRAINT_FALSE, NO_RULE
@@ -140,20 +141,18 @@ class _TraceIndex:
     `not p` names, its arrival history."""
 
     def __init__(self, records):
-        self.by_port: dict[str, list] = {}
+        by_port: dict[str, list] = {}
         for record in records:
-            self.by_port.setdefault(record.dst, []).append(record)
-        self._histories: dict[str, tuple] = {}
+            by_port.setdefault(record.dst, []).append(record)
+        self.by_port = by_port
+        self._history = cache(lambda port: _port_history(by_port[port]))
 
     def streak_starts(self, record, source: str) -> list:
         """Every possible first arrival of the run of `source` arrivals at
         the record's port that keeps it active at the record's time, oldest
         first; a gap between arrivals is bridged when it is shorter than
         the window. Empty if `source` never arrived there."""
-        history = self._histories.get(record.dst)
-        if history is None:
-            history = self._histories[record.dst] = _port_history(self.by_port[record.dst])
-        arrivals, lo, hi = history
+        arrivals, lo, hi = self._history(record.dst)
         times = arrivals.get(source, ())
         k = bisect_right(times, record.t)
         if k == 0:

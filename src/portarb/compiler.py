@@ -12,7 +12,7 @@ another rule builds BDDs.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import bdd
 from .bdd import BddManager
@@ -107,7 +107,7 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
     literals emitted.
     """
     appearance: dict[str, int] = {}
-    negations: dict[str, Not] = {}  # one `not p` per source port
+    negation = cache(lambda port: Not(Lit(port)))  # one `not p` per source port
     # (port, candidate) -> ([(rank, constraint)], contributors); a rank is the
     # appearance of the first literal, -1 for a constant
     collected: dict[tuple[str, str], tuple[list[tuple[int, BoolExpr]], list[str]]] = {}
@@ -127,10 +127,7 @@ def extract_rules(model: BehaviorModel, network: NetworkDescription) -> RuleSet:
                 else () if condition == TRUE else (condition,)
             )
             for port in plan.inhibitor_sources:
-                negation = negations.get(port)
-                if negation is None:
-                    negation = negations[port] = Not(Lit(port))
-                conjuncts[negation] = None
+                conjuncts[negation(port)] = None
             # stable: conjuncts sharing a first literal keep their order
             ranked = sorted(
                 ((appearance[_first_port(c)], c) for c in conjuncts), key=lambda rc: rc[0]

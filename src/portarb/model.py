@@ -12,6 +12,7 @@ import pyexpat  # loaded by ElementTree already, unlike its xml.parsers.expat wr
 import re
 from collections.abc import Iterator, Mapping
 from functools import cached_property
+from itertools import chain
 from xml.etree import ElementTree
 
 
@@ -480,14 +481,6 @@ class BehaviorModel(Value):
             yield node
             stack.extend(reversed(node.children))
 
-    @cached_property
-    def _parent_name(self) -> dict[str, str | None]:
-        parents: dict[str, str | None] = {root.name: None for root in self.roots}
-        for node in self.walk():
-            for child in node.children:
-                parents[child.name] = node.name
-        return parents
-
     def leaf_behaviors(self) -> tuple[BehaviorNode, ...]:
         return tuple(node for node in self.walk() if not node.is_meta)
 
@@ -507,16 +500,19 @@ class BehaviorModel(Value):
         for node in nodes:
             for target in node.inhibitions:
                 inhibitors.setdefault(target, []).append(node.name)
-        # Then pre-order, so a parent's plan is there before its children's.
+        # Then pre-order on a stack of (node, its parent's plan), so a
+        # parent's plan is made before its children's.
         plans: dict[str, NodePlan] = {}
         top = NodePlan(TRUE, (), ())
-        for node in nodes:
-            parent = plans.get(self._parent_name[node.name], top)
+        stack = [(root, top) for root in reversed(self.roots)]
+        while stack:
+            node, parent = stack.pop()
             own = (p for i in inhibitors.get(node.name, ()) for p in sources_under[i])
             condition = normalize(And((parent.condition, node.condition)))
             sources = tuple(dict.fromkeys((*own, *parent.inhibitor_sources)))
             needed = tuple(dict.fromkeys((*condition_literals(condition), *sources)))
-            plans[node.name] = NodePlan(condition, sources, needed)
+            plan = plans[node.name] = NodePlan(condition, sources, needed)
+            stack.extend((child, plan) for child in reversed(node.children))
         return plans
 
     def plan(self, name: str) -> NodePlan:
@@ -981,7 +977,7 @@ def _with_observers(network: NetworkDescription, pairs) -> NetworkDescription:
     return augmented
 
 
-def _sibling_cycle(members: list[BehaviorNode], names: set[str]) -> list[str] | None:
+def _sibling_cycle(members: tuple[BehaviorNode, ...], names: set[str]) -> list[str] | None:
     """The first inhibition cycle within one sibling group that a depth-first
     search closes, or None; `names` are the members'."""
     adjacency = {n.name: [t for t in n.inhibitions if t in names] for n in members}
@@ -1025,16 +1021,12 @@ def validate(
     cycle is reported per sibling group); V5 inhibition targets resolve.
     """
     diagnostics: list[Diagnostic] = []
-    parents = model._parent_name
-    groups: dict[str | None, list[BehaviorNode]] = {}
-    for node in model.walk():
-        groups.setdefault(parents[node.name], []).append(node)
-
-    for members in groups.values():
+    names = {node.name for node in model.walk()}
+    for members in chain((model.roots,), (node.children for node in model.walk())):
         siblings = {node.name for node in members}
         for node in members:
             for target in node.inhibitions:
-                if target not in parents:
+                if target not in names:
                     diagnostics.append(Diagnostic(
                         ERROR, "V5",
                         f"inhibition target {target!r} does not exist",

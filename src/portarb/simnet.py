@@ -23,6 +23,7 @@ import heapq
 import json
 import re
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -73,37 +74,24 @@ arbiter did and why, and the port's activation at that instant."""
 class _TraceFormatter:
     """Renders records as `json.dumps(payload, separators=(",", ":"))` of
     the fields in fixed order with the assignment's keys sorted, byte for
-    byte, given an int `t` and str fields up to the assignment, as iter_run
-    and read_trace make them. Each string field is encoded once, and each
-    source's two slot texts are made once for all ports. A snapshot's
-    assignment text is kept per port, with the port's slot texts: a record
-    with the mask of the port's previous record reuses its text, any other
-    rewrites only the slots whose bits changed and joins them once. The
-    state grows with the total fan-in and the distinct strings, not with
-    the records or masks. Any other assignment goes through json.dumps."""
+    byte, and a closing newline, given an int `t` and str fields up to the
+    assignment, as iter_run and read_trace make them. The line and its
+    newline are one string, so write_trace hands the file one write per
+    line. Each string field is encoded once, and each source's two slot
+    texts are made once for all ports. A snapshot's assignment text is kept
+    per port, with the port's slot texts: a record with the mask of the
+    port's previous record reuses its text, any other rewrites only the
+    slots whose bits changed and joins them once. The state grows with the
+    total fan-in and the distinct strings, not with the records or masks.
+    Any other assignment goes through json.dumps."""
 
     def __init__(self) -> None:
-        self._strings: dict[str, str] = {}
-        self._pairs: dict[str, tuple[str, str]] = {}
+        text = self._text = cache(json.dumps)
+        self._slot_texts = cache(lambda source: (f"{text(source)}:false", f"{text(source)}:true"))
         # id(sources) -> [sources, all-slots mask, "name":false/"name":true
         # texts, current slot texts, last mask, its text]; holding the tuple
         # keeps its id from being reused while the formatter lives
         self._ports: dict[int, list] = {}
-
-    def _text(self, value: str) -> str:
-        out = self._strings.get(value)
-        if out is None:
-            out = self._strings[value] = json.dumps(value)
-        return out
-
-    def _slot_texts(self, source: str) -> tuple[str, str]:
-        """`"source":false` and `"source":true`, made once per source and
-        shared by every port it reaches."""
-        pair = self._pairs.get(source)
-        if pair is None:
-            name = self._text(source)
-            pair = self._pairs[source] = (f"{name}:false", f"{name}:true")
-        return pair
 
     def _assignment(self, assignment: Mapping[str, bool]) -> str:
         if type(assignment) is not Snapshot:
@@ -139,7 +127,7 @@ class _TraceFormatter:
             f'{{"t":{t},"src":{text(src)},'
             f'"dst":{text(dst)},"outcome":{text(outcome)},'
             f'"reason":{text(reason)},"rule":{text(rule)},'
-            f'"assignment":{self._assignment(assignment)}}}'
+            f'"assignment":{self._assignment(assignment)}}}\n'
         )
 
 
@@ -370,31 +358,23 @@ def run(
     return Trace(tuple(iter_run(scenario, ruleset, network, horizon_ms)))
 
 
-# The most characters of trace lines that write_trace hands to one write;
-# the lines are ASCII, so also the most bytes
-_BLOCK_CHARS = 1 << 16
+# The trace file's buffer size; with the default 8 KiB, writing a
+# wide-fanin trace took about 1.3 times as long
+_BUFFER_BYTES = 1 << 16
 
 
 def write_trace(trace: Iterable[TraceRecord], path) -> None:
     """One JSON object per record, fields in fixed order; byte-stable.
-    Whole lines go out in blocks of at most _BLOCK_CHARS, one write each;
-    a longer line is a block of its own."""
+    Each line goes to the file in one write, newline included; that is what
+    keeps the OS writes whole. The file's buffer flushes what it holds
+    before a write that does not fit and hands a write longer than itself
+    to the OS alone, so every OS write ends at a newline, and a run that
+    stops leaves only whole lines."""
     line = _TraceFormatter().line
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        block: list[str] = []
-        size = 0  # of the block, newlines included
+    with Path(path).open("w", encoding="utf-8", newline="\n", buffering=_BUFFER_BYTES) as fh:
+        write = fh.write
         for record in trace:
-            text = line(record)
-            if block and size + len(text) >= _BLOCK_CHARS:
-                block.append("")  # for the last line's newline
-                fh.write("\n".join(block))
-                block.clear()
-                size = 0
-            block.append(text)
-            size += len(text) + 1
-        if block:
-            block.append("")
-            fh.write("\n".join(block))
+            write(line(record))
 
 
 _TRACE_FIELDS = ("t", "src", "dst", "outcome", "reason", "rule", "assignment")

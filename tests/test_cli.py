@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -257,9 +258,53 @@ def test_internal_error_mid_run_keeps_the_whole_lines_written(tmp_path, monkeypa
     assert run_cli("simulate", SAT.scenario, "--trace", trace_path) == EXIT_INTERNAL
     assert capsys.readouterr().err.endswith("error: internal: RuntimeError('mid-run')\n")
     written = trace_path.read_text(encoding="utf-8")
-    # the 64 KiB blocks before the failure, each of whole lines
+    # whole lines, the trace's first
     assert written and written.endswith("\n")
     assert SAT.expected_trace.read_text().startswith(written)
+
+
+_STOPPED_RUN = """
+import os, signal, sys
+import portarb.cli
+
+scenario, trace, stop, how = sys.argv[1:]
+iter_run = portarb.cli.iter_run
+
+def stopping(*args):
+    for count, record in enumerate(iter_run(*args)):
+        if count == int(stop):
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("stopped")
+        yield record
+
+portarb.cli.iter_run = stopping
+sys.exit(portarb.cli.main(["simulate", scenario, "--trace", trace]))
+"""
+
+
+@pytest.mark.parametrize("how", ["kill", "raise"])
+def test_a_stopped_simulate_leaves_whole_lines(tmp_path, how):
+    # 500 of the 640 lines are several buffers' worth
+    stop = 500
+    trace_path = tmp_path / "trace.jsonl"
+    child = subprocess.run(
+        [sys.executable, "-c", _STOPPED_RUN, str(SAT.scenario), str(trace_path), str(stop), how],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == (-signal.SIGKILL if how == "kill" else EXIT_INTERNAL), child.stderr
+    written = trace_path.read_bytes()
+    assert written.endswith(b"\n") and SAT.expected_trace.read_bytes().startswith(written)
+    if how == "raise":
+        # closing the file on the way out writes what its buffer held
+        assert written.count(b"\n") == stop
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["be-curious", "no-rules"])  # fails at close, mid-run
+def test_simulate_reports_a_failed_trace_write(capsys, name):
+    assert run_cli("simulate", fixture(name).scenario, "--trace", "/dev/full") == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def _stretched_scenario(directory, times):
@@ -624,15 +669,19 @@ def test_cli_output_is_byte_stable(capsys):
 PACKAGE_DIR = Path(portarb.cli.__file__).resolve().parent
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _loaded_by_cli_import(names, *flags):
     """Those of `names` in sys.modules of a fresh interpreter, started with
     `flags`, after `import portarb.cli`."""
-    path = os.pathsep.join(filter(None, (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
     child = subprocess.run(
         [sys.executable, *flags, "-c",
          f"import sys, portarb.cli; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
     return child.stdout

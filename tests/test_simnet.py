@@ -606,16 +606,25 @@ def test_write_trace_matches_json_dumps_per_line(tmp_path_factory, records):
         assert path.read_text(encoding="utf-8") == expected
 
 
-def _recorded_writes(monkeypatch):
-    """The lengths of the texts each file opened through Path.open is
-    handed in write calls, in order."""
+def _recorded_os_writes(monkeypatch):
+    """The bytes that each text file opened through Path.open for writing
+    hands the OS, one item per write call, in order."""
     writes = []
     real_open = simnet.Path.open
 
     def recording_open(self, *args, **kwargs):
         fh = real_open(self, *args, **kwargs)
-        write = fh.write
-        fh.write = lambda text: (writes.append(len(text)), write(text))[1]
+        if not fh.writable():
+            return fh
+        raw = fh.buffer.raw
+        write = raw.write  # the buffer looks `write` up on the raw file
+
+        def recording_write(data):
+            written = write(data)
+            writes.append(bytes(data[:written]))
+            return written
+
+        raw.write = recording_write
         return fh
 
     monkeypatch.setattr(simnet.Path, "open", recording_open)
@@ -624,7 +633,8 @@ def _recorded_writes(monkeypatch):
 
 def _distinct_mask_records(count, fanin=70):
     """`count` records at one port, each with a mask of its own."""
-    sources = tuple(f"/s{i:02}:o" for i in range(fanin))
+    width = len(str(fanin - 1))  # so the names sort as the slots do
+    sources = tuple(f"/s{i:0{width}}:o" for i in range(fanin))
     slots = {source: slot for slot, source in enumerate(sources)}
     return [
         TraceRecord(t, sources[t % fanin], "/p:i", "accept", "SELECTED", "-",
@@ -650,20 +660,22 @@ def test_trace_formatter_memory_does_not_grow_with_masks():
 
 
 def test_write_trace_writes_whole_lines_in_blocks(tmp_path, monkeypatch):
+    # lines of about 1 KB, with two of more than 64 KiB among them
     records = _distinct_mask_records(300)
+    longs = _distinct_mask_records(2, fanin=4500)
+    records[100:100] = longs[:1]
+    records.append(longs[1])
     lines = [_reference_line(r) + "\n" for r in records]
+    assert all(len(lines[i]) > 1 << 16 for i in (100, -1))
     expected = "".join(lines)
-    block = simnet._BLOCK_CHARS
-    assert len(expected) > 3 * block and len(expected) % block
-    writes = _recorded_writes(monkeypatch)
+    writes = _recorded_os_writes(monkeypatch)
     path = tmp_path / "trace.jsonl"
     write_trace(records, path)
     assert path.read_text(encoding="utf-8") == expected
-    assert len(writes) >= 4 and sum(writes) == len(expected)
-    assert all(size <= block for size in writes)
-    # each block but the last is as full as whole lines allow
-    longest = max(map(len, lines))
-    assert all(size > block - longest for size in writes[:-1]) and writes[-1] < block
+    assert b"".join(writes) == expected.encode() and len(writes) >= 4
+    assert all(data.endswith(b"\n") for data in writes)
+    # a line longer than the buffer goes to the OS whole, alone
+    assert all(lines[i].encode() in writes for i in (100, -1))
 
     writes.clear()
     for empty in ([], iter(())):
