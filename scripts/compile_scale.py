@@ -11,22 +11,24 @@ returns, how many C1 warnings the conflict check returns, the
 milliseconds the cyclic garbage collector paused during the compile
 (summed through `gc.callbacks`, best of `--repeat`), and the process's
 peak RSS so far (sizes run smallest first, so it is that of the largest
-size run yet). Then, on the compiled rules, it times building every port's
-arbiter (`arbiter.init`, ms) and the simulation of the workload's scenario
-(`run`, microseconds per record), best of `--repeat` each. The run drains
-`iter_run`, which `run` collects, so no trace is held or written: at 1,024
-leaves it yields over a million records. Beside `run`, `arrive+verdict`
-replays the run's arrivals through freshly built arbiters' `arrive` and
-`verdict` only: the part of a record's cost that is the arbitration
-itself. `emissions` counts the emissions that reached a port, and
-`expired/arrival` the activation bits an arrival clears, on average, from
-consecutive masks at each port (an arriving slot that had left the window
-keeps its bit, so is not counted): the slots that leave the window, which
-an arrival looks for only once its port's front slot can have left. The
-arrivals are kept as three arrays of 4-byte ints (port, slot,
-time), 12 bytes per record, and the peak RSS counts them: at 1,024
-leaves (1.57 million records) it read 195 MB with them and 163 MB
-without, on CPython 3.11.
+size run yet). Then, on the compiled rules, it times building the run's
+per-source fan-out (`arbiter.init`, ms: `simnet.fan_out`, with every
+window's activation table and every port's rule entries) and the
+simulation of the workload's scenario (`run`, microseconds per record),
+best of `--repeat` each. The run drains `iter_run`, which `run` collects,
+so no trace is held or written: at 1,024 leaves it yields over a million
+records. Beside `run`, `arrive+verdict` replays the run's emissions through
+a fresh fan-out with the run's own steps and nothing else: per emission,
+`ActivationTable.arrive` on the table of each distinct window among the
+source's destinations; per record, the port's view, a `Snapshot` when the
+view changed, and `arbiter.verdict`: the part of a record's cost that is
+the arbitration itself. `emissions` counts the emissions that reached a
+port, and `expired/arrival` the activation bits an arrival clears, on
+average, from consecutive views at each port (an arriving source that had
+left the window keeps its bit, so is not counted): the sources that leave
+the window, which an emission looks for only once its table's front can
+have left. The emissions are kept as two arrays of 4-byte ints (source
+port, time), 8 bytes per emission, and the peak RSS counts them.
 
 Run from the repository root with the package of the tree under test:
 
@@ -117,52 +119,53 @@ def measure(model_text: str, network_text: str) -> tuple[dict[str, float], dict[
     return times, counts, ruleset, augmented
 
 
-def build_arbiters(ruleset, network) -> list[pa.PortArbiter]:
-    """Every port's arbiter, in port order."""
-    return [
-        pa.PortArbiter(port, network.incoming(port), ruleset,
-                       window_ms=network.windows.get(port, pa.DEFAULT_WINDOW_MS))
-        for port in sorted({conn.destination for conn in network.connections})
-    ]
-
-
-def record_arrivals(scenario, ruleset, network) -> tuple[tuple[array, array, array], int, int]:
-    """The drained run's arrivals, one per record: its port's index in
-    `build_arbiters`'s list, the source's slot there and the time; then the
-    emissions that reached a port (an emission's records are consecutive)
-    and the activation bits cleared between consecutive masks at a port,
-    summed over the arrivals: the slots that left the window."""
-    index = {port: i for i, port in enumerate(sorted({c.destination for c in network.connections}))}
-    ports, slots, times = array("i"), array("i"), array("i")
-    masks = [0] * len(index)
-    emissions = expired = 0
+def record_emissions(scenario, ruleset, network) -> tuple[tuple[array, array], int, int]:
+    """The drained run's emissions that reached a port: the source port's
+    index in `network`'s sorted sources and the time; then the records and
+    the activation bits cleared between consecutive views at a port, summed
+    over the records. An emission's records are consecutive, in increasing
+    destination order, so a record starts an emission when its (t, src)
+    differs from the previous record's or its destination does not follow
+    the previous one's."""
+    index = {source: i for i, source in enumerate(sorted({c.source for c in network.connections}))}
+    sources, times = array("i"), array("i")
+    masks: dict[str, int] = {}
+    records = expired = 0
     last = None
     for record in pa.iter_run(scenario, ruleset, network):
-        port = index[record.dst]
-        ports.append(port)
-        slots.append(record.assignment.slots[record.src])  # the port's Snapshot knows the slots
-        times.append(record.t)
-        if (record.t, record.src) != last:
-            last = (record.t, record.src)
-            emissions += 1
+        records += 1
+        if last is None or (record.t, record.src) != last[:2] or record.dst <= last[2]:
+            sources.append(index[record.src])
+            times.append(record.t)
+        last = (record.t, record.src, record.dst)
         mask = record.assignment.mask
-        expired += (masks[port] & ~mask).bit_count()
-        masks[port] = mask
-    return (ports, slots, times), emissions, expired
+        expired += (masks.get(record.dst, 0) & ~mask).bit_count()
+        masks[record.dst] = mask
+    return (sources, times), records, expired
 
 
-def measure_run(scenario, ruleset, network, arrivals) -> dict[str, float]:
-    """Seconds to build every port's arbiter, to replay `arrivals` through
-    the built arbiters' `arrive` and `verdict`, and to simulate the scenario
-    without keeping a record."""
+def measure_run(scenario, ruleset, network, emissions) -> dict[str, float]:
+    """Seconds to build the run's fan-out, to replay `emissions` through a
+    fresh one with the run's steps (the tables' `arrive` per emission and
+    distinct window; the view, its `Snapshot` when it changed and `verdict`
+    per record), and to simulate the scenario without keeping a record."""
+    Snapshot, verdict = pa.arbiter.Snapshot, pa.arbiter.verdict
     t0 = time.perf_counter()
-    arbiters = build_arbiters(ruleset, network)
+    plan = pa.simnet.fan_out(ruleset, network)
     t1 = time.perf_counter()
-    for i, slot, t in zip(*arrivals):
-        arb = arbiters[i]
-        arb.verdict(slot, arb.arrive(slot, t))
+    steps = [plan[source] for source in sorted(plan)]
+    for i, t in zip(*emissions):
+        bit, arrived, targets = steps[i]
+        for table in arrived:
+            table.arrive(bit, t)
+        for table, bits, state, entry, _, _ in targets:
+            view = table.mask & bits
+            if view != state[0]:
+                state[0] = view
+                state[1] = Snapshot(state[2], state[3], view)
+            verdict(entry, view, state[1])
     t2 = time.perf_counter()
-    del arbiters  # so one set of arbiters is alive at a time
+    del plan, steps  # so one fan-out is alive at a time
     t3 = time.perf_counter()
     deque(pa.iter_run(scenario, ruleset, network), maxlen=0)
     t4 = time.perf_counter()
@@ -196,12 +199,11 @@ def main(argv=None) -> int:
                 times, counts, ruleset, network = measure(model_text, network_text)
                 for name, seconds in times.items():
                     best[name] = min(seconds, best.get(name, seconds))
-            arrivals, emissions, expired = record_arrivals(scenario, ruleset, network)
-            records = len(arrivals[0])
+            emissions, records, expired = record_emissions(scenario, ruleset, network)
             for _ in range(args.repeat):
-                for name, seconds in measure_run(scenario, ruleset, network, arrivals).items():
+                for name, seconds in measure_run(scenario, ruleset, network, emissions).items():
                     best[name] = min(seconds, best.get(name, seconds))
-            del ruleset, network, arrivals
+            del ruleset, network
             added = max(counts["added"], 1)
             row = (
                 f"{leaves:,}", f"{counts['given']:,}", f"{counts['added']:,}",
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
                 f"{best['gc_pause'] * 1e3:.1f}",
                 f"{best['arbiter_init'] * 1e3:.2f}",
                 f"{records:,}",
-                f"{emissions:,}",
+                f"{len(emissions[0]):,}",
                 f"{expired / max(records, 1):.2f}",
                 f"{best['run'] * 1e6 / max(records, 1):.2f}",
                 f"{best['arrive_verdict'] * 1e6 / max(records, 1):.2f}",

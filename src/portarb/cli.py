@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
     # one pass over the records, none of them kept
     tally: dict[tuple[str, str], int] = {}
     records = _counted(iter_run(scenario, ruleset, network, args.until), tally)
-    del scenario, ruleset, network  # iter_run drops them once its arbiters are built
+    del scenario, ruleset, network  # iter_run drops them once its fan-out is built
     if args.trace:
         write_trace(records, args.trace)
         print(f"wrote {sum(tally.values())} records to {args.trace}", file=sys.stderr)

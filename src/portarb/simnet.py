@@ -1,8 +1,15 @@
 """Deterministic discrete-event simulation of a publish-subscribe network.
 
-Scripted periodic sources emit over the network's connections, per-port
-arbiters decide each arrival, and every single fan-out becomes one trace
-record, the run's whole output. Time is a simulated integer-millisecond
+Scripted periodic sources emit over the network's connections, each
+arrival is decided by its port's rule for the source, and every single
+fan-out becomes one trace record, the run's whole output. Every connection
+delivers at its source's emission instant, so activation is kept per
+(window, source): one bit per source port and one activation table per
+distinct `window=`, updated once per emission for each distinct window
+among the source's destinations. A record then costs one `&` of that
+table's mask with its port's sources, one compare with the port's previous
+view (and a new `Snapshot` only when it changed) and one `verdict`,
+whatever the fan-in. Time is a simulated integer-millisecond
 clock. Emissions are ordered by the key `(t, t - period if t != phase else
 -1, -phase, source index)`: at one instant, a source emitting at its phase
 (its first instant ever) goes first, in source order; then larger periods;
@@ -27,7 +34,7 @@ from functools import cache
 from itertools import chain
 from pathlib import Path
 
-from .arbiter import DEFAULT_WINDOW_MS, PortArbiter, Snapshot
+from .arbiter import DEFAULT_WINDOW_MS, ActivationTable, Snapshot, rule_entries, verdict
 from .compiler import RuleSet, rule_text
 from .model import (
     NetworkDescription,
@@ -79,45 +86,53 @@ class _TraceFormatter:
     newline are one string, so write_trace hands the file one write per
     line. Each string field is encoded once, and each source's two slot
     texts are made once for all ports. A snapshot's assignment text is kept
-    per port, with the port's slot texts: a record with the mask of the
-    port's previous record reuses its text, any other rewrites only the
-    slots whose bits changed and joins them once. The state grows with the
-    total fan-in and the distinct strings, not with the records or masks.
-    Any other assignment goes through json.dumps."""
+    per port (per `sources` tuple, which comes with one `slots` map), with
+    the port's slot texts and each slot's position, in name order, by its
+    bit: a record with the mask of the port's previous record reuses its
+    text, any other rewrites only the slots whose bits changed and joins
+    them once. The state grows with the total fan-in and the distinct
+    strings, not with the records or masks. Any other assignment goes
+    through json.dumps."""
 
     def __init__(self) -> None:
         text = self._text = cache(json.dumps)
         self._slot_texts = cache(lambda source: (f"{text(source)}:false", f"{text(source)}:true"))
-        # id(sources) -> [sources, all-slots mask, "name":false/"name":true
-        # texts, current slot texts, last mask, its text]; holding the tuple
-        # keeps its id from being reused while the formatter lives
+        # id(sources) -> [sources, the mask of its bits, {bit: position},
+        # "name":false/"name":true texts, current slot texts, last mask, its
+        # text]; holding the tuple keeps its id from being reused while the
+        # formatter lives
         self._ports: dict[int, list] = {}
+
+    def _port(self, assignment: Snapshot) -> list:
+        # a snapshot lists its sources sorted, so position order is key
+        # order; the port starts with every slot false
+        sources, slots = assignment.sources, assignment.slots
+        position = {slots[source]: i for i, source in enumerate(sources)}
+        names = tuple(self._slot_texts(s) for s in sources)
+        texts = [false for false, _ in names]
+        port = self._ports[id(sources)] = [
+            sources, sum(1 << bit for bit in position), position, names, texts, 0,
+            "{" + ",".join(texts) + "}",
+        ]
+        return port
 
     def _assignment(self, assignment: Mapping[str, bool]) -> str:
         if type(assignment) is not Snapshot:
             return json.dumps({k: assignment[k] for k in sorted(assignment)}, separators=(",", ":"))
-        port = self._ports.get(id(assignment.sources))
-        if port is None:
-            # a snapshot lists its sources sorted, so slot order is key order;
-            # the port starts with every slot false
-            sources = assignment.sources
-            names = tuple(self._slot_texts(s) for s in sources)
-            slots = [false for false, _ in names]
-            port = self._ports[id(sources)] = [
-                sources, (1 << len(sources)) - 1, names, slots, 0, "{" + ",".join(slots) + "}"
-            ]
-        _, full, names, slots, last, out = port
+        port = self._ports.get(id(assignment.sources)) or self._port(assignment)
         mask = assignment.mask
-        if mask == last:
-            return out
+        if mask == port[5]:
+            return port[6]
+        _, full, position, names, texts, last, _ = port
         changed = (last ^ mask) & full
         while changed:
-            bit = changed & -changed
-            slot = bit.bit_length() - 1
-            slots[slot] = names[slot][mask >> slot & 1]
-            changed ^= bit
-        port[4] = mask
-        out = port[5] = "{" + ",".join(slots) + "}"
+            low = changed & -changed
+            bit = low.bit_length() - 1
+            i = position[bit]
+            texts[i] = names[i][mask >> bit & 1]
+            changed ^= low
+        port[5] = mask
+        out = port[6] = "{" + ",".join(texts) + "}"
         return out
 
     def line(self, record: TraceRecord) -> str:
@@ -274,6 +289,40 @@ def _schedule_keys(
         yield range(first * ranks + later, instants.stop * ranks, step * ranks)
 
 
+def fan_out(ruleset: RuleSet, network: NetworkDescription) -> dict[str, tuple[int, tuple, list]]:
+    """What the run does for an emission, per source port of `network`: the
+    port's global bit; the `ActivationTable`s of the distinct windows of its
+    destinations, each shared by every port of that window; and per
+    destination, in order, the table of its window, the mask of its
+    sources' bits, its state (its last view, -1 before any, that view's
+    `Snapshot`, its sources, sorted, and their bits), the source's rule
+    entry there (see `arbiter.rule_entries`; None: no rule), the port and
+    the rule's text, rendered once."""
+    sources = sorted({conn.source for conn in network.connections})
+    bit_of = {source: bit for bit, source in enumerate(sources)}
+    tables: dict[int, ActivationTable] = {}
+    targets: dict[str, list] = {source: [] for source in sources}
+    for port in sorted({conn.destination for conn in network.connections}):
+        window = network.windows.get(port, DEFAULT_WINDOW_MS)
+        table = tables.get(window)
+        if table is None:
+            table = tables[window] = ActivationTable(window)
+        rules = ruleset.for_port(port)
+        texts = {rule.candidate: rule_text(rule) for rule in rules}
+        incoming = tuple(sorted({conn.source for conn in network.incoming(port)}))
+        bits = {source: bit_of[source] for source in incoming}
+        entries, _ = rule_entries(port, rules, bits)
+        mask = sum(1 << bit for bit in bits.values())
+        state = [-1, None, incoming, bits]
+        for source in incoming:
+            targets[source].append(
+                (table, mask, state, entries.get(source), port, texts.get(source, "-")))
+    return {
+        source: (bit, tuple(dict.fromkeys(table for table, *_ in targets[source])), targets[source])
+        for source, bit in bit_of.items()
+    }
+
+
 def iter_run(
     scenario: Scenario,
     ruleset: RuleSet,
@@ -285,31 +334,24 @@ def iter_run(
     and yield the trace's records in order as they are decided.
 
     Emissions are processed in the schedule's order (see the module
-    docstring), popped from one heap of int keys, one per source. Each fans
-    out to every connection leaving the source port in lexicographic
-    destination order; per destination the arrival is recorded first and
-    then decided, so a discarded message still refreshes its connection's
-    activation. An arrival before its port's front slot can have left the
-    window walks no expiry queue (see `ActivationTable.record`). A record's
-    assignment is its port's arbiter's `snapshot`, shared while the port's
-    mask holds; the run renders each rule's text once. `horizon_ms` can
-    only shorten the run.
+    docstring), popped from one heap of int keys, one per source. Activation
+    is kept per (window, source) (see `fan_out`): an emission first records
+    its source's bit, once, in the table of each distinct window among its
+    destinations, whatever their verdicts, so a discarded message still
+    refreshes its source. It then fans out to every connection leaving the
+    source port, in lexicographic destination order: the port's view is its
+    table's mask `&` its own sources' bits, a new `Snapshot` of the view is
+    made only when the view differs from the port's previous one, and
+    `verdict` decides the rule over the view. So a record costs one `&`, one
+    compare and the verdict, whatever the fan-in. A record's assignment is
+    its port's snapshot, shared while the view holds. `horizon_ms` can only
+    shorten the run.
     """
     horizon = scenario.horizon_ms
     if horizon_ms is not None:
         horizon = min(horizon, horizon_ms)
 
-    # the text of each port's rule for each candidate, rendered once
-    texts = {(rule.port, rule.candidate): rule_text(rule) for rule in ruleset.rules}
-    # per source port, in destination order: the arbiter there, the source's
-    # slot in it and the record's fixed fields
-    fanout: dict[str, list] = {}
-    for port in sorted({conn.destination for conn in network.connections}):
-        arb = PortArbiter(port, network.incoming(port), ruleset,
-                          window_ms=network.windows.get(port, DEFAULT_WINDOW_MS))
-        for slot, source in enumerate(arb.sources):
-            fanout.setdefault(source, []).append(
-                (arb, slot, source, port, texts.get((port, source), "-")))
+    plan = fan_out(ruleset, network)
 
     # A key is t * 2n + the emission's rank at t among the n sources, in
     # the module docstring's order: below n, a source at its phase, by
@@ -323,27 +365,36 @@ def iter_run(
     later = sorted(range(n), key=lambda i: (-components[i].period_ms, -components[i].phase_ms, i))
     ranks = 2 * n
     end = horizon * ranks
-    # per rank: the emitting source's fan-out and what gives its next key
+    # per rank: the emitting source port, its `fan_out` and what gives its
+    # next key
     steps: list = [None] * ranks
     heap = [end]  # so the heap is never empty
     for place, index in enumerate(later):
         comp = components[index]
         keys = chain(*_schedule_keys(comp, index, n + place, ranks, horizon), (end,))
-        steps[index] = steps[n + place] = (fanout.get(comp.port, ()), keys.__next__)
+        steps[index] = steps[n + place] = (
+            comp.port, *plan.get(comp.port, (None, (), ())), keys.__next__)
         heap.append(next(keys))
     heapq.heapify(heap)
     # the compile's state: the run needs only the fan-out and the schedule
-    del scenario, ruleset, network, texts, fanout
+    del scenario, ruleset, network, plan
     # a record is made as the tuple it is: TraceRecord's own __new__ is one
     # more Python call per record
     new = tuple.__new__
     replace = heapq.heapreplace
     while (key := heap[0]) < end:
         t, rank = divmod(key, ranks)
-        targets, advance = steps[rank]
-        for arb, slot, src, dst, rule in targets:
-            outcome, reason = arb.verdict(slot, arb.arrive(slot, t))
-            yield new(TraceRecord, (t, src, dst, outcome, reason, rule, arb.snapshot))
+        src, bit, arrived, targets, advance = steps[rank]
+        for table in arrived:
+            table.arrive(bit, t)
+        for table, bits, state, entry, dst, rule in targets:
+            view = table.mask & bits
+            if view != state[0]:
+                state[0] = view
+                state[1] = Snapshot(state[2], state[3], view)
+            snapshot = state[1]
+            outcome, reason = verdict(entry, view, snapshot)
+            yield new(TraceRecord, (t, src, dst, outcome, reason, rule, snapshot))
         replace(heap, advance())
 
 

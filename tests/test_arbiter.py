@@ -644,3 +644,27 @@ def test_non_cube_decision_after_its_arrival_makes_no_snapshot(monkeypatch):
         assert (decision.outcome, decision.reason) == outcome
         outcomes.add(outcome)
     assert outcomes == {(ACCEPT, SELECTED), (DISCARD, NO_RULE), (DISCARD, CONSTRAINT_FALSE)}
+
+
+def test_non_cube_decide_at_a_later_instant_makes_one_snapshot(monkeypatch):
+    # at 120 /a:o has left the window and /b:o has not: `decide` makes the
+    # snapshot of that mask once and evaluates the rule's BDD over it
+    a, b = "/a:o", "/b:o"
+    conns = {source: Connection(source, PORT) for source in (a, b)}
+    rule = SelectionRule(PORT, a, Or((Lit(b), Lit(GHOST))))
+    arb = PortArbiter(PORT, conns.values(), RuleSet((rule,)), window_ms=100)
+    arb.record_arrival(conns[a], 0)
+    arb.record_arrival(conns[b], 50)
+    made = []
+    init = Snapshot.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Snapshot, "__init__", counting_init)
+    decision = arb.decide(conns[a], 120)
+    monkeypatch.undo()
+    assert (decision.outcome, decision.reason) == (ACCEPT, SELECTED)
+    assert decision.assignment == {a: False, b: True}
+    assert made == [decision.assignment]

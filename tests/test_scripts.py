@@ -15,8 +15,8 @@ PACKAGE_PARENT = Path(portarb.__file__).resolve().parents[1]
 
 
 def test_compile_scale_runs_at_64_leaves():
-    # the script compiles, builds every port's arbiter, replays arrivals
-    # through `arrive` and `verdict` and drains `iter_run`
+    # the script compiles, builds the run's fan-out, replays emissions
+    # through the run's table, view and `verdict` steps and drains `iter_run`
     path = os.pathsep.join(filter(None, (str(PACKAGE_PARENT), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     child = subprocess.run(

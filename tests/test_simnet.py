@@ -659,6 +659,22 @@ def test_trace_formatter_memory_does_not_grow_with_masks():
     assert kept < 10_000
 
 
+def test_trace_formatter_reads_each_slot_from_the_snapshots_slots(tmp_path):
+    # a snapshot's bits need not be 0..n-1 in name order: here they are
+    # spread out and descend as the names ascend, with a stray bit between
+    sources = ("/a:o", "/b:o", "/c:o")
+    slots = {"/a:o": 9, "/b:o": 4, "/c:o": 0}
+    masks = (1 << 9, 1 << 4 | 1, 1 << 9 | 1, 1 << 9 | 1, 0, 1 << 9 | 1 << 4 | 1, 1 << 5 | 1 << 4)
+    records = [
+        TraceRecord(t, sources[t % 3], "/p:i", "accept", "SELECTED", "-",
+                    Snapshot(sources, slots, mask))
+        for t, mask in enumerate(masks)
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    assert path.read_text(encoding="utf-8") == "".join(_reference_line(r) + "\n" for r in records)
+
+
 def test_write_trace_writes_whole_lines_in_blocks(tmp_path, monkeypatch):
     # lines of about 1 KB, with two of more than 64 KiB among them
     records = _distinct_mask_records(300)
@@ -1008,10 +1024,54 @@ _TIE_RUN = (
     55,
 )
 
+# /o1:o is wired, and active, only at /i1:i: at /i0:i the cube literals that
+# name it read false, so `/o1:o` never selects and `not /o1:o` always holds
+_ELSEWHERE_NETWORK = NetworkDescription(
+    _RUN_COMPONENTS,
+    (Connection("/o0:o", "/i0:i"), Connection("/o2:o", "/i0:i"), Connection("/o1:o", "/i1:i")),
+    {},
+)
+_ELSEWHERE_RUN = (
+    Scenario(BehaviorModel(), _ELSEWHERE_NETWORK, 60, (
+        PeriodicSource("B", "/o1:o", period_ms=10, phase_ms=0, active=((0, 60),)),
+        PeriodicSource("A", "/o0:o", period_ms=10, phase_ms=5, active=((0, 60),)),
+        PeriodicSource("C", "/o2:o", period_ms=20, phase_ms=5, active=((0, 60),)),
+    )),
+    RuleSet((
+        SelectionRule("/i0:i", "/o0:o", Lit("/o1:o")),
+        SelectionRule("/i0:i", "/o2:o", And((Not(Lit("/o1:o")), Lit("/o2:o")))),
+    )),
+    _ELSEWHERE_NETWORK,
+    None,
+)
+
+# /o0:o feeds a port of window 10 and one of window 30 and emits only at 0:
+# from 10 to 29 it has left the first window but not the second
+_TWO_WINDOWS_NETWORK = NetworkDescription(
+    _RUN_COMPONENTS,
+    (Connection("/o0:o", "/i0:i"), Connection("/o1:o", "/i0:i"),
+     Connection("/o0:o", "/i1:i"), Connection("/o1:o", "/i1:i")),
+    {"/i0:i": 10, "/i1:i": 30},
+)
+_TWO_WINDOWS_RUN = (
+    Scenario(BehaviorModel(), _TWO_WINDOWS_NETWORK, 50, (
+        PeriodicSource("A", "/o0:o", period_ms=100, phase_ms=0, active=((0, 50),)),
+        PeriodicSource("B", "/o1:o", period_ms=5, phase_ms=0, active=((0, 50),)),
+    )),
+    RuleSet((
+        SelectionRule("/i0:i", "/o1:o", Lit("/o0:o")),
+        SelectionRule("/i1:i", "/o1:o", Lit("/o0:o")),
+    )),
+    _TWO_WINDOWS_NETWORK,
+    None,
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(whole_runs())
 @example(_TIE_RUN)
+@example(_ELSEWHERE_RUN)
+@example(_TWO_WINDOWS_RUN)
 def test_run_and_trace_match_a_brute_force_reference(tmp_path_factory, inputs):
     expected = _reference_run(*inputs)
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
