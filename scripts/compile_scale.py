@@ -15,10 +15,13 @@ size run yet). Then, on the compiled rules, it times building the run's
 per-source fan-out (`arbiter.init`, ms: `simnet.fan_out`, with every
 window's activation table and every port's rule entries) and the
 simulation of the workload's scenario (`run`, microseconds per record),
-best of `--repeat` each. The run drains `iter_run`, which `run` collects,
-so no trace is held or written: at 1,024 leaves it yields over a million
-records. Beside `run`, `arrive+verdict` replays the run's emissions through
-a fresh fan-out with the run's own steps and nothing else: per emission,
+best of `--repeat` each. The scenario keeps the workload's two bursts per
+source but puts them 2,000 ms apart over a 4,000 ms horizon, so every
+source leaves the default 1,000 ms window between its bursts. The run
+drains `iter_run`, which `run` collects, so no trace is held or written:
+at 1,024 leaves it yields over a million records. Beside `run`,
+`arrive+verdict` replays the run's emissions through a fresh fan-out with
+the run's own steps and nothing else: per emission,
 `ActivationTable.arrive` on the table of each distinct window among the
 source's destinations; per record, the port's view, a `Snapshot` when the
 view changed, and `arbiter.verdict`: the part of a record's cost that is
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import math
 import resource
 import sys
@@ -59,6 +63,14 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("parse", "validate", "auto_observe", "extract", "conflicts")
 
 
+# deep-hierarchy bursts once in every 500 ms slot, so no source is ever
+# silent for a whole default window. The scenario runs 4,000 ms and keeps
+# each source's bursts in every fourth slot only: two, as over the
+# workload's 1,000 ms, and each source has left the window when it bursts
+# again.
+SLOT_MS, KEEP_EVERY, HORIZON_MS = 500, 4, 4000
+
+
 def generate(workloads, leaves: int, seed: int, out_dir: Path) -> tuple[str, str]:
     """The model and network text of a deep-hierarchy model with `leaves`
     leaves; its scenario is left in `out_dir`."""
@@ -66,8 +78,15 @@ def generate(workloads, leaves: int, seed: int, out_dir: Path) -> tuple[str, str
     if 4 ** depth != leaves:
         raise SystemExit(f"--leaves must be a power of 4, got {leaves}")
     workloads.SIZES["deep-hierarchy"]["scale"] = {
-        "branching": 4, "depth": depth, "ports": leaves, "horizon_ms": 1000}
+        "branching": 4, "depth": depth, "ports": leaves, "horizon_ms": HORIZON_MS}
     workloads.generate("deep-hierarchy", seed, out_dir, ROOT, scale="scale")
+    path = out_dir / "scenario.json"
+    scenario = json.loads(path.read_text(encoding="utf-8"))
+    for entry in scenario["components"]:
+        if "source" in entry:
+            source = entry["source"]
+            source["active"] = [iv for iv in source["active"] if iv[0] // SLOT_MS % KEEP_EVERY == 0]
+    path.write_text(json.dumps(scenario), encoding="utf-8")
     return ((out_dir / "model.xml").read_text(encoding="utf-8"),
             (out_dir / "network.xml").read_text(encoding="utf-8"))
 

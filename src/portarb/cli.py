@@ -31,7 +31,7 @@ from .model import (
     read_text,
     render_condition,
 )
-from .simnet import iter_run, load_scenario, read_trace, write_trace
+from .simnet import iter_run, iter_trace, load_scenario, write_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -243,9 +243,7 @@ def _explain_failure(index: _TraceIndex, record) -> str:
 
 
 def cmd_explain(args) -> int:
-    records = read_trace(args.trace)
-    if args.port is not None:
-        records = [r for r in records if r.dst == args.port]
+    records = tuple(iter_trace(args.trace, args.port))
     index = _TraceIndex(records)
     matches = [r for r in records if args.at is None or r.t == args.at]
     if not matches:

@@ -410,7 +410,8 @@ def run(
 
 
 # The trace file's buffer size; with the default 8 KiB, writing a
-# wide-fanin trace took about 1.3 times as long
+# wide-fanin trace took about 1.3 times as long, and reading its lines
+# about 2 times
 _BUFFER_BYTES = 1 << 16
 
 
@@ -442,45 +443,91 @@ _TRACE_HEAD = (
 )
 
 
-def read_trace(path) -> tuple[TraceRecord, ...]:
-    """Parse a trace file written by write_trace, one record per line.
+# How many distinct assignment texts iter_trace keeps parsed; a full cache
+# starts over. A text recurs soon after it first appears, while its port's
+# activation holds: on the benchmark's seed-1 deep-hierarchy trace (7,012
+# lines) this cache misses 1,647 times and an unbounded one 1,638.
+_PARSED_TEXTS = 1 << 10
 
-    Lines end at "\\n" alone (`read_text` reads "\\r\\n" as "\\n"), as in
-    JSON Lines: a raw U+2028, U+2029 or U+0085 inside a JSON string, which
-    `str.splitlines` would break at, stays in its line. The start of a line
-    in write_trace's layout is matched by one pattern, and each distinct
-    assignment text is parsed once per file (every record gets its own
-    dict). Any other line goes through json.loads and the field checks (`t`
-    an integer, the other fields but the assignment strings, the assignment
-    an object whose values are all true or false), so both paths accept the
-    same lines, give the same records and reject with the same messages.
+
+def iter_trace(path, port: str | None = None) -> Iterator[TraceRecord]:
+    """The records of a trace file written by write_trace, one per line,
+    read as a stream; with `port`, only the records delivered to it.
+
+    Every line is checked, whichever port it goes to, and the lines are
+    those of `read_text(path).split("\\n")`: they end at "\\n", "\\r\\n" or
+    a lone "\\r" only, so a raw U+2028, U+2029 or U+0085 inside a JSON
+    string, which `str.splitlines` would break at, stays in its line.
+    The start of a line in write_trace's layout is matched by one pattern,
+    and each distinct assignment text is parsed once while it stays in a
+    bounded cache (every record gets its own dict); a line for another port
+    whose text is in the cache costs that match and one lookup. Any other
+    line goes through json.loads and the field checks (`t` an integer, the
+    other fields but the assignment strings, the assignment an object whose
+    values are all true or false), so both paths accept the same lines, give
+    the same records and reject with the same messages. As from `read_text`,
+    a byte that is not UTF-8 anywhere in the file is the error, named by its
+    offset, even after a bad line.
     """
     path = Path(path)
+    with open(path, "rb", buffering=_BUFFER_BYTES) as fh:
+        lines = _text_lines(fh, path)
+        try:
+            yield from _trace_records(lines, path, port)
+        except ParseError:
+            for _ in lines:  # decodes the rest of the file
+                pass
+            raise
+
+
+def _text_lines(fh: Iterable[bytes], path: Path) -> Iterator[str]:
+    """The lines of the binary file `fh` as `read_text(path).split("\\n")`
+    has them, with their newlines translated the same way, decoded one at a
+    time. A line ends at b"\\n", which no multi-byte UTF-8 sequence holds,
+    so the first byte that is not UTF-8 is found where decoding the whole
+    file finds it."""
+    offset = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
+        offset += len(raw)
+        if "\r" in text:
+            *whole, last = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            yield from whole
+            if last:
+                yield last
+        else:
+            yield text.rstrip("\n")
+
+
+def _trace_records(lines: Iterable[str], path: Path, port: str | None) -> Iterator[TraceRecord]:
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
     parsed: dict[str, dict] = {}
-    records: list[TraceRecord] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         match = head(line)
         if match is not None and line.endswith("}"):
             t, src, dst, outcome, reason, rule = match.groups()
             text = line[match.end():-1]
-            # the first record of a text keeps the parsed dict and later ones
-            # copy it, all before the caller sees any; a text that is not an
-            # object of true/false values takes the path below, which fails
+            # the cache keeps a dict of its own, as the caller may change a
+            # record's before the next is read; a text that is not an object
+            # of true/false values takes the path below, which fails
             assignment = parsed.get(text)
-            if assignment is not None:
-                assignment = dict(assignment)
-            elif text.startswith("{"):
+            if assignment is None and text.startswith("{"):
                 try:
                     assignment = json.loads(text)
                 except (json.JSONDecodeError, RecursionError):
                     pass
                 if _is_flags(assignment):
+                    if len(parsed) >= _PARSED_TEXTS:
+                        parsed.clear()
                     parsed[text] = assignment
                 else:
                     assignment = None
             if assignment is not None:
-                records.append(TraceRecord(int(t), src, dst, outcome, reason, rule, assignment))
+                if port is None or dst == port:
+                    yield TraceRecord(int(t), src, dst, outcome, reason, rule, dict(assignment))
                 continue
         if not line.strip():
             continue
@@ -495,8 +542,14 @@ def read_trace(path) -> tuple[TraceRecord, ...]:
             raise ParseError(f"{path}:{lineno}: 'assignment' must be an object")
         if not _is_flags(payload["assignment"]):
             raise ParseError(f"{path}:{lineno}: 'assignment' values must be true or false")
-        records.append(TraceRecord(**payload))
-    return tuple(records)
+        if port is None or payload["dst"] == port:
+            yield TraceRecord(**payload)
+
+
+def read_trace(path) -> tuple[TraceRecord, ...]:
+    """All the records of a trace file written by write_trace, in file
+    order, each with an assignment dict of its own; see iter_trace."""
+    return tuple(iter_trace(path))
 
 
 def _is_flags(assignment) -> bool:

@@ -24,10 +24,12 @@ from portarb import (
     parse_behavior_model,
     parse_network,
     read_trace,
+    write_trace,
 )
 import portarb.cli
 from portarb.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from portarb.model import MAX_NESTING_DEPTH, MAX_V3_PER_PORT
+from portarb.simnet import TraceRecord
 
 from conftest import MALFORMED_MODELS, deep_hierarchy_texts, run_fixture, trace_text
 
@@ -363,6 +365,44 @@ def test_simulate_memory_does_not_grow_with_the_window(tmp_path, capsys):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def _port_trace(path, others):
+    """A trace of 100 records delivered to /p:i and, after each, `others`
+    / 100 delivered to /q:i, each of those with an assignment of its own."""
+    sources = tuple(f"/s{i:02}:o" for i in range(16))
+    per = others // 100
+    records = []
+    for t in range(100):
+        records.append(TraceRecord(t, sources[0], "/p:i", "accept", "SELECTED", "-",
+                                   {sources[0]: True, sources[1]: t % 2 == 0}))
+        for k in range(t * per, (t + 1) * per):
+            mask = k * 0x9E37 % (1 << 16)  # an odd factor: distinct for every k
+            records.append(TraceRecord(t, sources[1], "/q:i", "accept", "SELECTED", "-",
+                                       {s: bool(mask >> i & 1) for i, s in enumerate(sources)}))
+    write_trace(records, path)
+
+
+def test_explain_port_memory_does_not_grow_with_other_ports(tmp_path, capsys):
+    # the other port's records grow tenfold; neither they nor their
+    # assignment texts, all distinct, may be held. 2,000 of them already
+    # outnumber the texts the reader keeps parsed.
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    _port_trace(short, 2_000)
+    _port_trace(long, 20_000)
+    argv = ("--port", "/p:i", "--at", 50)
+    assert run_cli("explain", short, *argv) == EXIT_OK  # warm-up
+    peaks = []
+    for path in (short, long):
+        tracemalloc.start()
+        try:
+            assert run_cli("explain", path, *argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert out.count("t=50 /s00:o -> /p:i accepted: rule satisfied") == 3
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_explain_object_discard(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     run_cli("simulate", SAT.scenario, "--trace", trace_path)
@@ -494,6 +534,50 @@ def test_explain_rejects_a_string_time(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("explain", trace_path, "--port", "/Arm/pos:i", "--at", 14100) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {trace_path}:6: 't' must be an integer\n"
+
+
+@pytest.mark.parametrize("breakage", ["value", "t", "truncated"])
+def test_explain_port_checks_the_lines_of_other_ports(tmp_path, capsys, breakage):
+    # a bad record delivered to another port ends the read all the same
+    lines = SAT.expected_trace.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if i > 3 and '"dst":"/Gaze/pos:i"' in line)
+    line = lines[i].rstrip("\n")
+    if breakage == "value":
+        line = line.replace('":false', '":0', 1)
+        message = "'assignment' values must be true or false"
+    elif breakage == "t":
+        line = line.replace('{"t":', '{"t":"', 1).replace(',"src"', '","src"', 1)
+        message = "'t' must be an integer"
+    else:
+        line = line[:60]
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(line)
+        message = f"not valid JSON: {exc.value}"
+    lines[i] = line + "\n"
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("".join(lines))
+    assert run_cli("explain", trace_path, "--port", "/Arm/pos:i", "--at", 14100) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {trace_path}:{i + 1}: {message}\n"
+
+
+@pytest.mark.parametrize("bad, tail", [
+    (b"\xff", True), (b"\xed\xa0\x80", True), (b"\xe2\x82\n", True), (b"\xe2\x82", False),
+], ids=["invalid", "surrogate", "cut-at-newline", "cut-at-end"])
+@pytest.mark.parametrize("port", [(), ("--port", "/Arm/pos:i")], ids=["all", "port"])
+@pytest.mark.parametrize("bad_line", [False, True], ids=["good", "bad-line-first"])
+def test_explain_reports_a_late_non_utf8_byte_at_its_offset(tmp_path, capsys, bad, tail, port,
+                                                             bad_line):
+    # more than 1 MiB in, after a line with a two-byte character and perhaps
+    # a malformed line: the error names the byte's offset in the whole file,
+    # and it wins over the malformed line before it
+    good = SAT.expected_trace.read_bytes()
+    first = good.split(b"\n", 1)[0].replace(b"/RandomLook/", "/Rand\u00f6mLook/".encode(), 1)
+    head = (b"garbage\n" if bad_line else b"") + first + b"\n" + good * 7
+    assert len(head) > 1 << 20
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_bytes(head + bad + (good if tail else b""))
+    assert run_cli("explain", trace_path, *port) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {trace_path}: not UTF-8 text (byte {len(head)})\n"
 
 
 @pytest.mark.parametrize("kind, text, message", [

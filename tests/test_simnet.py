@@ -38,7 +38,7 @@ from portarb.model import TRUE
 from portarb import simnet
 from portarb.arbiter import Snapshot
 from portarb.cli import EXIT_USAGE, main
-from portarb.simnet import PeriodicSource, TraceRecord
+from portarb.simnet import PeriodicSource, TraceRecord, iter_trace
 
 
 def test_load_search_and_track_scenario():
@@ -833,6 +833,43 @@ def test_read_trace_matches_the_json_loads_reader(tmp_path_factory, lines, newli
     good = [line for i, line in enumerate(lines) if compare(f"{i}.jsonl", line + newline)]
     compare("all.jsonl", newline.join(lines) + (newline if trailing else ""))
     compare("good.jsonl", newline.join(good * 2) + (newline if trailing else ""))
+
+
+def _line_ports(lines):
+    """The string `dst` of every line that json.loads reads as an object,
+    and a port no line names."""
+    ports = {"/absent:i"}
+    for line in lines:
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(payload, dict) and isinstance(payload.get("dst"), str):
+            ports.add(payload["dst"])
+    return sorted(ports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(trace_lines(), st.sampled_from(("", " \t"))), max_size=6),
+       st.sampled_from(("\n", "\r\n", "\r")), st.booleans())
+def test_iter_trace_with_a_port_is_the_full_read_filtered(tmp_path_factory, lines, newline, trailing):
+    # every line is checked whichever port it goes to: with a port, the read
+    # gives the full read's records delivered there, or fails as it does;
+    # the lines read twice over, so that assignment texts repeat. A lone
+    # "\r" ends a line too, as read_text reads it.
+    directory = tmp_path_factory.mktemp("trace")
+    for name, body in (("all", lines), ("twice", lines * 2)):
+        path = directory / f"{name}.jsonl"
+        path.write_bytes((newline.join(body) + (newline if trailing else "")).encode("utf-8"))
+        full = _read_outcome(read_trace, path)
+        assert full == _read_outcome(_reference_read_trace, path)
+        for port in _line_ports(lines):
+            got = _read_outcome(lambda p: tuple(iter_trace(p, port)), path)
+            if full[0] == "records":
+                expected = ("records", repr(tuple(r for r in read_trace(path) if r.dst == port)))
+            else:
+                expected = full
+            assert got == expected, port
 
 
 WIDE_PORT = "/wide/in:i"
