@@ -30,13 +30,13 @@ from .model import (
     WARNING,
     Value,
     _set,
-    apply_auto_observe,
+    _validate,
+    _with_observers,
     condition_literals,
     cube_literals,
     has_errors,
     normalize,
     render_condition,
-    validate,
 )
 
 # C1 warnings shown per port, each with its witness; one more counts the rest
@@ -266,11 +266,11 @@ def compile_model(
     errors) and the network the rules were compiled against, which carries
     the added observer connections when `auto_observe` is set.
     """
-    diagnostics = validate(model, network, auto_observe=auto_observe)
+    diagnostics, missing = _validate(model, network, auto_observe)
     if has_errors(diagnostics):
         return diagnostics, None, network
     if auto_observe:
-        network = apply_auto_observe(model, network)
+        network = _with_observers(network, ((port, destination) for _, port, destination in missing))
     ruleset = extract_rules(model, network)
     return diagnostics + check_conflicts(ruleset), ruleset, network
 

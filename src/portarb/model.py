@@ -1020,6 +1020,16 @@ def validate(
     more` counts the rest); V4 sibling inhibition relations are acyclic (one
     cycle is reported per sibling group); V5 inhibition targets resolve.
     """
+    return _validate(model, network, auto_observe)[0]
+
+
+def _validate(
+    model: BehaviorModel, network: NetworkDescription, auto_observe: bool
+) -> tuple[list[Diagnostic], list[tuple[BehaviorNode, str, str]]]:
+    """validate's diagnostics, and the (leaf, literal, destination) triples
+    of its V3 check: with auto_observe, those whose connections
+    apply_auto_observe adds, in its order, so a compile walks the rule
+    literals once."""
     diagnostics: list[Diagnostic] = []
     names = {node.name for node in model.walk()}
     for members in chain((model.roots,), (node.children for node in model.walk())):
@@ -1068,7 +1078,8 @@ def validate(
     # document order that needs it; without, one per (leaf, literal).
     severity = WARNING if auto_observe else ERROR
     found: dict[str, int] = {}
-    for leaf, port, destination in _unobserved_literals(model, network, once=auto_observe):
+    missing = list(_unobserved_literals(model, network, once=auto_observe))
+    for leaf, port, destination in missing:
         count = found[destination] = found.get(destination, 0) + 1
         if count > MAX_V3_PER_PORT:
             continue
@@ -1091,4 +1102,4 @@ def validate(
             ))
 
     diagnostics.sort(key=lambda d: (d.location, d.code, d.message))
-    return diagnostics
+    return diagnostics, missing

@@ -297,7 +297,8 @@ def fan_out(ruleset: RuleSet, network: NetworkDescription) -> dict[str, tuple[in
     sources' bits, its state (its last view, -1 before any, that view's
     `Snapshot`, its sources, sorted, and their bits), the source's rule
     entry there (see `arbiter.rule_entries`; None: no rule), the port and
-    the rule's text, rendered once."""
+    the rule's text, rendered once ("-": no rule). The sources with no rule
+    at a port share one such tuple."""
     sources = sorted({conn.source for conn in network.connections})
     bit_of = {source: bit for bit, source in enumerate(sources)}
     tables: dict[int, ActivationTable] = {}
@@ -314,9 +315,12 @@ def fan_out(ruleset: RuleSet, network: NetworkDescription) -> dict[str, tuple[in
         entries, _ = rule_entries(port, rules, bits)
         mask = sum(1 << bit for bit in bits.values())
         state = [-1, None, incoming, bits]
+        # a source with no rule here (an observer's) shares one target
+        no_rule = (table, mask, state, None, port, "-")
         for source in incoming:
+            entry = entries.get(source)
             targets[source].append(
-                (table, mask, state, entries.get(source), port, texts.get(source, "-")))
+                no_rule if entry is None else (table, mask, state, entry, port, texts[source]))
     return {
         source: (bit, tuple(dict.fromkeys(table for table, *_ in targets[source])), targets[source])
         for source, bit in bit_of.items()
@@ -443,10 +447,14 @@ _TRACE_HEAD = (
 )
 
 
-# How many distinct assignment texts iter_trace keeps parsed; a full cache
-# starts over. A text recurs soon after it first appears, while its port's
-# activation holds: on the benchmark's seed-1 deep-hierarchy trace (7,012
-# lines) this cache misses 1,647 times and an unbounded one 1,638.
+# How many distinct assignment texts iter_trace keeps, and with a port how
+# many all-false forms and other ports sharing the port's texts; a full
+# cache or set starts over. A text recurs soon after it first appears,
+# while its port's activation holds: on the benchmark's seed-1
+# deep-hierarchy trace (7,012 lines) the text cache misses 1,647 times and
+# an unbounded one 1,638. With a port, the forms leave 64 to 104 of those
+# misses to json.loads, about one per key layout of another port and one
+# per distinct text of the port itself.
 _PARSED_TEXTS = 1 << 10
 
 
@@ -460,14 +468,32 @@ def iter_trace(path, port: str | None = None) -> Iterator[TraceRecord]:
     string, which `str.splitlines` would break at, stays in its line.
     The start of a line in write_trace's layout is matched by one pattern,
     and each distinct assignment text is parsed once while it stays in a
-    bounded cache (every record gets its own dict); a line for another port
-    whose text is in the cache costs that match and one lookup. Any other
-    line goes through json.loads and the field checks (`t` an integer, the
-    other fields but the assignment strings, the assignment an object whose
-    values are all true or false), so both paths accept the same lines, give
-    the same records and reject with the same messages. As from `read_text`,
-    a byte that is not UTF-8 anywhere in the file is the error, named by its
-    offset, even after a bad line.
+    bounded cache (every record gets its own dict). A line in that layout
+    for another port is taken as valid by the first test that holds: its
+    text is in the cache; its all-false form, the text with every '":true'
+    written '":false', is that of a text json.loads has proven and that is
+    json.dumps of its own dict, and the text is cached with no dict; or
+    json.loads proves it, and its form is kept. When the port's own line
+    has a text that another port's line proved by its form, that other
+    port carries the port's texts, as wide-fanin's two ports do: its later
+    texts skip the form test and are parsed and cached, so that the port
+    finds them parsed. The form test is sound. The form F of such a text
+    C is C with each '":true' written '":false', and a text with form F
+    is F with some '":false' written '":true'. In C, a flat object whose
+    values are all written true or false, the '"' of each such occurrence
+    closes a key, so one value flips between true and false, or opens a
+    key or is an escaped quote inside one, so only that key's characters
+    change: F, and then the text, are still objects whose values are all
+    written true or false, though keys may repeat. C must be json.dumps
+    of its dict: there, no repeated key hides a value that is not a flag,
+    which another key, so changed, would reveal. The quote matters: in
+    "\\u00false" the "false" starts inside an escape. Any other line
+    goes through json.loads and the field checks
+    (`t` an integer, the other fields but the assignment strings, the
+    assignment an object whose values are all true or false), so all paths
+    accept the same lines, give the same records and reject with the same
+    messages. As from `read_text`, a byte that is not UTF-8 anywhere in the
+    file is the error, named by its offset, even after a bad line.
     """
     path = Path(path)
     with open(path, "rb", buffering=_BUFFER_BYTES) as fh:
@@ -504,17 +530,40 @@ def _text_lines(fh: Iterable[bytes], path: Path) -> Iterator[str]:
 
 def _trace_records(lines: Iterable[str], path: Path, port: str | None) -> Iterator[TraceRecord]:
     head = re.compile(_TRACE_HEAD).match  # compiled on first use, then cached by re
-    parsed: dict[str, dict] = {}
+    # each valid assignment text seen, with its dict or, when its form proved
+    # it on another port's line, that port's name
+    parsed: dict[str, dict | str] = {}
+    # with a port: the all-false forms of the texts json.loads has proven on
+    # other ports' lines, and the other ports that carried one of the port's
+    # own texts, whose texts are parsed and cached as without a port
+    forms: set[str] = set()
+    shared: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         match = head(line)
         if match is not None and line.endswith("}"):
             t, src, dst, outcome, reason, rule = match.groups()
             text = line[match.end():-1]
+            other = port is not None and dst != port
             # the cache keeps a dict of its own, as the caller may change a
             # record's before the next is read; a text that is not an object
             # of true/false values takes the path below, which fails
             assignment = parsed.get(text)
+            if other and assignment is not None:
+                continue
+            if isinstance(assignment, str):
+                if len(shared) >= _PARSED_TEXTS:
+                    shared.clear()
+                shared.add(assignment)
+                assignment = None
             if assignment is None and text.startswith("{"):
+                form = None
+                if other and dst not in shared:
+                    form = text.replace('":true', '":false')
+                    if form in forms:
+                        if len(parsed) >= _PARSED_TEXTS:
+                            parsed.clear()
+                        parsed[text] = dst
+                        continue
                 try:
                     assignment = json.loads(text)
                 except (json.JSONDecodeError, RecursionError):
@@ -523,10 +572,16 @@ def _trace_records(lines: Iterable[str], path: Path, port: str | None) -> Iterat
                     if len(parsed) >= _PARSED_TEXTS:
                         parsed.clear()
                     parsed[text] = assignment
+                    # only a text written as json.dumps writes its dict
+                    # has no repeated key hiding a value that is not a flag
+                    if form is not None and text == json.dumps(assignment, separators=(",", ":")):
+                        if len(forms) >= _PARSED_TEXTS:
+                            forms.clear()
+                        forms.add(form)
                 else:
                     assignment = None
             if assignment is not None:
-                if port is None or dst == port:
+                if not other:
                     yield TraceRecord(int(t), src, dst, outcome, reason, rule, dict(assignment))
                 continue
         if not line.strip():

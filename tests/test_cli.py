@@ -403,6 +403,40 @@ def test_explain_port_memory_does_not_grow_with_other_ports(tmp_path, capsys):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def _many_ports_trace(path, ports):
+    """A trace of one record delivered to /p:i and then one to each of
+    `ports` other ports, each with 24 long source names of its own: every
+    one of those lines has a port, a key layout and a text of its own."""
+    records = [TraceRecord(0, "/s:o", "/p:i", "accept", "SELECTED", "-", {"/s:o": True})]
+    for k in range(ports):
+        names = [f"/port{k:05}/source{i:02}/with/a/long/name:o" for i in range(24)]
+        records.append(TraceRecord(1, names[0], f"/q{k:05}:i", "accept", "SELECTED", "-",
+                                   {name: i % 2 == 0 for i, name in enumerate(names)}))
+    write_trace(records, path)
+
+
+def test_explain_port_memory_does_not_grow_with_the_number_of_other_ports(tmp_path, capsys):
+    # the other ports grow tenfold, each with one line of about 1.2 KB;
+    # neither those texts nor their all-false forms may be held for all of
+    # them. 2,000 ports already outnumber what the reader keeps of either.
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    _many_ports_trace(short, 2_000)
+    _many_ports_trace(long, 20_000)
+    argv = ("--port", "/p:i", "--at", 0)
+    assert run_cli("explain", short, *argv) == EXIT_OK  # warm-up
+    peaks = []
+    for path in (short, long):
+        tracemalloc.start()
+        try:
+            assert run_cli("explain", path, *argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert out.count("t=0 /s:o -> /p:i accepted: rule satisfied") == 3
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_explain_object_discard(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     run_cli("simulate", SAT.scenario, "--trace", trace_path)

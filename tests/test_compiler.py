@@ -42,6 +42,7 @@ from portarb import (
     parse_behavior_model,
     parse_network,
     rule_text,
+    validate,
 )
 from portarb import bdd
 from portarb.compiler import MAX_C1_PER_PORT, RuleSet, SelectionRule
@@ -639,6 +640,27 @@ def test_each_rule_is_classified_once(monkeypatch):
     next(iter_run(load_scenario(fx.scenario), ruleset, network))
     assert len(ruleset.rules) == 5
     assert sorted(map(repr, calls)) == sorted(repr(rule.constraint) for rule in ruleset.rules)
+
+
+def test_compile_walks_the_rule_literals_once(monkeypatch):
+    # validate's V3 check finds the missing observer connections; the
+    # compile adds those, the ones apply_auto_observe adds, with no second
+    # walk over the leaves' literals
+    model_text, network_text = deep_hierarchy_texts(depth=3)
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    unobserved = portarb.model._unobserved_literals
+    walks = []
+    monkeypatch.setattr(portarb.model, "_unobserved_literals",
+                        lambda *args, **kwargs: walks.append(args) or unobserved(*args, **kwargs))
+    diagnostics, ruleset, augmented = compile_model(model, network, auto_observe=True)
+    assert len(walks) == 1
+    monkeypatch.undo()
+    expected = apply_auto_observe(model, network)
+    assert len(augmented.connections) > len(network.connections)
+    assert augmented.connections == expected.connections
+    assert augmented.windows == expected.windows
+    assert ruleset == extract_rules(model, expected)
+    assert diagnostics == validate(model, network, auto_observe=True) + check_conflicts(ruleset)
 
 
 def test_rule_cube_is_not_a_field():

@@ -872,6 +872,108 @@ def test_iter_trace_with_a_port_is_the_full_read_filtered(tmp_path_factory, line
             assert got == expected, port
 
 
+# assignment keys that hold the text the all-false form rewrites, raw or
+# escaped as json.dumps escapes it, or "false" inside an escape ("úlse" is
+# written "\\u00false"), and values that nearly read true
+_FORM_KEYS = ("/a:o", "/b:o", '":true', '":false', '\\":true', ":true", 'x":truee', "úlse")
+_NEAR_TRUE = ("tru", "truee", " true", '"true"', "1")
+_FORM_PORTS = ("/p:i", "/q:i", "/r:i")
+
+
+def _layout_line(t, port, keys, values):
+    assignment = ",".join(f"{json.dumps(key)}:{value}" for key, value in zip(keys, values))
+    return (f'{{"t":{t},"src":"/a:o","dst":"{port}","outcome":"accept","reason":"",'
+            f'"rule":"-","assignment":{{{assignment}}}}}')
+
+
+@st.composite
+def one_layout_traces(draw):
+    """Lines in write_trace's layout whose assignments all have one list of
+    keys, perhaps with repeats, and values true or false drawn per line.
+    Each text goes to one or more ports in turn, as wide-fanin's two ports
+    get identical texts. Perhaps one value is then a near miss of true, and
+    perhaps one "false" in a line's text, in a key or a value, is written
+    "true"."""
+    keys = draw(st.lists(st.sampled_from(_FORM_KEYS), min_size=1, max_size=4))
+    flags = st.lists(st.sampled_from(("true", "false")), min_size=len(keys), max_size=len(keys))
+    entries = [
+        (t, port, values)
+        for t in range(draw(st.integers(1, 6)))
+        for values in (draw(flags),)
+        for port in draw(st.lists(st.sampled_from(_FORM_PORTS), min_size=1, max_size=3, unique=True))
+    ]
+    if draw(st.booleans()):
+        t, port, values = entries[draw(st.integers(0, len(entries) - 1))]
+        values[draw(st.integers(0, len(keys) - 1))] = draw(st.sampled_from(_NEAR_TRUE))
+    lines = [_layout_line(t, port, keys, values) for t, port, values in entries]
+    if draw(st.booleans()):
+        line = draw(st.integers(0, len(lines) - 1))
+        falses = [i for i in range(len(lines[line])) if lines[line].startswith("false", i)]
+        if falses:
+            i = draw(st.sampled_from(falses))
+            lines[line] = lines[line][:i] + "true" + lines[line][i + 5:]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_layout_traces())
+# a text that is already its own all-false form, but not flags
+@example([_layout_line(0, "/q:i", ("/a:o", "/b:o"), ("true", "false")),
+          _layout_line(1, "/q:i", ("/a:o", "/b:o"), ("false", "1"))])
+# a line that ends with an earlier line's text, the text longer than that
+@example([_layout_line(0, "/q:i", ("/a:o",), ("true",)),
+          _layout_line(1, "/q:i", ("/a:o",), ("true",)).replace(
+              '"assignment":{', '"assignment":{"x":{')])
+# keys that hold ":true escaped and raw, and one repeated
+@example([_layout_line(0, "/q:i", ('":true', ":true", ":true"), ("true", "false", "true")),
+          _layout_line(1, "/q:i", ('":true', ":true", ":true"), ("false", "true", "false")),
+          _layout_line(2, "/q:i", ('":true', ":true", ":true"), ("false", '"true"', "false"))])
+# a repeated key that hides a value that is not a flag, so the text is
+# valid; the next text has its all-false form, and its first value is seen
+@example([_layout_line(0, "/p:i", ('":false', '":false'), ('"true"', "true")),
+          _layout_line(1, "/q:i", ('":true', '":false'), ('"true"', "true"))])
+# a "false" inside an escape written "true", so the text is not JSON, though
+# with every "true" written "false" it would be a proven text's
+@example([_layout_line(0, "/q:i", ("úlse",), ("true",)),
+          _layout_line(1, "/q:i", ("úlse",), ("false",)).replace("u00false", "u00true")])
+def test_iter_trace_proves_other_ports_lines_as_the_full_read_does(tmp_path_factory, lines):
+    # with a port, another port's line is taken as valid when its text is
+    # in the cache or has the all-false form of a text json.loads proved;
+    # each must accept exactly the lines the full read accepts. The lines
+    # are read twice over, so that texts and forms repeat.
+    directory = tmp_path_factory.mktemp("trace")
+    for name, body in (("all", lines), ("twice", lines * 2)):
+        path = directory / f"{name}.jsonl"
+        path.write_bytes(("\n".join(body) + "\n").encode("utf-8"))
+        full = _read_outcome(read_trace, path)
+        assert full == _read_outcome(_reference_read_trace, path)
+        for port in _FORM_PORTS + ("/absent:i",):
+            got = _read_outcome(lambda p: tuple(iter_trace(p, port)), path)
+            if full[0] == "records":
+                expected = ("records", repr(tuple(r for r in read_trace(path) if r.dst == port)))
+            else:
+                expected = full
+            assert got == expected, port
+
+
+def test_iter_trace_parses_one_text_of_another_ports_key_layout(tmp_path, monkeypatch):
+    # /q:i's 500 texts are all distinct, with one key layout and so one
+    # all-false form: once json.loads has proved the first, the read for
+    # /p:i proves the rest by that form
+    sources = tuple(f"/s{i}:o" for i in range(9))
+    records = [TraceRecord(0, sources[0], "/p:i", "accept", "SELECTED", "-", {sources[0]: True})]
+    records += [TraceRecord(t, sources[0], "/q:i", "accept", "SELECTED", "-",
+                            {s: bool(t >> i & 1) for i, s in enumerate(sources)})
+                for t in range(1, 501)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    loads = json.loads
+    texts = []
+    monkeypatch.setattr(simnet.json, "loads", lambda text, *a, **k: texts.append(text) or loads(text, *a, **k))
+    assert tuple(iter_trace(path, "/p:i")) == (records[0],)
+    assert 1 <= len([text for text in texts if sources[1] in text]) <= 2
+
+
 WIDE_PORT = "/wide/in:i"
 WIDE_OUTPUTS = tuple(f"/w{i:03d}/out:o" for i in range(128))
 
