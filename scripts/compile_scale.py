@@ -5,33 +5,38 @@ Generates perfbench's deep-hierarchy workload (branching 4, as many ports
 as leaves) at each requested leaf count, then times the compile stages in
 process on it: parse, validate with auto-observe, auto-observe, rule
 extraction and the conflict check. Prints, per size, the milliseconds of
-each stage (best of `--repeat`), the microseconds per added observer
-connection of validate and auto-observe, how many diagnostics validate
-returns, how many C1 warnings the conflict check returns, the
-milliseconds the cyclic garbage collector paused during the compile
-(summed through `gc.callbacks`, best of `--repeat`), and the process's
-peak RSS so far (sizes run smallest first, so it is that of the largest
-size run yet). Then, on the compiled rules, it times building the run's
-per-source fan-out (`arbiter.init`, ms: `simnet.fan_out`, with every
-window's activation table and every port's rule entries) and the
-simulation of the workload's scenario (`run`, microseconds per record),
-best of `--repeat` each. The scenario keeps the workload's two bursts per
-source but puts them 2,000 ms apart over a 4,000 ms horizon, so every
-source leaves the default 1,000 ms window between its bursts. The run
-drains `iter_run`, which `run` collects, so no trace is held or written:
-at 1,024 leaves it yields over a million records. Beside `run`,
-`arrive+verdict` replays the run's emissions through a fresh fan-out with
-the run's own steps and nothing else: per emission,
-`ActivationTable.arrive` on the table of each distinct window among the
-source's destinations; per record, the port's view, a `Snapshot` when the
-view changed, and `arbiter.verdict`: the part of a record's cost that is
-the arbitration itself. `emissions` counts the emissions that reached a
-port, and `expired/arrival` the activation bits an arrival clears, on
-average, from consecutive views at each port (an arriving source that had
-left the window keeps its bit, so is not counted): the sources that leave
-the window, which an emission looks for only once its table's front can
-have left. The emissions are kept as two arrays of 4-byte ints (source
-port, time), 8 bytes per emission, and the peak RSS counts them.
+each stage (best/worst of `--repeat`), the microseconds per added observer
+connection of validate and auto-observe (from the best times), how many
+diagnostics validate returns, how many C1 warnings the conflict check
+returns, and the milliseconds the cyclic garbage collector paused during
+the compile (summed through `gc.callbacks`). `compile_model` times the
+CLI's pipeline, `compiler.compile_model` with auto-observe on a freshly
+parsed model and network, with its own collector pause. Then, on the
+compiled rules, it times building the run's per-source fan-out
+(`arbiter.init`, ms: `simnet.fan_out`, with every window's activation
+table and every port's rule entries) and the simulation of the workload's
+scenario (`run`, microseconds per record). Every timed column is
+best/worst of `--repeat`; last comes the process's peak RSS so far (sizes
+run smallest first, so it is that of the largest size run yet). The
+scenario keeps the workload's two bursts per source but puts them 2,000
+ms apart over a 4,000 ms horizon, so every source leaves the default
+1,000 ms window between its bursts. The run drains `iter_run`, which `run`
+collects, so no trace is held or written: at 1,024 leaves it yields over a
+million records. Beside `run`, `arrive+verdict` replays the run's
+emissions through a fresh fan-out with the run's own steps and nothing
+else: per emission, `ActivationTable.arrive` on the table of each distinct
+window among the source's destinations; per record, the port's view, a
+`Snapshot` when the view changed, and `arbiter.verdict`: the part of a
+record's cost that is the arbitration itself. `emissions` counts the
+emissions that reached a port, and `expired/arrival` the activation bits an
+arrival clears, on average, from consecutive views at each port (an
+arriving source that had left the window keeps its bit, so is not
+counted): the sources that leave the window, which an emission looks for
+only once its table's front can have left. The emissions are kept as two
+arrays of 4-byte ints (source port, time), 8 bytes per emission, and the
+peak RSS counts them. No column reads the auto-observed network's
+`connections`, so the observer connections are never built as objects:
+the added count is read from its `source_masks`.
 
 Run from the repository root with the package of the tree under test:
 
@@ -40,7 +45,7 @@ Run from the repository root with the package of the tree under test:
 
 perfbench/workloads.py is only imported, never changed. At 1,024 leaves a
 compile adds about 390,000 observer connections, so one repetition takes
-seconds and a few hundred MB.
+seconds.
 """
 
 from __future__ import annotations
@@ -129,24 +134,42 @@ def measure(model_text: str, network_text: str) -> tuple[dict[str, float], dict[
     times["gc_pause"] = pauses.seconds
     for name, start, end in zip(STAGES, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
         times[name] = end - start
+    given = len(network.connections)
     counts = {
-        "given": len(network.connections),
-        "added": len(augmented.connections) - len(network.connections),
+        "given": given,
+        # the masks' bits, as reading `augmented.connections` builds them all
+        "added": sum(mask.bit_count() for mask in augmented.source_masks.values()) - given,
         "diagnostics": len(diagnostics),
         "c1": len(conflicts),
     }
     return times, counts, ruleset, augmented
 
 
-def record_emissions(scenario, ruleset, network) -> tuple[tuple[array, array], int, int]:
-    """The drained run's emissions that reached a port: the source port's
-    index in `network`'s sorted sources and the time; then the records and
-    the activation bits cleared between consecutive views at a port, summed
-    over the records. An emission's records are consecutive, in increasing
-    destination order, so a record starts an emission when its (t, src)
-    differs from the previous record's or its destination does not follow
-    the previous one's."""
-    index = {source: i for i, source in enumerate(sorted({c.source for c in network.connections}))}
+def measure_compile_model(model_text: str, network_text: str) -> dict[str, float]:
+    """Seconds of one `compile_model` with auto-observe, as the CLI runs it,
+    on a freshly parsed model and network, and of the collector's pauses in
+    it."""
+    model, network = pa.parse_behavior_model(model_text), pa.parse_network(network_text)
+    pauses = CollectorPauses()
+    gc.callbacks.append(pauses)
+    try:
+        t0 = time.perf_counter()
+        pa.compile_model(model, network, True)
+        t1 = time.perf_counter()
+    finally:
+        gc.callbacks.remove(pauses)
+    return {"compile_model": t1 - t0, "compile_model_gc": pauses.seconds}
+
+
+def record_emissions(scenario, ruleset, network) -> tuple[tuple[list, array, array], int, int]:
+    """The drained run's emissions that reached a port: the source ports in
+    order of first emission, and per emission the index of its source port
+    there and the time; then the records and the activation bits cleared
+    between consecutive views at a port, summed over the records. An
+    emission's records are consecutive, in increasing destination order, so
+    a record starts an emission when its (t, src) differs from the previous
+    record's or its destination does not follow the previous one's."""
+    index: dict[str, int] = {}
     sources, times = array("i"), array("i")
     masks: dict[str, int] = {}
     records = expired = 0
@@ -154,13 +177,13 @@ def record_emissions(scenario, ruleset, network) -> tuple[tuple[array, array], i
     for record in pa.iter_run(scenario, ruleset, network):
         records += 1
         if last is None or (record.t, record.src) != last[:2] or record.dst <= last[2]:
-            sources.append(index[record.src])
+            sources.append(index.setdefault(record.src, len(index)))
             times.append(record.t)
         last = (record.t, record.src, record.dst)
         mask = record.assignment.mask
         expired += (masks.get(record.dst, 0) & ~mask).bit_count()
         masks[record.dst] = mask
-    return (sources, times), records, expired
+    return (list(index), sources, times), records, expired
 
 
 def measure_run(scenario, ruleset, network, emissions) -> dict[str, float]:
@@ -172,8 +195,9 @@ def measure_run(scenario, ruleset, network, emissions) -> dict[str, float]:
     t0 = time.perf_counter()
     plan = pa.simnet.fan_out(ruleset, network)
     t1 = time.perf_counter()
-    steps = [plan[source] for source in sorted(plan)]
-    for i, t in zip(*emissions):
+    names, sources, times = emissions
+    steps = [plan[source] for source in names]
+    for i, t in zip(sources, times):
         bit, arrived, targets = steps[i]
         for table in arrived:
             table.arrive(bit, t)
@@ -195,8 +219,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--leaves", type=int, nargs="+", default=[64, 256, 1024])
     parser.add_argument("--repeat", type=int, default=3,
-                        help="best of this many compiles per size (one at 1,024 leaves and up), "
-                             "and of this many arbiter builds and runs")
+                        help="best and worst of this many compiles, arbiter builds and runs per size")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -205,6 +228,7 @@ def main(argv=None) -> int:
 
     header = ("leaves", "given", "added", *(f"{s} ms" for s in STAGES),
               "validate us/conn", "auto_observe us/conn", "diagnostics", "C1", "gc pause ms",
+              "compile_model ms", "compile_model gc ms",
               "arbiter.init ms", "records", "emissions", "expired/arrival", "run us/record",
               "arrive+verdict us/record",
               "peak RSS MB")
@@ -213,31 +237,42 @@ def main(argv=None) -> int:
         for leaves in sorted(args.leaves):
             model_text, network_text = generate(workloads, leaves, args.seed, Path(tmp) / str(leaves))
             scenario = pa.load_scenario(Path(tmp) / str(leaves) / "scenario.json")
-            best: dict[str, float] = {}
-            for _ in range(1 if leaves >= 1024 else args.repeat):
-                times, counts, ruleset, network = measure(model_text, network_text)
+            samples: dict[str, list[float]] = {}
+            for _ in range(args.repeat):
+                ruleset = network = None  # so one compile's output is alive at a time
+                times = measure_compile_model(model_text, network_text)
+                stages, counts, ruleset, network = measure(model_text, network_text)
+                times.update(stages)
                 for name, seconds in times.items():
-                    best[name] = min(seconds, best.get(name, seconds))
+                    samples.setdefault(name, []).append(seconds)
             emissions, records, expired = record_emissions(scenario, ruleset, network)
             for _ in range(args.repeat):
                 for name, seconds in measure_run(scenario, ruleset, network, emissions).items():
-                    best[name] = min(seconds, best.get(name, seconds))
+                    samples.setdefault(name, []).append(seconds)
             del ruleset, network
+            best = {name: min(values) for name, values in samples.items()}
+
+            def span(name: str, scale: float = 1e3, digits: int = 1) -> str:
+                return f"{min(samples[name]) * scale:.{digits}f}/{max(samples[name]) * scale:.{digits}f}"
+
             added = max(counts["added"], 1)
+            per_record = 1e6 / max(records, 1)
             row = (
                 f"{leaves:,}", f"{counts['given']:,}", f"{counts['added']:,}",
-                *(f"{best[s] * 1e3:.1f}" for s in STAGES),
+                *(span(s) for s in STAGES),
                 f"{best['validate'] * 1e6 / added:.2f}",
                 f"{best['auto_observe'] * 1e6 / added:.2f}",
                 f"{counts['diagnostics']:,}",
                 f"{counts['c1']:,}",
-                f"{best['gc_pause'] * 1e3:.1f}",
-                f"{best['arbiter_init'] * 1e3:.2f}",
+                span("gc_pause"),
+                span("compile_model"),
+                span("compile_model_gc"),
+                span("arbiter_init", digits=2),
                 f"{records:,}",
-                f"{len(emissions[0]):,}",
+                f"{len(emissions[1]):,}",
                 f"{expired / max(records, 1):.2f}",
-                f"{best['run'] * 1e6 / max(records, 1):.2f}",
-                f"{best['arrive_verdict'] * 1e6 / max(records, 1):.2f}",
+                span("run", per_record, 2),
+                span("arrive_verdict", per_record, 2),
                 f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}",
             )
             print(" | ".join(row), flush=True)

@@ -266,11 +266,11 @@ def compile_model(
     errors) and the network the rules were compiled against, which carries
     the added observer connections when `auto_observe` is set.
     """
-    diagnostics, missing = _validate(model, network, auto_observe)
+    diagnostics, (masks, steps) = _validate(model, network, auto_observe)
     if has_errors(diagnostics):
         return diagnostics, None, network
     if auto_observe:
-        network = _with_observers(network, ((port, destination) for _, port, destination in missing))
+        network = _with_observers(network, masks, steps)
     ruleset = extract_rules(model, network)
     return diagnostics + check_conflicts(ruleset), ruleset, network
 

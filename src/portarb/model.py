@@ -792,8 +792,18 @@ class Component(Value):
 
 
 class NetworkDescription(Value):
+    """Components, connections and per-port `window=` overrides.
+
+    A network that auto-observe returns keeps its added observer
+    connections as one mask of sources per destination port (see
+    `_with_observers`) and derives `connections`, and with it `incoming`,
+    equality, hash and pickling, on first read."""
+
     # no __slots__: the cached_propertys below keep their values in __dict__
     _fields = ("components", "connections", "windows")
+    # on an auto-observed network: the network it extends and the V3 walk's
+    # steps, from which `connections` is derived
+    _observers: tuple[NetworkDescription, list] | None = None
 
     def __init__(
         self,
@@ -832,6 +842,36 @@ class NetworkDescription(Value):
     @cached_property
     def declared_outputs(self) -> frozenset[str]:
         return frozenset(p for c in self.components for p in c.outputs)
+
+    @cached_property
+    def connections(self) -> tuple[Connection, ...]:
+        # __init__ sets this; a network auto-observe made derives it here:
+        # the given connections, then each added pair in the walk's order
+        given, steps = self._observers
+        added = []
+        for destination, bits, needed in steps:
+            for port in _in_mask(needed, bits, self.source_bits):
+                conn = object.__new__(Connection)
+                _set(conn, "source", port)
+                _set(conn, "destination", destination)
+                added.append(conn)
+        return given.connections + tuple(added)
+
+    @cached_property
+    def source_bits(self) -> dict[str, int]:
+        """The global source numbering: each declared output's bit, in name
+        order. The V3 walk's masks and the run's activation use it."""
+        return {port: bit for bit, port in enumerate(sorted(self.declared_outputs))}
+
+    @cached_property
+    def source_masks(self) -> dict[str, int]:
+        """Per destination port, the `source_bits` of the sources connected
+        to it; an auto-observed network's include its observers. Read-only."""
+        bit_of = self.source_bits
+        masks: dict[str, int] = {}
+        for conn in self.connections:
+            masks[conn.destination] = masks.get(conn.destination, 0) | 1 << bit_of[conn.source]
+        return masks
 
     @cached_property
     def _incoming(self) -> dict[str, tuple[Connection, ...]]:
@@ -922,58 +962,86 @@ def has_errors(diagnostics) -> bool:
 MAX_V3_PER_PORT = 8
 
 
-def _unobserved_literals(
-    model: BehaviorModel, network: NetworkDescription, once: bool = False
-) -> Iterator[tuple[BehaviorNode, str, str]]:
-    """(leaf, literal, destination) for each declared-output rule literal
-    that has no connection to a destination the leaf configures; once per
-    configured connection, leaves in document order. With `once`, only the
-    first leaf that needs a missing (literal, destination) pair yields it."""
-    present = {(c.source, c.destination) for c in network.connections}
-    outputs = network.declared_outputs
+def _in_mask(ports, mask: int, bit_of: Mapping[str, int]) -> list[str]:
+    """The `ports` whose bits are set in `mask`, in order."""
+    return [p for p in ports if (bit := bit_of.get(p)) is not None and mask >> bit & 1]
+
+
+def _unobserved_literals(model: BehaviorModel, network: NetworkDescription, once: bool = False):
+    """The V3 walk, with no object per missing pair: per leaf in document
+    order, the mask of its plan's `needed` literals over
+    `network.source_bits`, and per configured connection the bits of it
+    not yet connected to the destination. With `once`, a missing (literal,
+    destination) pair counts only for the first leaf that needs it.
+    Returns the (leaf name, literal) pairs whose literal is not a declared
+    output; per destination, the missing pairs' count and the first
+    MAX_V3_PER_PORT of them as (leaf name, literal); and, with `once`, what
+    `_with_observers` takes: each destination's sources with the missing
+    ones added, as masks, and per (leaf, configured connection) that adds
+    any, (destination, the bits it adds, the leaf's `needed`)."""
+    bit_of = network.source_bits
+    present = dict(network.source_masks)
+    undeclared: list[tuple[str, str]] = []
+    counts: dict[str, int] = {}
+    shown: dict[str, list[tuple[str, str]]] = {}
+    steps: list[tuple[str, int, tuple[str, ...]]] = []
     for leaf in model.leaf_behaviors():
-        needed = [p for p in model.plan(leaf.name).needed if p in outputs]
+        needed = model.plan(leaf.name).needed
+        want = 0
+        for port in needed:
+            bit = bit_of.get(port)
+            if bit is None:
+                undeclared.append((leaf.name, port))
+            else:
+                want |= 1 << bit
+        if not want:
+            continue
         for conn in leaf.configuration:
             destination = conn.destination
-            for port in needed:
-                pair = port, destination
-                if pair not in present:
-                    if once:
-                        present.add(pair)
-                    yield leaf, port, destination
+            have = present.get(destination, 0)
+            missing = want & ~have
+            if not missing:
+                continue
+            count = counts.get(destination, 0)
+            counts[destination] = count + missing.bit_count()
+            if count < MAX_V3_PER_PORT:
+                ports = _in_mask(needed, missing, bit_of)[:MAX_V3_PER_PORT - count]
+                shown.setdefault(destination, []).extend((leaf.name, port) for port in ports)
+            if once:
+                present[destination] = have | missing
+                steps.append((destination, missing, needed))
+    return undeclared, counts, shown, present, steps
 
 
 def apply_auto_observe(model: BehaviorModel, network: NetworkDescription) -> NetworkDescription:
     """The network with the connections added that make every rule literal
     visible at the port where the rule is evaluated."""
-    missing = _unobserved_literals(model, network, once=True)
-    return _with_observers(network, ((port, destination) for _, port, destination in missing))
+    *_, masks, steps = _unobserved_literals(model, network, once=True)
+    return _with_observers(network, masks, steps)
 
 
-def _with_observers(network: NetworkDescription, pairs) -> NetworkDescription:
-    """`network` plus a connection per (source, destination) pair, checking
-    only that each destination is a declared input, with the error
-    `NetworkDescription(...)` raises. The rest holds by construction: each
-    source is a declared output, each destination comes from a checked
-    `Connection`, and no pair is in the network or repeated. Input read from
-    a file goes through the checked `Connection(...)` and
-    `NetworkDescription(...)` instead."""
+def _with_observers(network: NetworkDescription, masks: dict[str, int], steps) -> NetworkDescription:
+    """`network` with the observers of the V3 walk (`_unobserved_literals`)
+    added: `masks` become its `source_masks`, and its `connections` are
+    derived from `steps` on first read. Only one check is made: each
+    destination is a declared input, with the error `NetworkDescription(...)`
+    raises. The rest holds by construction: each added source is a declared
+    output, each destination comes from a checked `Connection`, and no pair
+    is in the network or repeated. Input read from a file goes through the
+    checked `Connection(...)` and `NetworkDescription(...)` instead."""
     inputs = network.declared_inputs
-    extra = []
-    for source, destination in pairs:
+    for destination, _, _ in steps:
         if destination not in inputs:
             raise ParseError(f"connection references undeclared input port {destination!r}")
-        conn = object.__new__(Connection)
-        _set(conn, "source", source)
-        _set(conn, "destination", destination)
-        extra.append(conn)
     augmented = object.__new__(NetworkDescription)
     _set(augmented, "components", network.components)
-    _set(augmented, "connections", network.connections + tuple(extra))
     _set(augmented, "windows", dict(network.windows))
-    # the cached_propertys' values, which depend on the components alone
+    # the cached_propertys' values but `connections`, which is derived
     _set(augmented, "declared_inputs", inputs)
     _set(augmented, "declared_outputs", network.declared_outputs)
+    _set(augmented, "source_bits", network.source_bits)
+    _set(augmented, "source_masks", masks)
+    _set(augmented, "_observers", (network, steps))
     return augmented
 
 
@@ -1025,11 +1093,10 @@ def validate(
 
 def _validate(
     model: BehaviorModel, network: NetworkDescription, auto_observe: bool
-) -> tuple[list[Diagnostic], list[tuple[BehaviorNode, str, str]]]:
-    """validate's diagnostics, and the (leaf, literal, destination) triples
-    of its V3 check: with auto_observe, those whose connections
-    apply_auto_observe adds, in its order, so a compile walks the rule
-    literals once."""
+) -> tuple[list[Diagnostic], tuple[dict[str, int], list]]:
+    """validate's diagnostics, and the observers its V3 walk found: with
+    auto_observe, the masks and steps `_with_observers` takes, so a compile
+    walks the rule literals once."""
     diagnostics: list[Diagnostic] = []
     names = {node.name for node in model.walk()}
     for members in chain((model.roots,), (node.children for node in model.walk())):
@@ -1056,43 +1123,36 @@ def _validate(
                 min(cycle),
             ))
 
-    present = set(network.connections)
+    bit_of, given = network.source_bits, network.source_masks
     for leaf in model.leaf_behaviors():
         for conn in leaf.configuration:
-            if conn not in present:
+            bit = bit_of.get(conn.source)
+            if bit is None or not given.get(conn.destination, 0) >> bit & 1:
                 diagnostics.append(Diagnostic(
                     ERROR, "V2",
                     f"configured connection {conn} is not in the network",
                     leaf.name,
                 ))
-        for port in model.plan(leaf.name).needed:
-            if port not in network.declared_outputs:
-                diagnostics.append(Diagnostic(
-                    ERROR, "V3",
-                    f"rule literal {port!r} is not a declared output port",
-                    leaf.name,
-                ))
+    undeclared, counts, shown, masks, steps = _unobserved_literals(model, network, once=auto_observe)
+    for leaf, port in undeclared:
+        diagnostics.append(Diagnostic(
+            ERROR, "V3", f"rule literal {port!r} is not a declared output port", leaf))
     # V3 findings per destination port: the first MAX_V3_PER_PORT are shown,
     # then one diagnostic at the port counts the rest. With auto_observe a
     # finding is an observer connection to add, named by the first leaf in
     # document order that needs it; without, one per (leaf, literal).
     severity = WARNING if auto_observe else ERROR
-    found: dict[str, int] = {}
-    missing = list(_unobserved_literals(model, network, once=auto_observe))
-    for leaf, port, destination in missing:
-        count = found[destination] = found.get(destination, 0) + 1
-        if count > MAX_V3_PER_PORT:
-            continue
-        if auto_observe:
-            message = (f"adding observer connection {port} -> {destination} "
-                       f"so {leaf.name!r} can evaluate {port}")
-        else:
-            message = (f"literal {port} of {leaf.name!r} is not observable at "
-                       f"{destination}: connection {port} -> {destination} "
-                       "is missing (auto-observe can add it)")
-        diagnostics.append(Diagnostic(severity, "V3", message, leaf.name))
     what = "observer connections to" if auto_observe else "unobservable literals at"
-    for destination, count in found.items():
+    for destination, count in counts.items():
+        for leaf, port in shown[destination]:
+            if auto_observe:
+                message = (f"adding observer connection {port} -> {destination} "
+                           f"so {leaf!r} can evaluate {port}")
+            else:
+                message = (f"literal {port} of {leaf!r} is not observable at "
+                           f"{destination}: connection {port} -> {destination} "
+                           "is missing (auto-observe can add it)")
+            diagnostics.append(Diagnostic(severity, "V3", message, leaf))
         if count > MAX_V3_PER_PORT:
             diagnostics.append(Diagnostic(
                 severity, "V3",
@@ -1102,4 +1162,4 @@ def _validate(
             ))
 
     diagnostics.sort(key=lambda d: (d.location, d.code, d.message))
-    return diagnostics, missing
+    return diagnostics, (masks, steps)

@@ -31,7 +31,7 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 from .arbiter import DEFAULT_WINDOW_MS, ActivationTable, Snapshot, rule_entries, verdict
@@ -289,31 +289,47 @@ def _schedule_keys(
         yield range(first * ranks + later, instants.stop * ranks, step * ranks)
 
 
+# bytes.translate table: a mask's binary digits as 0 and 1 bytes, which
+# itertools.compress reads as selectors
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _named(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The names whose bits, their positions in `names`, are set in `mask`."""
+    return tuple(compress(names, format(mask, "b")[::-1].encode().translate(_DIGIT_FLAGS)))
+
+
 def fan_out(ruleset: RuleSet, network: NetworkDescription) -> dict[str, tuple[int, tuple, list]]:
-    """What the run does for an emission, per source port of `network`: the
-    port's global bit; the `ActivationTable`s of the distinct windows of its
-    destinations, each shared by every port of that window; and per
-    destination, in order, the table of its window, the mask of its
-    sources' bits, its state (its last view, -1 before any, that view's
-    `Snapshot`, its sources, sorted, and their bits), the source's rule
-    entry there (see `arbiter.rule_entries`; None: no rule), the port and
-    the rule's text, rendered once ("-": no rule). The sources with no rule
-    at a port share one such tuple."""
-    sources = sorted({conn.source for conn in network.connections})
-    bit_of = {source: bit for bit, source in enumerate(sources)}
+    """What the run does for an emission, per source port connected in
+    `network`: the port's global bit (declared outputs in name order); the
+    `ActivationTable`s of the distinct windows of its destinations, each
+    shared by every port of that window; and per destination, in order, the
+    table of its window, the mask of its sources' bits, its state (its last
+    view, -1 before any, that view's `Snapshot`, its sources, sorted, and
+    their bits), the source's rule entry there (see `arbiter.rule_entries`;
+    None: no rule), the port and the rule's text, rendered once ("-": no
+    rule). The sources with no rule at a port share one such tuple. Each
+    port's sources are read from its mask of them, which an auto-observed
+    network holds with its observers, so no `Connection` is read."""
+    bit_of = network.source_bits
+    names = tuple(bit_of)
+    masks = network.source_masks
+    used = 0
+    for mask in masks.values():
+        used |= mask
     tables: dict[int, ActivationTable] = {}
-    targets: dict[str, list] = {source: [] for source in sources}
-    for port in sorted({conn.destination for conn in network.connections}):
+    targets: dict[str, list] = {source: [] for source in _named(names, used)}
+    for port in sorted(masks):
         window = network.windows.get(port, DEFAULT_WINDOW_MS)
         table = tables.get(window)
         if table is None:
             table = tables[window] = ActivationTable(window)
         rules = ruleset.for_port(port)
         texts = {rule.candidate: rule_text(rule) for rule in rules}
-        incoming = tuple(sorted({conn.source for conn in network.incoming(port)}))
+        mask = masks[port]
+        incoming = _named(names, mask)
         bits = {source: bit_of[source] for source in incoming}
         entries, _ = rule_entries(port, rules, bits)
-        mask = sum(1 << bit for bit in bits.values())
         state = [-1, None, incoming, bits]
         # a source with no rule here (an observer's) shares one target
         no_rule = (table, mask, state, None, port, "-")
@@ -322,8 +338,9 @@ def fan_out(ruleset: RuleSet, network: NetworkDescription) -> dict[str, tuple[in
             targets[source].append(
                 no_rule if entry is None else (table, mask, state, entry, port, texts[source]))
     return {
-        source: (bit, tuple(dict.fromkeys(table for table, *_ in targets[source])), targets[source])
-        for source, bit in bit_of.items()
+        source: (bit_of[source], tuple(dict.fromkeys(table for table, *_ in port_targets)),
+                 port_targets)
+        for source, port_targets in targets.items()
     }
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
@@ -27,10 +28,14 @@ from portarb import (
     BehaviorNode,
     Component,
     Connection,
+    Diagnostic,
+    FIXTURE_NAMES,
     Lit,
     NetworkDescription,
     Not,
     Or,
+    PeriodicSource,
+    Scenario,
     apply_auto_observe,
     check_conflicts,
     compile_model,
@@ -47,7 +52,16 @@ from portarb import (
 from portarb import bdd
 from portarb.compiler import MAX_C1_PER_PORT, RuleSet, SelectionRule
 from portarb.library import RESTARM_VARIANT_EXPECTED_RULES, RESTARM_VARIANT_MODEL
-from portarb.model import FALSE, TRUE, WARNING, condition_literals, normalize, render_condition
+from portarb.model import (
+    ERROR,
+    FALSE,
+    MAX_V3_PER_PORT,
+    TRUE,
+    WARNING,
+    condition_literals,
+    normalize,
+    render_condition,
+)
 
 
 def _network(text):
@@ -661,6 +675,149 @@ def test_compile_walks_the_rule_literals_once(monkeypatch):
     assert augmented.windows == expected.windows
     assert ruleset == extract_rules(model, expected)
     assert diagnostics == validate(model, network, auto_observe=True) + check_conflicts(ruleset)
+
+
+def _reference_observer_pairs(model, network):
+    """The (source, destination) pairs auto-observe adds, one per missing
+    pair, in walk order: leaves in document order, their configured
+    connections, their plans' needed literals."""
+    outputs = network.declared_outputs
+    present = {(c.source, c.destination) for c in network.connections}
+    added = []
+    for leaf in model.leaf_behaviors():
+        for conn in leaf.configuration:
+            for port in model.plan(leaf.name).needed:
+                pair = port, conn.destination
+                if port in outputs and pair not in present:
+                    present.add(pair)
+                    added.append(pair)
+    return added
+
+
+def _deep_hierarchy_scenario():
+    model_text, network_text = deep_hierarchy_texts()
+    model, network = parse_behavior_model(model_text), parse_network(network_text)
+    sources = tuple(PeriodicSource(f"leaf{k}", f"/Leaf{k:03d}/pos:o", 50 + k, k, ((0, 1000),))
+                    for k in range(0, 256, 8))
+    return Scenario(model, network, 1000, sources)
+
+
+@pytest.mark.parametrize("name", (*FIXTURE_NAMES, "deep-hierarchy-256"))
+def test_compile_and_auto_observe_agree_without_building_connections(name):
+    scenario = (_deep_hierarchy_scenario() if name == "deep-hierarchy-256"
+                else load_scenario(fixture(name).scenario))
+    model, network = scenario.model, scenario.network
+    diagnostics, ruleset, compiled = compile_model(model, network, True)
+    records = sum(1 for _ in iter_run(scenario, ruleset, compiled))
+    assert records > 0
+    # neither the compile nor the run reads the observers as connections
+    assert "connections" not in vars(compiled)
+    observed = apply_auto_observe(model, network)
+    assert "connections" not in vars(observed)
+    assert compiled.source_masks == observed.source_masks
+    assert compiled == observed
+    given = len(network.connections)
+    assert compiled.connections[:given] == network.connections
+    added = [(c.source, c.destination) for c in compiled.connections[given:]]
+    assert added == _reference_observer_pairs(model, network)
+    assert [d for d in diagnostics if d.code != "C1"] == validate(model, network, auto_observe=True)
+    # the derived network reads like a checked one, and observing it again adds nothing
+    checked = NetworkDescription(network.components, compiled.connections, dict(network.windows))
+    assert pickle.loads(pickle.dumps(observed)) == checked == observed
+    assert "connections" in vars(pickle.loads(pickle.dumps(observed)))
+    for port in checked.declared_inputs:
+        assert observed.incoming(port) == checked.incoming(port)
+    assert checked.source_masks == observed.source_masks
+    assert apply_auto_observe(model, observed) == observed
+    assert validate(model, observed) == []
+
+
+def test_auto_observe_memory_is_set_by_the_masks_not_the_added_pairs():
+    # 256 leaves: 512 given connections, 20,960 added. With a Connection
+    # per added pair, the tracemalloc peak was 4.8 MB in apply_auto_observe
+    # and 9.4 MB in compile_model, the model's plans built first. With one
+    # mask per port and one step per (leaf, configured connection) that
+    # adds any, it is 0.26 MB and 6.95 MB; compile_model's is now mostly
+    # the rules and the conflict check.
+    model_text, network_text = deep_hierarchy_texts()
+    peaks = {}
+    for name, call in (("apply_auto_observe", lambda m, n: apply_auto_observe(m, n)),
+                       ("compile_model", lambda m, n: compile_model(m, n, True))):
+        model, network = parse_behavior_model(model_text), parse_network(network_text)
+        model.plan(model.leaf_behaviors()[0].name)  # the plans are the model's, built once
+        tracemalloc.start()
+        try:
+            result = call(model, network)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+    assert peaks["apply_auto_observe"] < 1_000_000, peaks
+    assert peaks["compile_model"] < 8_000_000, peaks
+
+
+def _reference_v2_v3(model, network, auto_observe):
+    """validate's V2 and V3 diagnostics, from a per-pair walk over
+    `network.connections`."""
+    diagnostics = []
+    present = set(network.connections)
+    outputs = network.declared_outputs
+    pairs = {(c.source, c.destination) for c in network.connections}
+    severity = WARNING if auto_observe else ERROR
+    found = {}
+    for leaf in model.leaf_behaviors():
+        needed = model.plan(leaf.name).needed
+        for conn in leaf.configuration:
+            if conn not in present:
+                diagnostics.append(Diagnostic(
+                    ERROR, "V2", f"configured connection {conn} is not in the network", leaf.name))
+        for port in needed:
+            if port not in outputs:
+                diagnostics.append(Diagnostic(
+                    ERROR, "V3", f"rule literal {port!r} is not a declared output port", leaf.name))
+        for conn in leaf.configuration:
+            destination = conn.destination
+            for port in needed:
+                if port not in outputs or (port, destination) in pairs:
+                    continue
+                if auto_observe:
+                    pairs.add((port, destination))
+                count = found[destination] = found.get(destination, 0) + 1
+                if count > MAX_V3_PER_PORT:
+                    continue
+                if auto_observe:
+                    message = (f"adding observer connection {port} -> {destination} "
+                               f"so {leaf.name!r} can evaluate {port}")
+                else:
+                    message = (f"literal {port} of {leaf.name!r} is not observable at "
+                               f"{destination}: connection {port} -> {destination} "
+                               "is missing (auto-observe can add it)")
+                diagnostics.append(Diagnostic(severity, "V3", message, leaf.name))
+    what = "observer connections to" if auto_observe else "unobservable literals at"
+    for destination, count in found.items():
+        if count > MAX_V3_PER_PORT:
+            diagnostics.append(Diagnostic(
+                severity, "V3",
+                f"... and {count - MAX_V3_PER_PORT} more {what} {destination} ({count} in all)",
+                destination))
+    return sorted(diagnostics, key=lambda d: (d.location, d.code, d.message))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models_with_networks(), st.booleans(), st.data())
+def test_v2_and_v3_match_a_per_pair_walk(model_and_network, auto_observe, data):
+    model, network = model_and_network
+    # some outputs go undeclared and some connections missing, so configured
+    # connections from undeclared and declared sources are missing too
+    sources, sinks = network.components
+    outputs = tuple(data.draw(st.sets(st.sampled_from(sources.outputs))))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(network.connections),
+                              max_size=len(network.connections)))
+    network = NetworkDescription(
+        (Component("S", outputs=outputs), sinks),
+        tuple(c for c, keep in zip(network.connections, kept) if keep and c.source in outputs))
+    diagnostics = [d for d in validate(model, network, auto_observe) if d.code in ("V2", "V3")]
+    assert diagnostics == _reference_v2_v3(model, network, auto_observe)
 
 
 def test_rule_cube_is_not_a_field():
